@@ -31,10 +31,12 @@ from .hierarchy import (
     CorrelationHierarchy,
     ScaleParams,
     _contract_trailing,
-    evaluate_gf,
+    evaluate_gf,  # unused here; kept importable for bench/spans.py
+    evaluate_gf_rows,
     flat_dimension,
     flatten,
-    substitute_affine,
+    substitute_affine,  # unused here; kept importable for bench/spans.py
+    substitute_affine_rows,
     unflatten,
     variational_derivative_field,
     zero_hierarchy,
@@ -97,7 +99,7 @@ def apply_death(k: CorrelationHierarchy) -> CorrelationHierarchy:
     """Death part: order n is scaled by n (each of n particles dies at rate 1)."""
     tensors = [n * t for n, t in enumerate(k.tensors)]
     tensors[0] = np.array(0.0)
-    return CorrelationHierarchy(k.grid, tensors)
+    return CorrelationHierarchy._trusted(k.grid, tensors)
 
 
 def apply_birth(k, pot: PairPotential, kind: GeneratorKind) -> CorrelationHierarchy:
@@ -109,25 +111,26 @@ def apply_birth(k, pot: PairPotential, kind: GeneratorKind) -> CorrelationHierar
 
     which is the order-n coefficient of sum_x dx theta(x) B_x(theta); the
     sum over which argument plays the birth site replaces the 1/(n-1)!
-    bookkeeping.  Output order 0 vanishes.
+    bookkeeping.  Output order 0 vanishes.  The c_x are computed for all
+    sites at once, stacked along a leading site axis, and only up to order
+    n_max - 1, the highest the output reads; the working set is a few times
+    the top tensor.
     """
     require_same_grid(k, pot)
     grid = k.grid
     if k.n_max == 0:
         return zero_hierarchy(grid, 0)
     a_rows, b_rows = _shift_matrices(pot, kind)
-    subs = [
-        substitute_affine(k, GridField(grid, a_rows[x]), GridField(grid, b_rows[x]))
-        for x in range(grid.n_sites)
-    ]
+    subs = substitute_affine_rows(k, a_rows, b_rows, k.n_max - 1)
     tensors = [np.array(0.0)]
     for n in range(1, k.n_max + 1):
-        stack = np.stack([subs[x].tensors[n - 1] for x in range(grid.n_sites)])
+        stack = subs[n - 1]
+        subs[n - 1] = None  # free each order once it is summed
         acc = np.zeros(stack.shape)
         for i in range(n):
-            acc = acc + np.moveaxis(stack, 0, i)
+            acc += np.moveaxis(stack, 0, i)
         tensors.append(acc)
-    return CorrelationHierarchy(grid, tensors)
+    return CorrelationHierarchy._trusted(grid, tensors)
 
 
 def apply_generator(k, params: ScaleParams, pot, kind) -> CorrelationHierarchy:
@@ -138,7 +141,7 @@ def apply_generator(k, params: ScaleParams, pot, kind) -> CorrelationHierarchy:
         params.z * b - d for d, b in zip(death.tensors, birth.tensors)
     ]
     tensors[0] = np.array(0.0)
-    return CorrelationHierarchy(k.grid, tensors)
+    return CorrelationHierarchy._trusted(k.grid, tensors)
 
 
 def death_gf_term(k, theta: GridField) -> float:
@@ -147,31 +150,28 @@ def death_gf_term(k, theta: GridField) -> float:
     return float(np.sum(theta.values * vd) * k.grid.spacing)
 
 
-def _top_order_product_term(k, psi_values) -> float:
-    """Order-n_max summand of evaluate_gf(k, psi): dx^nm/nm! sum k_nm prod psi."""
-    nm = k.n_max
-    contracted = float(_contract_trailing(k.tensors[nm], psi_values, nm))
-    return contracted * k.grid.spacing**nm / math.factorial(nm)
-
-
 def birth_gf_term(k, theta: GridField, pot, kind) -> float:
     """sum_x dx theta(x) [B(a_x theta + b_x) - top-order term of B(a_x theta)].
 
     The subtracted term is the order-n_max product contribution that
     closure by zero removes from the tensor route; with it the pairing
-    against the birth tensors is an exact identity.
+    against the birth tensors is an exact identity.  All sites x are
+    evaluated at once as the rows of the shifted arguments.
     """
     require_same_grid(k, theta)
     require_same_grid(k, pot)
     grid = k.grid
+    nm = k.n_max
     a_rows, b_rows = _shift_matrices(pot, kind)
-    contributions = []
-    for x in range(grid.n_sites):
-        shifted = GridField(grid, a_rows[x] * theta.values + b_rows[x])
-        value = evaluate_gf(k, shifted) - _top_order_product_term(
-            k, a_rows[x] * theta.values
-        )
-        contributions.append(theta.values[x] * value)
+    scaled = a_rows * theta.values
+    values = evaluate_gf_rows(k, scaled + b_rows)
+    tops = _contract_trailing(k.tensors[nm], scaled, nm).tolist()
+    top_weight = grid.spacing**nm
+    top_factorial = math.factorial(nm)
+    contributions = [
+        t * (value - top * top_weight / top_factorial)
+        for t, value, top in zip(theta.values.tolist(), values, tops)
+    ]
     return grid.spacing * math.fsum(contributions)
 
 

@@ -30,9 +30,10 @@ from .errors import (
     GridMismatchError,
     InvalidArgumentError,
     MemoryGuardError,
+    NonfiniteStateError,
     PrecisionLossError,
 )
-from .lattice import Grid, GridField, require_same_grid
+from .lattice import Grid, GridField, make_grid, require_same_grid
 
 MEMORY_GUARD_ENTRIES = 10_000_000
 
@@ -99,6 +100,18 @@ class CorrelationHierarchy:
         self.grid = grid
         self.tensors = tens
 
+    @classmethod
+    def _trusted(cls, grid, tensors):
+        """Wrap float64 tensors of the right shapes without re-validating them.
+
+        For the generator and Taylor-loop intermediates, whose inputs were
+        already validated; callers check finiteness once per accepted result.
+        """
+        obj = cls.__new__(cls)
+        obj.grid = grid
+        obj.tensors = list(tensors)
+        return obj
+
     @property
     def n_max(self) -> int:
         return len(self.tensors) - 1
@@ -134,8 +147,10 @@ def exponential_hierarchy(rho: GridField, n_max) -> CorrelationHierarchy:
             % (n_max, grid.n_sites)
         )
     tensors = [np.array(1.0)]
-    for _ in range(n_max):
-        tensors.append(np.multiply.outer(tensors[-1], rho.values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_max):
+            tensors.append(np.multiply.outer(tensors[-1], rho.values))
+    require_finite(tensors, "product state of order %d" % n_max)
     return CorrelationHierarchy(grid, tensors)
 
 
@@ -153,12 +168,49 @@ def random_ruelle_hierarchy(grid, n_max, rng, envelope=1.0) -> CorrelationHierar
     return CorrelationHierarchy(grid, tensors)
 
 
-def _contract_trailing(tensor, weights, count):
-    """Contract `count` trailing axes of `tensor` with the vector `weights`."""
-    out = tensor
+def require_finite(tensors, what):
+    """Raise NonfiniteStateError unless every entry of every tensor is finite."""
+    for tensor in tensors:
+        if not np.all(np.isfinite(tensor)):
+            raise NonfiniteStateError("%s has non-finite entries" % what)
+
+
+def _contract_last(batched, rows):
+    """Contract the last axis of `batched` (leading axis x) with rows[x].
+
+    The one contraction every route goes through: batched and single-field
+    callers therefore agree bit for bit.
+    """
+    return np.einsum("x...i,xi->x...", batched, rows)
+
+
+def _contract_trailing(tensor, rows, count):
+    """Contract `count` trailing axes of `tensor` with each row of `rows`.
+
+    rows has shape (R, N); the result carries a leading axis of length R.
+    """
+    out = np.broadcast_to(tensor, rows.shape[:1] + tensor.shape)
     for _ in range(count):
-        out = np.einsum("...i,i->...", out, weights)
+        out = _contract_last(out, rows)
     return out
+
+
+def evaluate_gf_rows(k: CorrelationHierarchy, rows):
+    """B(theta) for every row theta of `rows` (shape (R, N)), as a list of floats.
+
+    Each row's order contributions are combined with math.fsum, so every
+    value is correctly rounded.
+    """
+    dx = k.grid.spacing
+    per_order = []
+    weight = 1.0
+    for n, tensor in enumerate(k.tensors):
+        if n > 0:
+            weight *= dx / n
+        per_order.append(
+            [weight * v for v in _contract_trailing(tensor, rows, n).tolist()]
+        )
+    return [math.fsum(terms) for terms in zip(*per_order)]
 
 
 def evaluate_gf(k: CorrelationHierarchy, theta: GridField) -> float:
@@ -169,14 +221,7 @@ def evaluate_gf(k: CorrelationHierarchy, theta: GridField) -> float:
     this when it divides tiny differences of nearby evaluations.
     """
     require_same_grid(k, theta)
-    dx = k.grid.spacing
-    terms = []
-    weight = 1.0
-    for n, tensor in enumerate(k.tensors):
-        if n > 0:
-            weight *= dx / n
-        terms.append(weight * float(_contract_trailing(tensor, theta.values, n)))
-    return math.fsum(terms)
+    return evaluate_gf_rows(k, theta.values[np.newaxis])[0]
 
 
 def variational_derivative_field(k: CorrelationHierarchy, theta: GridField):
@@ -185,14 +230,14 @@ def variational_derivative_field(k: CorrelationHierarchy, theta: GridField):
     delta B(theta; x) = sum_{n<=n_max-1} dx^n/n! sum_tuples k_{n+1}(x, ...) prod theta.
     """
     require_same_grid(k, theta)
-    n = k.grid.n_sites
     dx = k.grid.spacing
-    out = np.zeros(n)
+    rows = theta.values[np.newaxis]
+    out = np.zeros(k.grid.n_sites)
     weight = 1.0
     for order in range(k.n_max):
         if order > 0:
             weight *= dx / order
-        out += weight * _contract_trailing(k.tensors[order + 1], theta.values, order)
+        out += weight * _contract_trailing(k.tensors[order + 1], rows, order)[0]
     return out
 
 
@@ -203,38 +248,49 @@ def variational_derivative(k: CorrelationHierarchy, theta: GridField, x) -> floa
     return float(variational_derivative_field(k, theta)[int(x)])
 
 
-def substitute_affine(k, a: GridField, b: GridField) -> CorrelationHierarchy:
-    """Hierarchy of the substituted functional theta -> B(a*theta + b).
+def substitute_affine_rows(k: CorrelationHierarchy, a_rows, b_rows, top):
+    """Orders 0..top of theta -> B(a_x*theta + b_x) for every row x at once.
 
-    Output order m carries
+    a_rows and b_rows have shape (R, N); order m of the result has shape
+    (R,) + (N,)*m and carries, at row x,
 
-        c_m(y_1..y_m) = prod_i a(y_i) * sum_{j<=n_max-m} dx^j/j! sum_w k_{m+j}(y, w) prod b(w_l).
+        c_m(y_1..y_m) = prod_i a_x(y_i) * sum_{j<=n_max-m} dx^j/j! sum_w k_{m+j}(y, w) prod b_x(w_l).
 
     The inner sum is capped at j <= n_max - m: with orders above n_max
     closed by zero this makes evaluate_gf(c, theta) == evaluate_gf(k, a*theta+b)
     an exact polynomial identity, not an approximation.
     """
-    require_same_grid(k, a)
-    require_same_grid(k, b)
     nm = k.n_max
     dx = k.grid.spacing
-    n = k.grid.n_sites
-    acc = [np.array(t, copy=True) for t in k.tensors]
-    row = list(k.tensors)
+    batch = (b_rows.shape[0],)
+    row = [np.broadcast_to(t, batch + t.shape) for t in k.tensors]
+    acc = [r.copy() for r in row[: top + 1]]
     weight = 1.0
     for j in range(1, nm + 1):
         weight *= dx / j
-        row = [
-            np.einsum("...i,i->...", row[p + 1], b.values) for p in range(nm - j + 1)
-        ]
-        for m in range(nm - j + 1):
-            acc[m] = acc[m] + weight * row[m]
-    for m in range(1, nm + 1):
+        row = [_contract_last(row[p + 1], b_rows) for p in range(nm - j + 1)]
+        for m in range(min(top, nm - j) + 1):
+            acc[m] += weight * row[m]
+    del row
+    for m in range(1, top + 1):
         for axis in range(m):
-            shape = [1] * m
-            shape[axis] = n
-            acc[m] = acc[m] * a.values.reshape(shape)
-    return CorrelationHierarchy(k.grid, acc)
+            shape = list(batch) + [1] * m
+            shape[axis + 1] = -1
+            acc[m] *= a_rows.reshape(shape)
+    return acc
+
+
+def substitute_affine(k, a: GridField, b: GridField) -> CorrelationHierarchy:
+    """Hierarchy of the substituted functional theta -> B(a*theta + b).
+
+    The single-field case of substitute_affine_rows, over all orders.
+    """
+    require_same_grid(k, a)
+    require_same_grid(k, b)
+    tensors = substitute_affine_rows(
+        k, a.values[np.newaxis], b.values[np.newaxis], k.n_max
+    )
+    return CorrelationHierarchy(k.grid, [t[0] for t in tensors])
 
 
 def taylor_coefficient_fd(k: CorrelationHierarchy, n, sites, step=FD_STEP) -> float:
@@ -407,49 +463,71 @@ def save_hierarchy(k: CorrelationHierarchy, path):
 
     First line `n_sites,length,n_max`, then one line per entry
     `n,i1,...,in,value` in flatten order.  Values are written with repr,
-    so the file round-trips float64 entries exactly.
+    so the file round-trips float64 entries exactly.  Order n is written
+    one chunk per leading index i1, from a line template built once per
+    order.
     """
-    lines = [
-        "%d,%s,%d" % (k.grid.n_sites, repr(k.grid.length), k.n_max)
-    ]
-    for n, tensor in enumerate(k.tensors):
-        if n == 0:
-            lines.append("0,%s" % repr(float(tensor)))
-            continue
-        for idx in np.ndindex(*tensor.shape):
-            lines.append(
-                "%d,%s,%s" % (n, ",".join(str(i) for i in idx), repr(float(tensor[idx])))
-            )
+    n_sites = k.grid.n_sites
+    fields = ["%d," % i for i in range(n_sites)]
+    tails = [""]  # "i2,...,in," for every trailing index of order n, C order
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("%d,%s,%d\n" % (n_sites, repr(k.grid.length), k.n_max))
+        fh.write("0,%s\n" % repr(float(k.tensors[0])))
+        for n, tensor in enumerate(k.tensors[1:], start=1):
+            if n > 1:
+                tails = [tail + field for tail in tails for field in fields]
+            # one line per tail: "%s" takes the "n,i1," head, "%r" the value
+            template = "".join(["%s" + tail + "%r\n" for tail in tails])
+            args = [None] * (2 * len(tails))
+            for lead in range(n_sites):
+                args[0::2] = ["%d,%d," % (n, lead)] * len(tails)
+                args[1::2] = tensor[lead].ravel().tolist()
+                fh.write(template % tuple(args))
 
 
 def load_hierarchy(path) -> CorrelationHierarchy:
-    """Read a snapshot written by save_hierarchy."""
+    """Read a snapshot written by save_hierarchy.
+
+    Every entry must appear exactly once, with its order in 0..n_max and
+    its indices in 0..n_sites-1; anything else raises InvalidArgumentError.
+    """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise InvalidArgumentError("empty snapshot file %s" % path)
     head = lines[0].split(",")
-    if len(head) != 3:
+    try:
+        n_sites, length, n_max = int(head[0]), float(head[1]), int(head[2])
+    except (ValueError, IndexError):
+        raise InvalidArgumentError("malformed snapshot header %r" % lines[0]) from None
+    if len(head) != 3 or n_max < 0:
         raise InvalidArgumentError("malformed snapshot header %r" % lines[0])
-    n_sites, length, n_max = int(head[0]), float(head[1]), int(head[2])
-    grid = Grid(n_sites, length, length / n_sites)
+    grid = make_grid(n_sites, length)
+    if n_sites**n_max > MEMORY_GUARD_ENTRIES:
+        raise MemoryGuardError(
+            "top tensor would hold %d entries (guard %d)"
+            % (n_sites**n_max, MEMORY_GUARD_ENTRIES)
+        )
     tensors = [np.zeros((n_sites,) * n) for n in range(n_max + 1)]
-    count = 0
+    seen = [np.zeros((n_sites,) * n, dtype=bool) for n in range(n_max + 1)]
     for ln in lines[1:]:
         parts = ln.split(",")
-        order = int(parts[0])
-        if len(parts) != order + 2:
+        try:
+            order = int(parts[0])
+            idx = tuple(int(p) for p in parts[1:-1])
+            value = float(parts[-1])
+        except ValueError:
+            raise InvalidArgumentError("malformed snapshot line %r" % ln) from None
+        if not (0 <= order <= n_max) or len(parts) != order + 2:
             raise InvalidArgumentError("malformed snapshot line %r" % ln)
-        idx = tuple(int(p) for p in parts[1 : order + 1])
-        value = float(parts[-1])
-        if order == 0:
-            tensors[0] = np.array(value)
-        else:
-            tensors[order][idx] = value
-        count += 1
-    expected = sum(n_sites**n for n in range(n_max + 1))
+        if not all(0 <= i < n_sites for i in idx):
+            raise InvalidArgumentError("snapshot index out of range in line %r" % ln)
+        if seen[order][idx]:
+            raise InvalidArgumentError("duplicate snapshot entry in line %r" % ln)
+        seen[order][idx] = True
+        tensors[order][idx] = value
+    expected = flat_dimension(grid, n_max)
+    count = sum(int(np.count_nonzero(s)) for s in seen)
     if count != expected:
         raise InvalidArgumentError(
             "snapshot holds %d entries, expected %d" % (count, expected)

@@ -37,10 +37,9 @@ from .hierarchy import (
     MEMORY_GUARD_ENTRIES,
     CorrelationHierarchy,
     ScaleParams,
-    axpy,
     max_abs_by_order,
+    require_finite,
     ruelle_margin,
-    scale_hierarchy,
     scale_norm,
 )
 
@@ -96,12 +95,21 @@ def taylor_evolve(apply, u0, t, m_max, tol, norm_alpha=1.0) -> SolveReport:
     if t == 0.0:
         return SolveReport(u, 0, 0.0, math.inf)
     term = u0
-    for m in range(1, m_max + 1):
-        term = scale_hierarchy(t / m, apply(term))
-        u = axpy(1.0, term, u)
-        tail = scale_norm(term, norm_alpha)
-        if tail < tol:
-            return SolveReport(u, m, tail, math.inf)
+    # Intermediates skip the constructor's finiteness scan: a term is scanned
+    # only when its norm is not finite, the accepted sum once.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, m_max + 1):
+            term = CorrelationHierarchy._trusted(
+                u0.grid, [(t / m) * x for x in apply(term).tensors]
+            )
+            for acc, x in zip(u.tensors, term.tensors):
+                acc += x
+            tail = scale_norm(term, norm_alpha)
+            if not math.isfinite(tail):
+                require_finite(term.tensors, "Taylor term %d" % m)
+            if tail < tol:
+                require_finite(u.tensors, "evolved state")
+                return SolveReport(u, m, tail, math.inf)
     raise ConvergenceError(
         "tail %.3g still above tol %.3g after %d terms" % (tail, tol, m_max)
     )

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,16 @@ from glauberlab.generators import (
 )
 from glauberlab.hierarchy import flat_dimension, flatten, unflatten
 
-from helpers import assert_all_symmetric, loglog_slope, rel_err
+from helpers import (
+    apply_birth_oracle,
+    assert_all_symmetric,
+    birth_gf_term_oracle,
+    loglog_slope,
+    rel_err,
+)
+
+ORACLE_KINDS = (gl.GLAUBER, gl.rescaled(0.25), gl.VLASOV_LIMIT)
+ORACLE_SHAPES = ((5, 0), (7, 1), (6, 2), (5, 3), (6, 4))
 
 
 def standard_setup(n_sites=8, n_max=3, z=0.5, seed=0):
@@ -285,3 +295,42 @@ def test_sampled_generator_estimate_bounds():
         )
         bound = gl.vlasov_gap_bound(eps, params, pot, params.alpha, params.alpha0)
         assert diff <= bound * big_k * weight
+
+
+@pytest.mark.parametrize("n_sites,n_max", ORACLE_SHAPES)
+def test_apply_birth_matches_per_site_oracle_bitwise(n_sites, n_max):
+    grid = gl.make_grid(n_sites, 5.0)
+    pot = gl.gaussian_potential(grid, 0.7, 1.3)
+    rng = np.random.default_rng(100 + n_max)
+    k = gl.random_ruelle_hierarchy(grid, n_max, rng, envelope=0.8)
+    for kind in ORACLE_KINDS:
+        out = gl.apply_birth(k, pot, kind).tensors
+        ref = apply_birth_oracle(k, pot, kind)
+        assert [t.shape for t in out] == [t.shape for t in ref]
+        assert max(float(np.max(np.abs(a - b))) for a, b in zip(out, ref)) == 0.0
+
+
+@pytest.mark.parametrize("n_sites,n_max", ORACLE_SHAPES)
+def test_birth_gf_term_matches_per_site_oracle_bitwise(n_sites, n_max):
+    grid = gl.make_grid(n_sites, 5.0)
+    pot = gl.tophat_potential(grid, 0.4, 1.5)
+    rng = np.random.default_rng(200 + n_max)
+    k = gl.random_ruelle_hierarchy(grid, n_max, rng, envelope=0.8)
+    for kind in ORACLE_KINDS:
+        for _ in range(2):
+            theta = rng.uniform(-0.6, 0.6, n_sites)
+            value = birth_gf_term(k, gl.GridField(grid, theta), pot, kind)
+            assert value == birth_gf_term_oracle(k, theta, pot, kind)
+
+
+def test_apply_generator_working_set_is_a_few_top_tensors():
+    grid, pot, params, rng = standard_setup(n_sites=64, n_max=3)
+    k = gl.random_ruelle_hierarchy(grid, 3, rng, envelope=0.5)
+    top_bytes = k.tensors[3].nbytes
+    tracemalloc.start()
+    try:
+        gl.apply_generator(k, params, pot, gl.GLAUBER)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * top_bytes

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -248,6 +249,17 @@ def test_cli_exit_codes(tmp_path, capsys):
         "time.t_final = 2.0\nvlasov.dt = 1.0\n"
     )
     assert main(["--config", str(blowup), "--out", str(tmp_path / "o4"), "vlasov"]) == 4
+
+
+def test_cli_product_state_overflow_exits_nonfinite(tmp_path, capsys):
+    huge = tmp_path / "huge.conf"
+    huge.write_text("truncation.n_max = 4\ninitial.level = 1e100\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = main(["--config", str(huge), "--out", str(tmp_path / "o"),
+                       "evolve", "--mode", "local"])
+    assert status == 4
+    assert capsys.readouterr().err.startswith("error: nonfinite-state:")
 
 
 def test_cli_seed_override_changes_sampled_outputs(tmp_path):

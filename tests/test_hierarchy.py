@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,11 +8,20 @@ import glauberlab as gl
 from glauberlab.errors import (
     InvalidArgumentError,
     MemoryGuardError,
+    NonfiniteStateError,
     PrecisionLossError,
 )
 from glauberlab.hierarchy import flat_dimension, max_abs_by_order
 
-from helpers import assert_all_symmetric, brute_force_gf, lagrange_eval, rel_err
+from helpers import (
+    assert_all_symmetric,
+    brute_force_gf,
+    evaluate_gf_oracle,
+    lagrange_eval,
+    rel_err,
+    save_hierarchy_oracle,
+    substitute_affine_oracle,
+)
 
 
 def small_random_hierarchy(n_sites=4, n_max=2, seed=0, envelope=1.0):
@@ -334,3 +344,67 @@ def test_grid_and_index_error_paths():
     mismatched = gl.zero_hierarchy(k.grid, 1)
     with pytest.raises(InvalidArgumentError):
         gl.max_abs_difference(k, mismatched)
+
+
+@pytest.mark.parametrize("n_sites,n_max", [(5, 0), (7, 1), (6, 2), (6, 4)])
+def test_substitute_and_evaluate_match_single_field_oracles_bitwise(n_sites, n_max):
+    k, rng = small_random_hierarchy(n_sites=n_sites, n_max=n_max, seed=40 + n_max)
+    for _ in range(3):
+        a, b, theta = (rng.uniform(-1.2, 1.2, n_sites) for _ in range(3))
+        out = gl.substitute_affine(k, gl.GridField(k.grid, a), gl.GridField(k.grid, b))
+        ref = substitute_affine_oracle(k, a, b)
+        assert max(float(np.max(np.abs(x - y))) for x, y in zip(out.tensors, ref)) == 0.0
+        assert gl.evaluate_gf(k, gl.GridField(k.grid, theta)) == evaluate_gf_oracle(k, theta)
+
+
+@pytest.mark.parametrize("n_sites,n_max", [(2, 0), (3, 1), (4, 2), (5, 4)])
+def test_snapshot_bytes_match_per_entry_writer(tmp_path, n_sites, n_max):
+    k, _ = small_random_hierarchy(n_sites=n_sites, n_max=n_max, seed=50 + n_max)
+    edge = [-0.0, 5e-324, 1e308, -1e-300, 1e16, 1e-5, 0.1]
+    for n in range(1, n_max + 1):
+        flat = k.tensors[n].reshape(-1)
+        flat[: len(edge)] = edge[: flat.size]
+    if n_max == 0:
+        k.tensors[0] = np.array(-0.0)
+    gl.save_hierarchy(k, tmp_path / "new.txt")
+    save_hierarchy_oracle(k, tmp_path / "old.txt")
+    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+
+def _snapshot_lines(tmp_path):
+    k, _ = small_random_hierarchy(n_sites=3, n_max=2, seed=60)
+    path = tmp_path / "snapshot.txt"
+    gl.save_hierarchy(k, path)
+    return path, path.read_text().splitlines()
+
+
+def test_load_rejects_negative_index(tmp_path):
+    path, lines = _snapshot_lines(tmp_path)
+    lines[-1] = "2,2,-1," + lines[-1].split(",")[-1]  # would wrap to entry (2, 2)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidArgumentError, match="out of range"):
+        gl.load_hierarchy(path)
+
+
+def test_load_rejects_duplicate_hiding_a_missing_entry(tmp_path):
+    path, lines = _snapshot_lines(tmp_path)
+    lines[-1] = lines[-2]  # count still matches, entry (2, 2) is gone
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidArgumentError, match="duplicate"):
+        gl.load_hierarchy(path)
+
+
+def test_load_rejects_order_above_n_max(tmp_path):
+    path, lines = _snapshot_lines(tmp_path)
+    lines[-1] = "3,0,0,0,0.5"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidArgumentError, match="malformed"):
+        gl.load_hierarchy(path)
+
+
+def test_exponential_hierarchy_overflow_is_nonfinite_state():
+    grid = gl.make_grid(4, 4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonfiniteStateError):
+            gl.exponential_hierarchy(gl.constant_field(grid, 1e100), 4)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from glauberlab.errors import (
     ConvergenceError,
     DivergentSeriesError,
     InvalidArgumentError,
+    NonfiniteStateError,
     RadiusExceededError,
     RuelleViolationError,
 )
@@ -228,3 +230,14 @@ def test_matrix_exp_oracle_validation():
         gl.matrix_exp_oracle(np.zeros((2, 3)), np.zeros(2), 1.0)
     with pytest.raises(InvalidArgumentError):
         gl.matrix_exp_oracle(np.zeros((2, 2)), np.zeros(3), 1.0)
+
+
+def test_taylor_overflow_is_nonfinite_state_without_warning():
+    grid, pot, params, _ = interacting_setup(n_max=4)
+    u0 = gl.exponential_hierarchy(gl.constant_field(grid, 1e77), 4)  # order 4 ~ 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonfiniteStateError):
+            gl.taylor_evolve(
+                lambda k: apply_generator(k, params, pot, gl.GLAUBER), u0, 0.01, 10, 1e-12
+            )
