@@ -10,13 +10,11 @@ the construction rests on.
 from .errors import (
     ConfigError,
     ConvergenceError,
-    DivergentSeriesError,
     GlauberLabError,
     GridMismatchError,
     InvalidArgumentError,
     MemoryGuardError,
     NonfiniteStateError,
-    PrecisionLossError,
     RadiusExceededError,
     RuelleViolationError,
 )
@@ -31,7 +29,6 @@ from .lattice import (
     gaussian_potential,
     make_grid,
     potential_from_samples,
-    relative_energy,
     tophat_potential,
     zero_field,
     zero_potential,
@@ -43,7 +40,6 @@ from .hierarchy import (
     cauchy_estimate_check,
     evaluate_gf,
     exponential_hierarchy,
-    flatten,
     gf_upper_bound,
     load_hierarchy,
     max_abs_difference,
@@ -53,36 +49,28 @@ from .hierarchy import (
     scale_norm,
     substitute_affine,
     symmetrize,
-    taylor_coefficient_fd,
-    unflatten,
     variational_derivative,
     zero_hierarchy,
 )
 from .generators import (
     GLAUBER,
     VLASOV_LIMIT,
-    GeneratorKind,
     apply_birth,
     apply_death,
     apply_generator,
-    assemble_matrix,
     evaluate_generator_gf,
     norm_bound_M,
-    rescaled,
     vlasov_gap_bound,
 )
 from .solver import (
     SolveReport,
     evolve_global,
-    f_q_series,
-    matrix_exp_oracle,
     solve_local,
     step_radius,
     taylor_evolve,
 )
 from .vlasov import (
     VlasovConfig,
-    exponential_gf_eval,
     integrate,
     linf_bound_check,
     stationary_residual,

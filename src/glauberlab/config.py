@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .generators import GLAUBER, VLASOV_LIMIT, GeneratorKind, rescaled
 from .hierarchy import ScaleParams
 from .lattice import (
     Grid,
@@ -140,6 +139,10 @@ def parse_config(path) -> ExperimentConfig:
                 raise ConfigError(
                     "line %d: cannot parse value %r for key '%s'" % (lineno, value, key)
                 ) from None
+            if typ is float and not math.isfinite(parsed):
+                raise ConfigError(
+                    "line %d: value %r for key '%s' is not finite" % (lineno, value, key)
+                )
             cfg = replace(cfg, **{attr: parsed})
     _validate(cfg)
     return cfg
@@ -186,14 +189,6 @@ def build_scale_params(cfg: ExperimentConfig) -> ScaleParams:
     return ScaleParams(cfg.alpha, cfg.alpha0, cfg.z, cfg.epsilon)
 
 
-def kind_from_epsilon(epsilon) -> GeneratorKind:
-    """Map the configured scaling parameter to a generator kind.
-
-    epsilon = 0 selects the mean-field limit, epsilon = 1 the plain
-    dynamics, anything else the rescaled family.
-    """
-    if epsilon == 0.0:
-        return VLASOV_LIMIT
-    if epsilon == 1.0:
-        return GLAUBER
-    return rescaled(epsilon)
+def kind_from_epsilon(epsilon) -> float:  # kept importable for bench/workloads.py
+    """The generator is selected by epsilon itself; 0 is the mean-field limit."""
+    return float(epsilon)

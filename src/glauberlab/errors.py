@@ -66,18 +66,6 @@ class NonfiniteStateError(GlauberLabError):
     code = "nonfinite-state"
 
 
-class DivergentSeriesError(GlauberLabError):
-    """Series argument lies outside its radius of convergence."""
-
-    code = "divergent-series"
-
-
-class PrecisionLossError(GlauberLabError):
-    """A finite-difference estimate failed its internal consistency check."""
-
-    code = "precision-loss"
-
-
 class ConfigError(GlauberLabError):
     """Configuration text could not be parsed or validated."""
 

@@ -1,13 +1,15 @@
 """Linear generators of the birth-and-death dynamics on truncated hierarchies.
 
-Three kinds of generator act on a hierarchy, differing only in the affine
-shift applied to the functional argument for a birth at site x:
+The generator family is indexed by the scaling parameter epsilon >= 0 and
+differs only in the affine shift applied to the functional argument for a
+birth at site x:
 
-    plain:       a_x(y) = exp(-phi(x-y))          b_x(y) = exp(-phi(x-y)) - 1
-    rescaled(e): a_x(y) = exp(-e*phi(x-y))        b_x(y) = expm1(-e*phi(x-y)) / e
-    mean-field:  a_x(y) = 1                       b_x(y) = -phi(x-y)
+    epsilon > 0:  a_x(y) = exp(-e*phi(x-y))      b_x(y) = expm1(-e*phi(x-y)) / e
+    epsilon = 0:  a_x(y) = 1                     b_x(y) = -phi(x-y)
 
-On the functional side the generator is
+epsilon = 1 is the plain Glauber generator, b_x = exp(-phi(x-y)) - 1, and
+epsilon = 0 its mean-field (Vlasov) limit.  On the functional side the
+generator is
 
     (L B)(theta) = - sum_x dx theta(x) [ deltaB(theta;x) - z * B(a_x theta + b_x) ],
 
@@ -21,77 +23,51 @@ and serves as the module's master self-check.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, MemoryGuardError
+from .errors import InvalidArgumentError
 from .hierarchy import (
-    MEMORY_GUARD_ENTRIES,
     CorrelationHierarchy,
     ScaleParams,
     _contract_trailing,
     evaluate_gf,  # unused here; kept importable for bench/spans.py
     evaluate_gf_rows,
-    flat_dimension,
-    flatten,
     substitute_affine,  # unused here; kept importable for bench/spans.py
     substitute_affine_rows,
-    unflatten,
     variational_derivative_field,
     zero_hierarchy,
 )
 from .lattice import GridField, PairPotential, displacement_matrix, require_same_grid
 
+GLAUBER = 1.0
+VLASOV_LIMIT = 0.0
 
-@dataclass(frozen=True)
-class GeneratorKind:
-    """Which member of the generator family to apply.
 
-    name is one of "glauber", "rescaled", "vlasov_limit"; epsilon is the
-    scaling parameter and is only meaningful for the rescaled kind.
+def shift_displacement_tables(pot: PairPotential, epsilon):
+    """Per-displacement samples (a, b) of the birth shift fields at epsilon.
+
+    expm1 keeps b accurate down to epsilon -> 0; epsilon = 0 is the limit.
     """
-
-    name: str
-    epsilon: float = 0.0
-
-    def __post_init__(self):
-        if self.name not in ("glauber", "rescaled", "vlasov_limit"):
-            raise InvalidArgumentError("unknown generator kind %r" % (self.name,))
-        if self.name == "rescaled" and not (self.epsilon > 0):
-            raise InvalidArgumentError("rescaled kind needs epsilon > 0")
-
-
-GLAUBER = GeneratorKind("glauber")
-VLASOV_LIMIT = GeneratorKind("vlasov_limit")
-
-
-def rescaled(epsilon) -> GeneratorKind:
-    return GeneratorKind("rescaled", float(epsilon))
-
-
-def shift_displacement_tables(pot: PairPotential, kind: GeneratorKind):
-    """Per-displacement samples (a, b) of the birth shift fields.
-
-    The plain kind is evaluated as rescaled with epsilon = 1, so the two
-    coincide bit for bit; expm1 keeps b accurate down to epsilon -> 0.
-    """
+    if not (epsilon >= 0 and math.isfinite(epsilon)):
+        raise InvalidArgumentError(
+            "epsilon must be finite and non-negative, got %r" % (epsilon,)
+        )
     phi = pot.values_by_displacement
-    if kind.name == "vlasov_limit":
+    if epsilon == 0:
         return np.ones_like(phi), -phi
-    eps = 1.0 if kind.name == "glauber" else kind.epsilon
-    return np.exp(-eps * phi), np.expm1(-eps * phi) / eps
+    return np.exp(-epsilon * phi), np.expm1(-epsilon * phi) / epsilon
 
 
-def _shift_matrices(pot, kind):
+def _shift_matrices(pot, epsilon):
     disp = displacement_matrix(pot.grid)
-    a_disp, b_disp = shift_displacement_tables(pot, kind)
+    a_disp, b_disp = shift_displacement_tables(pot, epsilon)
     return a_disp[disp], b_disp[disp]
 
 
-def shift_bound_constants(pot, kind):
+def shift_bound_constants(pot, epsilon):
     """(c0, c1) with c0 = max_y a_x(y) and c1 = ||b_x||_1, both x-independent."""
-    a_disp, b_disp = shift_displacement_tables(pot, kind)
+    a_disp, b_disp = shift_displacement_tables(pot, epsilon)
     return float(np.max(a_disp)), float(np.sum(np.abs(b_disp)) * pot.grid.spacing)
 
 
@@ -102,7 +78,7 @@ def apply_death(k: CorrelationHierarchy) -> CorrelationHierarchy:
     return CorrelationHierarchy._trusted(k.grid, tensors)
 
 
-def apply_birth(k, pot: PairPotential, kind: GeneratorKind) -> CorrelationHierarchy:
+def apply_birth(k, pot: PairPotential, epsilon) -> CorrelationHierarchy:
     """Birth part: symmetrized per-site substituted hierarchies.
 
     With c_x the hierarchy of theta -> B(a_x theta + b_x),
@@ -120,7 +96,7 @@ def apply_birth(k, pot: PairPotential, kind: GeneratorKind) -> CorrelationHierar
     grid = k.grid
     if k.n_max == 0:
         return zero_hierarchy(grid, 0)
-    a_rows, b_rows = _shift_matrices(pot, kind)
+    a_rows, b_rows = _shift_matrices(pot, epsilon)
     subs = substitute_affine_rows(k, a_rows, b_rows, k.n_max - 1)
     tensors = [np.array(0.0)]
     for n in range(1, k.n_max + 1):
@@ -133,10 +109,10 @@ def apply_birth(k, pot: PairPotential, kind: GeneratorKind) -> CorrelationHierar
     return CorrelationHierarchy._trusted(grid, tensors)
 
 
-def apply_generator(k, params: ScaleParams, pot, kind) -> CorrelationHierarchy:
+def apply_generator(k, params: ScaleParams, pot, epsilon) -> CorrelationHierarchy:
     """Full generator -death + z * birth on the truncated hierarchy."""
     death = apply_death(k)
-    birth = apply_birth(k, pot, kind)
+    birth = apply_birth(k, pot, epsilon)
     tensors = [
         params.z * b - d for d, b in zip(death.tensors, birth.tensors)
     ]
@@ -150,7 +126,7 @@ def death_gf_term(k, theta: GridField) -> float:
     return float(np.sum(theta.values * vd) * k.grid.spacing)
 
 
-def birth_gf_term(k, theta: GridField, pot, kind) -> float:
+def birth_gf_term(k, theta: GridField, pot, epsilon) -> float:
     """sum_x dx theta(x) [B(a_x theta + b_x) - top-order term of B(a_x theta)].
 
     The subtracted term is the order-n_max product contribution that
@@ -162,7 +138,7 @@ def birth_gf_term(k, theta: GridField, pot, kind) -> float:
     require_same_grid(k, pot)
     grid = k.grid
     nm = k.n_max
-    a_rows, b_rows = _shift_matrices(pot, kind)
+    a_rows, b_rows = _shift_matrices(pot, epsilon)
     scaled = a_rows * theta.values
     values = evaluate_gf_rows(k, scaled + b_rows)
     tops = _contract_trailing(k.tensors[nm], scaled, nm).tolist()
@@ -175,42 +151,21 @@ def birth_gf_term(k, theta: GridField, pot, kind) -> float:
     return grid.spacing * math.fsum(contributions)
 
 
-def evaluate_generator_gf(k, theta, params: ScaleParams, pot, kind) -> float:
+def evaluate_generator_gf(k, theta, params: ScaleParams, pot, epsilon) -> float:
     """Direct functional-side evaluation of the generator, the duality oracle.
 
     Equals evaluate_gf(apply_generator(k, ...), theta) exactly (up to
     roundoff) for symmetric hierarchies.
     """
-    return -death_gf_term(k, theta) + params.z * birth_gf_term(k, theta, pot, kind)
-
-
-def assemble_matrix(grid, n_max, params, pot, kind):
-    """Dense matrix of the generator on flattened hierarchies.
-
-    Column j is the flattened image of the j-th standard basis vector; the
-    matrix certifies linearity and feeds the exponentiation oracle.
-    """
-    dim = flat_dimension(grid, n_max)
-    if dim * dim > MEMORY_GUARD_ENTRIES:
-        raise MemoryGuardError(
-            "generator matrix would hold %d entries (guard %d)"
-            % (dim * dim, MEMORY_GUARD_ENTRIES)
-        )
-    matrix = np.zeros((dim, dim))
-    for j in range(dim):
-        basis = np.zeros(dim)
-        basis[j] = 1.0
-        image = apply_generator(unflatten(grid, n_max, basis), params, pot, kind)
-        matrix[:, j] = flatten(image)
-    return matrix
+    return -death_gf_term(k, theta) + params.z * birth_gf_term(k, theta, pot, epsilon)
 
 
 def norm_bound_M(params: ScaleParams, pot: PairPotential) -> float:
     """Uniform numerator M of the scale estimate ||L B|| <= M/(gap) ||B||.
 
     M = alpha0 (1 + z alpha0 exp(||phi||_1/alpha - 1)); the same constant
-    works for all three generator kinds because |a_x| <= 1 and
-    ||b_x||_1 <= ||phi||_1 for each of them.
+    works for every epsilon because |a_x| <= 1 and ||b_x||_1 <= ||phi||_1
+    for each of them.
     """
     return params.alpha0 * (
         1.0 + params.z * params.alpha0 * math.exp(pot.norm_l1 / params.alpha - 1.0)
@@ -218,7 +173,7 @@ def norm_bound_M(params: ScaleParams, pot: PairPotential) -> float:
 
 
 def vlasov_gap_bound(eps, params, pot, alpha_prime, alpha_dprime) -> float:
-    """Upper bound for ||(L_rescaled(eps) - L_limit) B|| / ||B|| across the scale gap.
+    """Upper bound for ||(L_eps - L_limit) B|| / ||B|| across the scale gap.
 
     eps z ||phi||_inf e^{||phi||_1/alpha} ( ||phi||_1 alpha0 / gap + 4 alpha0^3 / (gap^2 e) ),
     gap = alpha_dprime - alpha_prime, valid for alpha <= alpha_prime < alpha_dprime <= alpha0.

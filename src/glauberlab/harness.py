@@ -19,7 +19,6 @@ from .config import (
     build_initial_density,
     build_potential,
     build_scale_params,
-    kind_from_epsilon,
 )
 from .errors import InvalidArgumentError
 from .generators import (
@@ -29,7 +28,6 @@ from .generators import (
     death_gf_term,
     evaluate_generator_gf,
     norm_bound_M,
-    rescaled,
     shift_bound_constants,
     vlasov_gap_bound,
 )
@@ -37,14 +35,12 @@ from .hierarchy import (
     cauchy_estimate_check,
     evaluate_gf,
     exponential_hierarchy,
-    max_abs_by_order,
     random_ruelle_hierarchy,
-    ruelle_margin,
     save_hierarchy,
     scale_norm,
 )
 from .lattice import GridField, convolve, field_l1_norm, field_linf_norm
-from .solver import SolveReport, StepRecord, evolve_global, solve_local, step_radius
+from .solver import SolveReport, evolve_global, solve_local, step_radius, step_record
 from .vlasov import (
     VlasovConfig,
     integrate,
@@ -74,15 +70,6 @@ def write_csv(rows, path):
             fh.write(",".join(_fmt(cell) for cell in row) + "\n")
 
 
-def _state_rows(time, hierarchy, alpha, z):
-    snorm = scale_norm(hierarchy, alpha)
-    margin = ruelle_margin(hierarchy, z)
-    return [
-        [time, n, mx, snorm, margin]
-        for n, mx in enumerate(max_abs_by_order(hierarchy))
-    ]
-
-
 def cmd_evolve(cfg: ExperimentConfig, out_dir, mode="auto") -> SolveReport:
     """Evolve the product state with density from the config.
 
@@ -96,7 +83,6 @@ def cmd_evolve(cfg: ExperimentConfig, out_dir, mode="auto") -> SolveReport:
     grid = build_grid(cfg)
     pot = build_potential(cfg, grid)
     params = build_scale_params(cfg)
-    kind = kind_from_epsilon(cfg.epsilon)
     rho0 = build_initial_density(cfg, grid)
     u0 = exponential_hierarchy(rho0, cfg.n_max)
 
@@ -104,18 +90,18 @@ def cmd_evolve(cfg: ExperimentConfig, out_dir, mode="auto") -> SolveReport:
     go_local = mode == "local" or (mode == "auto" and cfg.t_final < radius)
     if go_local:
         report = solve_local(
-            params, pot, kind, u0, cfg.t_final, cfg.m_max, cfg.tol
+            params, pot, cfg.epsilon, u0, cfg.t_final, cfg.m_max, cfg.tol
         )
         norm_alpha = params.alpha
         if cfg.t_final > 0:
             report.steps = [
-                StepRecord(
-                    time=cfg.t_final,
-                    terms_used=report.terms_used,
-                    tail_estimate=report.tail_estimate,
-                    ruelle_margin=ruelle_margin(report.solution, cfg.z),
-                    scale_norm=scale_norm(report.solution, norm_alpha),
-                    max_abs_by_order=max_abs_by_order(report.solution),
+                step_record(
+                    cfg.t_final,
+                    report.solution,
+                    cfg.z,
+                    norm_alpha,
+                    report.terms_used,
+                    report.tail_estimate,
                 )
             ]
     else:
@@ -127,17 +113,14 @@ def cmd_evolve(cfg: ExperimentConfig, out_dir, mode="auto") -> SolveReport:
             substep_fraction=cfg.substep_fraction,
             m_max=cfg.m_max,
             tol=cfg.tol,
-            kind=kind,
+            epsilon=cfg.epsilon,
         )
         norm_alpha = 0.5 / cfg.z
 
     state_rows = [["t", "n", "max_abs", "scale_norm", "ruelle_margin"]]
-    state_rows += _state_rows(0.0, u0, norm_alpha, cfg.z)
-    for record in report.steps:
-        snorm = record.scale_norm
-        margin = record.ruelle_margin
+    for record in [step_record(0.0, u0, cfg.z, norm_alpha)] + report.steps:
         state_rows += [
-            [record.time, n, mx, snorm, margin]
+            [record.time, n, mx, record.scale_norm, record.ruelle_margin]
             for n, mx in enumerate(record.max_abs_by_order)
         ]
     write_csv(state_rows, os.path.join(out_dir, "evolve_state.csv"))
@@ -211,7 +194,7 @@ def _fit_loglog_slope(xs, ys) -> float:
 
 
 def cmd_scaling_study(cfg: ExperimentConfig, out_dir, epsilons) -> ScalingStudyResult:
-    """Evolve under rescaled(eps) for each eps and under the limit generator.
+    """Evolve under the generator at each eps and under the limit generator.
 
     All runs share the same initial hierarchy, which makes the observed
     gap purely dynamical.  The gap at each eps is a weighted sup over
@@ -244,7 +227,7 @@ def cmd_scaling_study(cfg: ExperimentConfig, out_dir, epsilons) -> ScalingStudyR
     gaps = []
     for eps in eps_list:
         run = solve_local(
-            params, pot, rescaled(eps), u0, cfg.t_final, cfg.m_max, cfg.tol
+            params, pot, eps, u0, cfg.t_final, cfg.m_max, cfg.tol
         ).solution
         gap = max(
             abs(evaluate_gf(run, theta) - ref)
@@ -294,7 +277,7 @@ def cmd_chaos_check(cfg: ExperimentConfig, out_dir):
         substep_fraction=cfg.substep_fraction,
         m_max=cfg.m_max,
         tol=cfg.tol,
-        kind=VLASOV_LIMIT,
+        epsilon=VLASOV_LIMIT,
     )
     evolved = report.solution
     vcfg = VlasovConfig(z=cfg.z, dt=cfg.dt, scheme=cfg.scheme, t_final=cfg.t_final)
@@ -330,10 +313,10 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir, n_cases=100):
 
     Each case draws a hierarchy inside the activity envelope, a random
     test function and a random scale pair alpha <= a' < a'' <= alpha0,
-    then checks the death estimate, the birth estimate (per generator
-    kind), the combined generator estimate, the rescaled-vs-limit gap
-    bound, and the derivative growth estimates.  Violations are counted
-    and reported, never raised.
+    then checks the death estimate, the birth estimate (per epsilon), the
+    combined generator estimate, the rescaled-vs-limit gap bound, and the
+    derivative growth estimates.  Violations are counted and reported,
+    never raised.
     """
     if n_cases < 1:
         raise InvalidArgumentError("n_cases must be at least 1")
@@ -343,7 +326,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir, n_cases=100):
     rng = np.random.default_rng(cfg.seed)
 
     eps_gap = cfg.epsilon if cfg.epsilon > 0 else 0.5
-    kinds = [GLAUBER, rescaled(eps_gap), VLASOV_LIMIT]
+    epsilons = [GLAUBER, eps_gap, VLASOV_LIMIT]
     suites = {
         "death-estimate": [0, 0],
         "birth-estimate": [0, 0],
@@ -371,23 +354,23 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir, n_cases=100):
             int(death > (a_prime / gap) * big_k * weight),
         )
 
-        for kind in kinds:
-            c0, c1 = shift_bound_constants(pot, kind)
+        for epsilon in epsilons:
+            c0, c1 = shift_bound_constants(pot, epsilon)
             birth_bound = (
                 (a_dprime * a_prime / (a_dprime - c0 * a_prime))
                 * math.exp(c1 / a_dprime - 1.0)
                 * big_k
                 * weight
             )
-            birth = abs(birth_gf_term(k, theta, pot, kind))
+            birth = abs(birth_gf_term(k, theta, pot, epsilon))
             tally("birth-estimate", 1, int(birth > birth_bound))
 
-            gen = abs(evaluate_generator_gf(k, theta, params, pot, kind))
+            gen = abs(evaluate_generator_gf(k, theta, params, pot, epsilon))
             gen_bound = norm_bound_M(params, pot) / gap * big_k * weight
             tally("generator-estimate", 1, int(gen > gen_bound))
 
         diff = abs(
-            evaluate_generator_gf(k, theta, params, pot, rescaled(eps_gap))
+            evaluate_generator_gf(k, theta, params, pot, eps_gap)
             - evaluate_generator_gf(k, theta, params, pot, VLASOV_LIMIT)
         )
         diff_bound = (

@@ -31,13 +31,10 @@ from .errors import (
     InvalidArgumentError,
     MemoryGuardError,
     NonfiniteStateError,
-    PrecisionLossError,
 )
 from .lattice import Grid, GridField, make_grid, require_same_grid
 
 MEMORY_GUARD_ENTRIES = 10_000_000
-
-FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -293,51 +290,6 @@ def substitute_affine(k, a: GridField, b: GridField) -> CorrelationHierarchy:
     return CorrelationHierarchy(k.grid, [t[0] for t in tensors])
 
 
-def taylor_coefficient_fd(k: CorrelationHierarchy, n, sites, step=FD_STEP) -> float:
-    """Recover k_n(sites) from B by mixed central finite differences.
-
-    Evaluates B along theta = sum_i s_i * step * indicator(sites[i]) over all
-    sign patterns s in {-1,+1}^n and divides the alternating sum by
-    (2*step)^n dx^n.  An independent oracle for the stored tensors: the
-    estimate must reproduce k_n(sites).
-
-    Raises PrecisionLossError when the estimate at `step` and at `2*step`
-    disagree by more than 1e-6 (relative to max(1, |estimate|)), which
-    flags step/roundoff failure.
-    """
-    if not (0 <= n <= k.n_max):
-        raise InvalidArgumentError("order %r outside 0..n_max" % (n,))
-    sites = [int(s) for s in sites]
-    if len(sites) != n:
-        raise InvalidArgumentError("need %d sites, got %d" % (n, len(sites)))
-    for s in sites:
-        if not (0 <= s < k.grid.n_sites):
-            raise InvalidArgumentError("site index %r out of range" % (s,))
-    if n == 0:
-        return evaluate_gf(k, GridField(k.grid, np.zeros(k.grid.n_sites)))
-
-    def estimate(h):
-        total = 0.0
-        for pattern in range(2**n):
-            theta = np.zeros(k.grid.n_sites)
-            sign_prod = 1.0
-            for i, site in enumerate(sites):
-                s = 1.0 if (pattern >> i) & 1 else -1.0
-                sign_prod *= s
-                theta[site] += s * h
-            total += sign_prod * evaluate_gf(k, GridField(k.grid, theta))
-        return total / (2.0 * h) ** n / k.grid.spacing**n
-
-    est = estimate(step)
-    check = estimate(2.0 * step)
-    if abs(est - check) > 1e-6 * max(1.0, abs(est)):
-        raise PrecisionLossError(
-            "finite-difference estimates at step and 2*step differ by %.3g"
-            % abs(est - check)
-        )
-    return est
-
-
 def scale_norm(k: CorrelationHierarchy, alpha) -> float:
     """Surrogate scale norm sup_n alpha^n max|k_n|."""
     if not (alpha > 0):
@@ -348,10 +300,10 @@ def scale_norm(k: CorrelationHierarchy, alpha) -> float:
 
 
 def ruelle_margin(k: CorrelationHierarchy, z) -> float:
-    """sup_n z^-n max|k_n|; at most 1 iff the activity envelope |k_n| <= z^n holds."""
+    """scale_norm at 1/z; at most 1 iff the activity envelope |k_n| <= z^n holds."""
     if not (z > 0):
         raise InvalidArgumentError("z must be positive")
-    return max(float(z**-n * np.max(np.abs(t))) for n, t in enumerate(k.tensors))
+    return scale_norm(k, 1.0 / z)
 
 
 def gf_upper_bound(k: CorrelationHierarchy, r) -> float:
@@ -406,30 +358,8 @@ def scale_hierarchy(a, k) -> CorrelationHierarchy:
     return CorrelationHierarchy(k.grid, [a * t for t in k.tensors])
 
 
-def flatten(k: CorrelationHierarchy):
-    """Concatenate all tensor entries (orders ascending, C order)."""
-    return np.concatenate([t.ravel() for t in k.tensors])
-
-
 def flat_dimension(grid, n_max) -> int:
     return sum(grid.n_sites**n for n in range(n_max + 1))
-
-
-def unflatten(grid, n_max, vector) -> CorrelationHierarchy:
-    """Inverse of flatten; validates the flat dimension."""
-    vec = np.asarray(vector, dtype=np.float64)
-    expected = flat_dimension(grid, n_max)
-    if vec.shape != (expected,):
-        raise InvalidArgumentError(
-            "flat vector has shape %r, expected (%d,)" % (vec.shape, expected)
-        )
-    tensors = []
-    offset = 0
-    for n in range(n_max + 1):
-        size = grid.n_sites**n
-        tensors.append(vec[offset : offset + size].reshape((grid.n_sites,) * n).copy())
-        offset += size
-    return CorrelationHierarchy(grid, tensors)
 
 
 def _symmetrize_tensor(tensor):
@@ -462,7 +392,7 @@ def save_hierarchy(k: CorrelationHierarchy, path):
     """Write the snapshot text format.
 
     First line `n_sites,length,n_max`, then one line per entry
-    `n,i1,...,in,value` in flatten order.  Values are written with repr,
+    `n,i1,...,in,value`, orders ascending and indices in C order.  Values are written with repr,
     so the file round-trips float64 entries exactly.  Order n is written
     one chunk per leading index i1, from a line template built once per
     order.

@@ -160,30 +160,22 @@ def displacement_matrix(grid):
     return (idx[:, None] - idx[None, :]) % grid.n_sites
 
 
+def convolution_kernel(pot: PairPotential):
+    """Matrix K[x, y] = phi(x - y) of the periodic convolution."""
+    return pot.values_by_displacement[displacement_matrix(pot.grid)]
+
+
+def convolve_values(kernel, values, dx):
+    """Direct sum (K v)(x) = sum_y K[x, y] v(y) dx over raw arrays.
+
+    The one convolution path: the reduction order is fixed by np.sum over
+    a contiguous row, so results are reproducible bit for bit.
+    """
+    return np.sum(kernel * values[None, :], axis=1) * dx
+
+
 def convolve(pot: PairPotential, f: GridField) -> GridField:
-    """Periodic convolution (phi * f)(x) = sum_y phi(x-y) f(y) dx.
-
-    Direct summation per site; reduction order fixed by np.sum over a
-    contiguous row, so results are reproducible bit for bit.
-    """
+    """Periodic convolution (phi * f)(x) = sum_y phi(x-y) f(y) dx."""
     require_same_grid(pot, f)
-    kernel = pot.values_by_displacement[displacement_matrix(pot.grid)]
-    out = np.sum(kernel * f.values[None, :], axis=1) * pot.grid.spacing
+    out = convolve_values(convolution_kernel(pot), f.values, pot.grid.spacing)
     return GridField(pot.grid, out)
-
-
-def relative_energy(pot: PairPotential, x, xi) -> float:
-    """Interaction energy sum_{y in xi} phi(x - y) of a point at site x.
-
-    xi is a sequence of site indices taken with multiplicity; an empty
-    sequence has zero energy.
-    """
-    n = pot.grid.n_sites
-    if not (0 <= int(x) < n):
-        raise InvalidArgumentError("site index %r out of range" % (x,))
-    idx = np.asarray(list(xi), dtype=np.int64)
-    if idx.size == 0:
-        return 0.0
-    if np.any(idx < 0) or np.any(idx >= n):
-        raise InvalidArgumentError("configuration contains out-of-range site index")
-    return float(np.sum(pot.values_by_displacement[(int(x) - idx) % n]))

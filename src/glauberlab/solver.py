@@ -10,7 +10,8 @@ converge for t below the step radius
 and solve_local enforces that guard.  Truncated hierarchies make A a
 bounded matrix, so the series actually converges for every t; the guard is
 kept anyway so the scheme is exercised as designed, and the beyond-radius
-regime stays reachable only through the matrix exponential oracle.
+regime stays reachable only through the test suite's matrix exponential
+oracle.
 
 Global continuation restarts the local solve while the state keeps
 satisfying the activity envelope |k_n| <= z^n: the scale indices are then
@@ -22,19 +23,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConvergenceError,
-    DivergentSeriesError,
     InvalidArgumentError,
-    MemoryGuardError,
     RadiusExceededError,
     RuelleViolationError,
 )
 from .generators import GLAUBER, apply_generator, norm_bound_M
 from .hierarchy import (
-    MEMORY_GUARD_ENTRIES,
     CorrelationHierarchy,
     ScaleParams,
     max_abs_by_order,
@@ -57,6 +54,18 @@ class StepRecord:
     ruelle_margin: float
     scale_norm: float
     max_abs_by_order: list
+
+
+def step_record(time, u, z, alpha, terms_used=0, tail_estimate=0.0) -> StepRecord:
+    """Diagnostics of the state u at `time`: envelope margin at z, scale norm at alpha."""
+    return StepRecord(
+        time=time,
+        terms_used=terms_used,
+        tail_estimate=tail_estimate,
+        ruelle_margin=ruelle_margin(u, z),
+        scale_norm=scale_norm(u, alpha),
+        max_abs_by_order=max_abs_by_order(u),
+    )
 
 
 @dataclass
@@ -115,15 +124,15 @@ def taylor_evolve(apply, u0, t, m_max, tol, norm_alpha=1.0) -> SolveReport:
     )
 
 
-def solve_local(params: ScaleParams, pot, kind, u0, t, m_max, tol) -> SolveReport:
-    """One guarded local solve with the configured generator kind."""
+def solve_local(params: ScaleParams, pot, epsilon, u0, t, m_max, tol) -> SolveReport:
+    """One guarded local solve of the generator at the given epsilon."""
     radius = step_radius(norm_bound_M(params, pot), params.alpha, params.alpha0)
     if t >= radius:
         raise RadiusExceededError(
             "t=%.9g outside the guaranteed interval [0, %.9g)" % (t, radius)
         )
     report = taylor_evolve(
-        lambda h: apply_generator(h, params, pot, kind),
+        lambda h: apply_generator(h, params, pot, epsilon),
         u0,
         t,
         m_max,
@@ -142,7 +151,7 @@ def evolve_global(
     substep_fraction=0.9,
     m_max=60,
     tol=1e-12,
-    kind=GLAUBER,
+    epsilon=GLAUBER,
     ruelle_tol=RUELLE_TOL,
     ruelle_drift_tol=RUELLE_DRIFT_TOL,
 ) -> SolveReport:
@@ -155,8 +164,8 @@ def evolve_global(
     1 + ruelle_drift_tol is accepted as truncation noise, beyond that the
     run aborts with RuelleViolationError.
     """
-    if t_final < 0:
-        raise InvalidArgumentError("t_final must be non-negative")
+    if not (t_final >= 0 and math.isfinite(t_final)):
+        raise InvalidArgumentError("t_final must be finite and non-negative")
     if not (0 < substep_fraction <= 1):
         raise InvalidArgumentError("substep_fraction must lie in (0, 1]")
     z = params.z
@@ -181,21 +190,14 @@ def evolve_global(
             if margin > 1.0 + ruelle_drift_tol:
                 raise RuelleViolationError(margin, now)
         dt_step = min(step, t_final - now)
-        local = solve_local(gparams, pot, kind, u, dt_step, m_max, tol)
+        local = solve_local(gparams, pot, epsilon, u, dt_step, m_max, tol)
         u = local.solution
         now += dt_step
         substeps += 1
         terms_peak = max(terms_peak, local.terms_used)
         tail = local.tail_estimate
         records.append(
-            StepRecord(
-                time=now,
-                terms_used=local.terms_used,
-                tail_estimate=local.tail_estimate,
-                ruelle_margin=ruelle_margin(u, z),
-                scale_norm=scale_norm(u, gparams.alpha),
-                max_abs_by_order=max_abs_by_order(u),
-            )
+            step_record(now, u, z, gparams.alpha, local.terms_used, local.tail_estimate)
         )
     return SolveReport(
         solution=u,
@@ -205,47 +207,3 @@ def evolve_global(
         restarts=max(0, substeps - 1),
         steps=records,
     )
-
-
-def f_q_series(q, t, M, gap, tol) -> float:
-    """Partial sum of sum_{m>=1} m^q/m! (t m M / gap)^m.
-
-    The comparison series behind perturbation convergence of the solver
-    family; finite exactly when x = t M / gap < 1/e.  Terms are summed in
-    log space until the increment drops below tol.
-    """
-    if q < 0 or int(q) != q:
-        raise InvalidArgumentError("q must be a non-negative integer")
-    if t < 0:
-        raise InvalidArgumentError("t must be non-negative")
-    if not (M > 0) or not (gap > 0):
-        raise InvalidArgumentError("M and gap must be positive")
-    if t == 0.0:
-        return 0.0
-    x = t * M / gap
-    if x >= 1.0 / math.e:
-        raise DivergentSeriesError(
-            "t*M/gap = %.9g is not below 1/e = %.9g" % (x, 1.0 / math.e)
-        )
-    total = 0.0
-    for m in range(1, 100_000):
-        term = math.exp(q * math.log(m) + m * math.log(x * m) - math.lgamma(m + 1))
-        total += term
-        if term < tol:
-            return total
-    raise ConvergenceError("series increments did not drop below tol")
-
-
-def matrix_exp_oracle(matrix, v, t):
-    """e^{t A} v by dense scaling-and-squaring, independent of the Taylor path."""
-    a = np.asarray(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidArgumentError("matrix must be square")
-    if a.size > MEMORY_GUARD_ENTRIES:
-        raise MemoryGuardError(
-            "matrix holds %d entries (guard %d)" % (a.size, MEMORY_GUARD_ENTRIES)
-        )
-    vec = np.asarray(v, dtype=np.float64)
-    if vec.shape != (a.shape[0],):
-        raise InvalidArgumentError("vector shape %r does not match matrix" % (vec.shape,))
-    return scipy.linalg.expm(t * a) @ vec

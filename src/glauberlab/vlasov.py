@@ -18,11 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NonfiniteStateError
+from .errors import InvalidArgumentError, MemoryGuardError, NonfiniteStateError
+from .hierarchy import MEMORY_GUARD_ENTRIES
 from .lattice import (
     GridField,
     PairPotential,
-    displacement_matrix,
+    convolution_kernel,
+    convolve_values,
+    displacement_matrix,  # unused here; kept importable for bench/spans.py
     field_linf_norm,
     require_same_grid,
 )
@@ -41,12 +44,12 @@ class VlasovConfig:
     def __post_init__(self):
         if not (self.z > 0):
             raise InvalidArgumentError("z must be positive")
-        if not (self.dt > 0):
-            raise InvalidArgumentError("dt must be positive")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise InvalidArgumentError("dt must be finite and positive")
         if self.scheme not in ("rk4", "euler"):
             raise InvalidArgumentError("scheme must be rk4 or euler")
-        if self.t_final < 0:
-            raise InvalidArgumentError("t_final must be non-negative")
+        if not (self.t_final >= 0 and math.isfinite(self.t_final)):
+            raise InvalidArgumentError("t_final must be finite and non-negative")
         if self.t_final > 0 and self.dt > self.t_final:
             raise InvalidArgumentError("dt must not exceed t_final")
         if self.sample_stride < 1:
@@ -56,8 +59,7 @@ class VlasovConfig:
 def vlasov_rhs(rho: GridField, z, pot: PairPotential) -> GridField:
     """Right-hand side -rho + z exp(-(phi * rho))."""
     require_same_grid(rho, pot)
-    kernel = pot.values_by_displacement[displacement_matrix(pot.grid)]
-    conv = np.sum(kernel * rho.values[None, :], axis=1) * pot.grid.spacing
+    conv = convolve_values(convolution_kernel(pot), rho.values, pot.grid.spacing)
     return GridField(rho.grid, -rho.values + z * np.exp(-conv))
 
 
@@ -66,19 +68,25 @@ def integrate(rho0: GridField, cfg: VlasovConfig, pot: PairPotential):
 
     Trajectory samples are (t, values-copy) pairs recorded at t = 0, every
     sample_stride-th step, and the final time.  Raises NonfiniteStateError
-    as soon as the state picks up a NaN or infinity.
+    as soon as the state picks up a NaN or infinity, and MemoryGuardError
+    before the first step when steps times sites exceeds the memory guard.
     """
     require_same_grid(rho0, pot)
     if np.any(rho0.values < 0):
         raise InvalidArgumentError("initial density must be non-negative")
     grid = rho0.grid
-    kernel = pot.values_by_displacement[displacement_matrix(grid)]
+    steps = cfg.t_final / cfg.dt
+    if steps * grid.n_sites > MEMORY_GUARD_ENTRIES:
+        raise MemoryGuardError(
+            "%.3g steps on %d sites exceed the guard of %d entries"
+            % (steps, grid.n_sites, MEMORY_GUARD_ENTRIES)
+        )
+    kernel = convolution_kernel(pot)
     dx = grid.spacing
     z = cfg.z
 
     def rhs(values):
-        conv = np.sum(kernel * values[None, :], axis=1) * dx
-        return -values + z * np.exp(-conv)
+        return -values + z * np.exp(-convolve_values(kernel, values, dx))
 
     def step(values, h):
         if cfg.scheme == "euler":
@@ -128,9 +136,3 @@ def linf_bound_check(trajectory, rho0: GridField, z) -> bool:
 def stationary_residual(rho: GridField, z, pot) -> float:
     """Sup-norm of the right-hand side; zero at fixed points."""
     return field_linf_norm(vlasov_rhs(rho, z, pot))
-
-
-def exponential_gf_eval(rho: GridField, theta: GridField) -> float:
-    """Product-form functional exp(sum_x rho(x) theta(x) dx)."""
-    require_same_grid(rho, theta)
-    return math.exp(float(np.sum(rho.values * theta.values)) * rho.grid.spacing)

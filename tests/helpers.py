@@ -1,8 +1,10 @@
 """Shared oracles and assertions for the test suite.
 
 The oracles here deliberately use naive loops (itertools tuple
-enumeration, per-entry Python arithmetic) so they stay independent of the
-vectorized production paths they check.
+enumeration, per-entry Python arithmetic) or independent dense algebra
+(scipy's matrix exponential) so they stay independent of the vectorized
+production paths they check.  They live here, not in the package, so
+that `import glauberlab` needs numpy alone.
 """
 
 import itertools
@@ -10,9 +12,25 @@ import math
 from itertools import permutations
 
 import numpy as np
+import scipy.linalg
 
-from glauberlab.generators import shift_displacement_tables
-from glauberlab.lattice import displacement_matrix
+from glauberlab.errors import GlauberLabError, InvalidArgumentError, MemoryGuardError
+from glauberlab.generators import apply_generator, shift_displacement_tables
+from glauberlab.hierarchy import (
+    MEMORY_GUARD_ENTRIES,
+    CorrelationHierarchy,
+    evaluate_gf,
+    flat_dimension,
+)
+from glauberlab.lattice import GridField, displacement_matrix, require_same_grid
+
+FD_STEP = 1e-5
+
+
+class PrecisionLossError(GlauberLabError):
+    """A finite-difference estimate failed its internal consistency check."""
+
+    code = "precision-loss"
 
 
 def rel_err(a, b) -> float:
@@ -98,19 +116,23 @@ def substitute_affine_oracle(k, a_values, b_values):
     return acc
 
 
-def shift_rows_oracle(pot, kind):
-    """(a_rows, b_rows): row x holds the birth shift fields a_x, b_x."""
+def shift_rows_oracle(pot, epsilon, tables=None):
+    """(a_rows, b_rows): row x holds the birth shift fields a_x, b_x.
+
+    tables, when given, is the per-displacement pair (a, b) to use instead
+    of the production tables at epsilon.
+    """
     disp = displacement_matrix(pot.grid)
-    a_disp, b_disp = shift_displacement_tables(pot, kind)
+    a_disp, b_disp = tables if tables is not None else shift_displacement_tables(pot, epsilon)
     return a_disp[disp], b_disp[disp]
 
 
-def apply_birth_oracle(k, pot, kind):
+def apply_birth_oracle(k, pot, epsilon, tables=None):
     """Birth tensors from one substitution per site plus the moveaxis sum."""
     n_sites = k.grid.n_sites
     if k.n_max == 0:
         return [np.array(0.0)]
-    a_rows, b_rows = shift_rows_oracle(pot, kind)
+    a_rows, b_rows = shift_rows_oracle(pot, epsilon, tables)
     subs = [substitute_affine_oracle(k, a_rows[x], b_rows[x]) for x in range(n_sites)]
     tensors = [np.array(0.0)]
     for n in range(1, k.n_max + 1):
@@ -134,11 +156,24 @@ def evaluate_gf_oracle(k, theta_values) -> float:
     return math.fsum(terms)
 
 
-def birth_gf_term_oracle(k, theta_values, pot, kind) -> float:
+def plain_glauber_generator_oracle(k, params, pot):
+    """Tensors of the plain Glauber generator, a_x = exp(-phi), b_x = a_x - 1.
+
+    Built from the paper's unscaled shift, without any epsilon, so that the
+    epsilon = 1 member of the family can be checked against it.
+    """
+    a_disp = np.exp(-pot.values_by_displacement)
+    birth = apply_birth_oracle(k, pot, None, tables=(a_disp, a_disp - 1.0))
+    tensors = [params.z * b - n * t for n, (t, b) in enumerate(zip(k.tensors, birth))]
+    tensors[0] = np.array(0.0)
+    return tensors
+
+
+def birth_gf_term_oracle(k, theta_values, pot, epsilon) -> float:
     """One evaluate_gf per birth site x, minus the order-n_max product term."""
     nm = k.n_max
     dx = k.grid.spacing
-    a_rows, b_rows = shift_rows_oracle(pot, kind)
+    a_rows, b_rows = shift_rows_oracle(pot, epsilon)
     contributions = []
     for x in range(k.grid.n_sites):
         shifted = a_rows[x] * theta_values + b_rows[x]
@@ -162,3 +197,112 @@ def save_hierarchy_oracle(k, path):
             )
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def flatten(k):
+    """Concatenate all tensor entries (orders ascending, C order)."""
+    return np.concatenate([t.ravel() for t in k.tensors])
+
+
+def unflatten(grid, n_max, vector):
+    """Inverse of flatten; validates the flat dimension."""
+    vec = np.asarray(vector, dtype=np.float64)
+    expected = flat_dimension(grid, n_max)
+    if vec.shape != (expected,):
+        raise InvalidArgumentError(
+            "flat vector has shape %r, expected (%d,)" % (vec.shape, expected)
+        )
+    tensors = []
+    offset = 0
+    for n in range(n_max + 1):
+        size = grid.n_sites**n
+        tensors.append(vec[offset : offset + size].reshape((grid.n_sites,) * n).copy())
+        offset += size
+    return CorrelationHierarchy(grid, tensors)
+
+
+def assemble_matrix(grid, n_max, params, pot, epsilon):
+    """Dense matrix of the generator on flattened hierarchies.
+
+    Column j is the flattened image of the j-th standard basis vector; the
+    matrix certifies linearity and feeds the exponentiation oracle.
+    """
+    dim = flat_dimension(grid, n_max)
+    if dim * dim > MEMORY_GUARD_ENTRIES:
+        raise MemoryGuardError(
+            "generator matrix would hold %d entries (guard %d)"
+            % (dim * dim, MEMORY_GUARD_ENTRIES)
+        )
+    matrix = np.zeros((dim, dim))
+    for j in range(dim):
+        basis = np.zeros(dim)
+        basis[j] = 1.0
+        image = apply_generator(unflatten(grid, n_max, basis), params, pot, epsilon)
+        matrix[:, j] = flatten(image)
+    return matrix
+
+
+def matrix_exp_oracle(matrix, v, t):
+    """e^{t A} v by dense scaling-and-squaring, independent of the Taylor path."""
+    a = np.asarray(matrix, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InvalidArgumentError("matrix must be square")
+    if a.size > MEMORY_GUARD_ENTRIES:
+        raise MemoryGuardError(
+            "matrix holds %d entries (guard %d)" % (a.size, MEMORY_GUARD_ENTRIES)
+        )
+    vec = np.asarray(v, dtype=np.float64)
+    if vec.shape != (a.shape[0],):
+        raise InvalidArgumentError("vector shape %r does not match matrix" % (vec.shape,))
+    return scipy.linalg.expm(t * a) @ vec
+
+
+def taylor_coefficient_fd(k, n, sites, step=FD_STEP) -> float:
+    """Recover k_n(sites) from B by mixed central finite differences.
+
+    Evaluates B along theta = sum_i s_i * step * indicator(sites[i]) over all
+    sign patterns s in {-1,+1}^n and divides the alternating sum by
+    (2*step)^n dx^n.  An independent oracle for the stored tensors: the
+    estimate must reproduce k_n(sites).
+
+    Raises PrecisionLossError when the estimate at `step` and at `2*step`
+    disagree by more than 1e-6 (relative to max(1, |estimate|)), which
+    flags step/roundoff failure.
+    """
+    if not (0 <= n <= k.n_max):
+        raise InvalidArgumentError("order %r outside 0..n_max" % (n,))
+    sites = [int(s) for s in sites]
+    if len(sites) != n:
+        raise InvalidArgumentError("need %d sites, got %d" % (n, len(sites)))
+    for s in sites:
+        if not (0 <= s < k.grid.n_sites):
+            raise InvalidArgumentError("site index %r out of range" % (s,))
+    if n == 0:
+        return evaluate_gf(k, GridField(k.grid, np.zeros(k.grid.n_sites)))
+
+    def estimate(h):
+        total = 0.0
+        for pattern in range(2**n):
+            theta = np.zeros(k.grid.n_sites)
+            sign_prod = 1.0
+            for i, site in enumerate(sites):
+                s = 1.0 if (pattern >> i) & 1 else -1.0
+                sign_prod *= s
+                theta[site] += s * h
+            total += sign_prod * evaluate_gf(k, GridField(k.grid, theta))
+        return total / (2.0 * h) ** n / k.grid.spacing**n
+
+    est = estimate(step)
+    check = estimate(2.0 * step)
+    if abs(est - check) > 1e-6 * max(1.0, abs(est)):
+        raise PrecisionLossError(
+            "finite-difference estimates at step and 2*step differ by %.3g"
+            % abs(est - check)
+        )
+    return est
+
+
+def exponential_gf_eval(rho, theta) -> float:
+    """Product-form functional exp(sum_x rho(x) theta(x) dx)."""
+    require_same_grid(rho, theta)
+    return math.exp(float(np.sum(rho.values * theta.values)) * rho.grid.spacing)

@@ -1,10 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import glauberlab as gl
 from glauberlab.config import (
+    _KEYS,
     ExperimentConfig,
     build_grid,
     build_initial_density,
@@ -80,8 +84,6 @@ def test_builders():
     rho = build_initial_density(cfg, grid)
     assert np.allclose(rho.values, cfg.z, rtol=0, atol=0)  # level defaults to z
 
-    from dataclasses import replace
-
     wobbly = replace(cfg, initial_level=0.4, initial_cosine_amplitude=0.1)
     rho_w = build_initial_density(wobbly, grid)
     positions = np.arange(8) * grid.spacing
@@ -94,8 +96,6 @@ def test_builders():
 
 
 def test_potential_kinds(tmp_path):
-    from dataclasses import replace
-
     cfg = ExperimentConfig()
     grid = build_grid(cfg)
     assert build_potential(replace(cfg, potential_kind="zero"), grid).norm_l1 == 0.0
@@ -117,16 +117,14 @@ def test_potential_kinds(tmp_path):
 
 
 def test_kind_from_epsilon():
-    assert kind_from_epsilon(0.0) is gl.VLASOV_LIMIT
-    assert kind_from_epsilon(1.0) is gl.GLAUBER
-    assert kind_from_epsilon(0.25) == gl.rescaled(0.25)
+    assert kind_from_epsilon(0.0) == gl.VLASOV_LIMIT
+    assert kind_from_epsilon(1.0) == gl.GLAUBER
+    assert kind_from_epsilon(0.25) == 0.25
 
 
 def test_missing_files_surface_as_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(tmp_path / "absent.conf")
-    from dataclasses import replace
-
     cfg = replace(
         ExperimentConfig(),
         potential_kind="file",
@@ -134,3 +132,62 @@ def test_missing_files_surface_as_config_errors(tmp_path):
     )
     with pytest.raises(ConfigError):
         build_potential(cfg, build_grid(cfg))
+
+
+# Valid range of every float key, as (min, max, exclude_min, exclude_max);
+# solver.alpha and solver.alpha0 are bounded by the other's default.
+FLOAT_RANGES = {
+    "grid.length": (0.0, None, True, False),
+    "potential.amplitude": (0.0, None, False, False),
+    "potential.width": (0.0, None, True, False),
+    "model.z": (0.0, None, True, False),
+    "model.epsilon": (0.0, None, False, False),
+    "solver.alpha": (0.0, 1.0, True, True),
+    "solver.alpha0": (0.5, None, True, False),
+    "solver.tol": (0.0, None, True, False),
+    "time.t_final": (0.0, None, False, False),
+    "time.substep_fraction": (0.0, 1.0, True, False),
+    "vlasov.dt": (0.0, None, True, False),
+    "initial.level": (0.0, None, False, False),
+    "initial.cosine_amplitude": (0.0, None, False, False),
+}
+
+
+def test_float_ranges_cover_every_float_key():
+    assert set(FLOAT_RANGES) == {k for k, (_, typ) in _KEYS.items() if typ is float}
+
+
+@st.composite
+def finite_assignment(draw):
+    key = draw(st.sampled_from(sorted(FLOAT_RANGES)))
+    low, high, exclude_low, exclude_high = FLOAT_RANGES[key]
+    value = draw(
+        st.floats(low, high, allow_nan=False, allow_infinity=False,
+                  exclude_min=exclude_low, exclude_max=exclude_high)
+    )
+    return key, value
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(assignment=finite_assignment())
+def test_finite_float_values_round_trip(tmp_path, assignment):
+    key, value = assignment
+    cfg = parse_config(write(tmp_path, "%s = %r\n" % (key, value)))
+    assert cfg == replace(ExperimentConfig(), **{_KEYS[key][0]: value})
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    key=st.sampled_from(sorted(FLOAT_RANGES)),
+    text=st.sampled_from(["inf", "-inf", "nan", "Infinity", "1e999", "-1e999"]),
+)
+def test_non_finite_float_values_are_parse_errors(tmp_path, key, text):
+    with pytest.raises(ConfigError) as err:
+        parse_config(write(tmp_path, "\n%s = %s\n" % (key, text)))
+    assert err.value.code == "parse-error"
+    assert "line 2" in str(err.value)
+
+
+def test_unset_initial_level_stays_nan(tmp_path):
+    assert math.isnan(parse_config(write(tmp_path, "model.z = 0.5\n")).initial_level)

@@ -12,17 +12,21 @@ from glauberlab.generators import (
     shift_bound_constants,
     shift_displacement_tables,
 )
-from glauberlab.hierarchy import flat_dimension, flatten, unflatten
+from glauberlab.hierarchy import flat_dimension
 
 from helpers import (
     apply_birth_oracle,
+    assemble_matrix,
     assert_all_symmetric,
     birth_gf_term_oracle,
+    flatten,
     loglog_slope,
+    plain_glauber_generator_oracle,
     rel_err,
+    unflatten,
 )
 
-ORACLE_KINDS = (gl.GLAUBER, gl.rescaled(0.25), gl.VLASOV_LIMIT)
+ORACLE_KINDS = (gl.GLAUBER, 0.25, gl.VLASOV_LIMIT)
 ORACLE_SHAPES = ((5, 0), (7, 1), (6, 2), (5, 3), (6, 4))
 
 
@@ -35,28 +39,27 @@ def standard_setup(n_sites=8, n_max=3, z=0.5, seed=0):
 
 
 def test_generator_kind_validation():
-    with pytest.raises(InvalidArgumentError):
-        gl.GeneratorKind("bogus")
-    with pytest.raises(InvalidArgumentError):
-        gl.rescaled(0.0)
-    assert gl.rescaled(0.5).epsilon == 0.5
+    # the generator is selected by epsilon alone; 0 is the limit
+    _, pot, _, _ = standard_setup()
+    for bad in (-0.5, -math.inf, math.inf, math.nan):
+        with pytest.raises(InvalidArgumentError):
+            shift_displacement_tables(pot, bad)
+    assert gl.GLAUBER == 1.0 and gl.VLASOV_LIMIT == 0.0
 
 
 def test_shift_tables():
     grid, pot, _, _ = standard_setup()
     a_plain, b_plain = shift_displacement_tables(pot, gl.GLAUBER)
-    a_one, b_one = shift_displacement_tables(pot, gl.rescaled(1.0))
-    assert np.array_equal(a_plain, a_one)
-    assert np.array_equal(b_plain, b_one)
     phi = pot.values_by_displacement
-    assert np.allclose(a_plain, np.exp(-phi), rtol=0, atol=0)
+    assert np.array_equal(a_plain, np.exp(-phi))
+    assert np.allclose(b_plain, np.exp(-phi) - 1.0, rtol=0, atol=1e-16)
 
     a_v, b_v = shift_displacement_tables(pot, gl.VLASOV_LIMIT)
     assert np.all(a_v == 1.0)
     assert np.array_equal(b_v, -phi)
 
     # tiny epsilon stays finite and close to the limit shift
-    _, b_tiny = shift_displacement_tables(pot, gl.rescaled(1e-12))
+    _, b_tiny = shift_displacement_tables(pot, 1e-12)
     assert np.all(np.isfinite(b_tiny))
     assert np.allclose(b_tiny, -phi * (1 - 1e-12 * phi / 2), rtol=1e-9)
 
@@ -123,7 +126,7 @@ def test_apply_birth_vlasov_truncation_one():
 def test_apply_birth_gf_consistency_and_symmetry():
     grid, pot, params, rng = standard_setup()
     k = gl.random_ruelle_hierarchy(grid, 3, rng, envelope=0.5)
-    for kind in (gl.GLAUBER, gl.rescaled(0.3), gl.VLASOV_LIMIT):
+    for kind in (gl.GLAUBER, 0.3, gl.VLASOV_LIMIT):
         out = gl.apply_birth(k, pot, kind)
         assert float(out.tensors[0]) == 0.0
         assert_all_symmetric(out)
@@ -146,7 +149,7 @@ def test_apply_generator_order_zero_and_equilibrium():
 
     grid2, pot2, params2, rng = standard_setup()
     k = gl.random_ruelle_hierarchy(grid2, 3, rng, envelope=0.5)
-    for kind in (gl.GLAUBER, gl.rescaled(0.4), gl.VLASOV_LIMIT):
+    for kind in (gl.GLAUBER, 0.4, gl.VLASOV_LIMIT):
         out = gl.apply_generator(k, params2, pot2, kind)
         assert float(out.tensors[0]) == 0.0
         assert_all_symmetric(out)
@@ -156,9 +159,10 @@ def test_rescaled_one_coincides_with_plain():
     grid, pot, params, rng = standard_setup()
     for _ in range(5):
         k = gl.random_ruelle_hierarchy(grid, 3, rng, envelope=0.5)
-        plain = gl.apply_generator(k, params, pot, gl.GLAUBER)
-        one = gl.apply_generator(k, params, pot, gl.rescaled(1.0))
-        assert gl.max_abs_difference(plain, one) <= 1e-12
+        one = gl.apply_generator(k, params, pot, 1.0)
+        plain = plain_glauber_generator_oracle(k, params, pot)
+        for a, b in zip(one.tensors, plain):
+            assert np.max(np.abs(a - b)) <= 1e-12
 
 
 def test_apply_generator_linearity():
@@ -166,11 +170,11 @@ def test_apply_generator_linearity():
     k1 = gl.random_ruelle_hierarchy(grid, 3, rng, envelope=0.5)
     k2 = gl.random_ruelle_hierarchy(grid, 3, rng, envelope=0.5)
     a, b = 1.7, -0.6
-    combo = gl.axpy(a, k1, gl.unflatten(grid, 3, b * flatten(k2)))
+    combo = gl.axpy(a, k1, unflatten(grid, 3, b * flatten(k2)))
     lhs = gl.apply_generator(combo, params, pot, gl.GLAUBER)
     r1 = gl.apply_generator(k1, params, pot, gl.GLAUBER)
     r2 = gl.apply_generator(k2, params, pot, gl.GLAUBER)
-    rhs = gl.unflatten(grid, 3, a * flatten(r1) + b * flatten(r2))
+    rhs = unflatten(grid, 3, a * flatten(r1) + b * flatten(r2))
     scale = max(1.0, np.max(np.abs(flatten(rhs))))
     assert gl.max_abs_difference(lhs, rhs) / scale <= 1e-11
 
@@ -180,7 +184,7 @@ def test_duality_identity_sweep():
     for _ in range(10):
         k = gl.random_ruelle_hierarchy(grid, 3, rng, envelope=0.5)
         theta = gl.GridField(grid, rng.uniform(-0.6, 0.6, 8))
-        for kind in (gl.GLAUBER, gl.rescaled(0.25), gl.VLASOV_LIMIT):
+        for kind in (gl.GLAUBER, 0.25, gl.VLASOV_LIMIT):
             lhs = gl.evaluate_gf(gl.apply_generator(k, params, pot, kind), theta)
             rhs = gl.evaluate_generator_gf(k, theta, params, pot, kind)
             assert rel_err(lhs, rhs) <= 1e-9
@@ -206,11 +210,11 @@ def test_assemble_matrix():
     pot = gl.gaussian_potential(grid, 0.5, 1.0)
     params = gl.ScaleParams(0.5, 1.0, 0.5)
 
-    tiny = gl.assemble_matrix(grid, 0, params, pot, gl.GLAUBER)
+    tiny = assemble_matrix(grid, 0, params, pot, gl.GLAUBER)
     assert tiny.shape == (1, 1)
     assert tiny[0, 0] == 0.0
 
-    mat = gl.assemble_matrix(grid, 2, params, pot, gl.GLAUBER)
+    mat = assemble_matrix(grid, 2, params, pot, gl.GLAUBER)
     dim = flat_dimension(grid, 2)
     assert mat.shape == (dim, dim)
     rng = np.random.default_rng(2)
@@ -228,7 +232,7 @@ def test_assemble_matrix_memory_guard():
     params = gl.ScaleParams(0.5, 1.0, 0.5)
     pot = gl.zero_potential(grid)
     with pytest.raises(MemoryGuardError):
-        gl.assemble_matrix(grid, 3, params, pot, gl.GLAUBER)
+        assemble_matrix(grid, 3, params, pot, gl.GLAUBER)
 
 
 def test_norm_bound_M_values():
@@ -268,7 +272,7 @@ def test_operator_level_vlasov_convergence():
     limit = gl.apply_generator(k, params, pot, gl.VLASOV_LIMIT)
     eps_list = [0.4, 0.2, 0.1, 0.05]
     diffs = [
-        gl.max_abs_difference(gl.apply_generator(k, params, pot, gl.rescaled(e)), limit)
+        gl.max_abs_difference(gl.apply_generator(k, params, pot, e), limit)
         for e in eps_list
     ]
     assert all(d1 > d2 for d1, d2 in zip(diffs, diffs[1:]))
@@ -284,13 +288,13 @@ def test_sampled_generator_estimate_bounds():
         theta = gl.GridField(grid, rng.uniform(-0.6, 0.6, 8))
         big_k = gl.scale_norm(k, params.alpha0)
         weight = math.exp(gl.field_l1_norm(theta) / params.alpha)
-        for kind in (gl.GLAUBER, gl.rescaled(0.3), gl.VLASOV_LIMIT):
+        for kind in (gl.GLAUBER, 0.3, gl.VLASOV_LIMIT):
             value = abs(gl.evaluate_generator_gf(k, theta, params, pot, kind))
             assert value <= m_const / gap * big_k * weight
 
         eps = 0.3
         diff = abs(
-            gl.evaluate_generator_gf(k, theta, params, pot, gl.rescaled(eps))
+            gl.evaluate_generator_gf(k, theta, params, pot, eps)
             - gl.evaluate_generator_gf(k, theta, params, pot, gl.VLASOV_LIMIT)
         )
         bound = gl.vlasov_gap_bound(eps, params, pot, params.alpha, params.alpha0)

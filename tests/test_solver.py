@@ -7,16 +7,21 @@ import pytest
 import glauberlab as gl
 from glauberlab.errors import (
     ConvergenceError,
-    DivergentSeriesError,
     InvalidArgumentError,
     NonfiniteStateError,
     RadiusExceededError,
     RuelleViolationError,
 )
 from glauberlab.generators import apply_generator, norm_bound_M
-from glauberlab.hierarchy import flatten, scale_hierarchy
+from glauberlab.hierarchy import scale_hierarchy
 
-from helpers import assert_all_symmetric
+from helpers import (
+    assemble_matrix,
+    assert_all_symmetric,
+    flatten,
+    matrix_exp_oracle,
+    unflatten,
+)
 
 
 def interacting_setup(n_sites=6, n_max=2, z=0.5, seed=3):
@@ -54,7 +59,7 @@ def test_taylor_evolve_scalar_exponential():
     report = gl.taylor_evolve(
         lambda k: scale_hierarchy(-1.0, k), u0, 1.0, 40, 1e-15
     )
-    expected = gl.unflatten(grid, 2, math.exp(-1.0) * flatten(u0))
+    expected = unflatten(grid, 2, math.exp(-1.0) * flatten(u0))
     assert gl.max_abs_difference(report.solution, expected) <= 1e-12
 
 
@@ -73,8 +78,8 @@ def test_taylor_evolve_matches_matrix_exponential():
         lambda k: apply_generator(k, params, pot, gl.GLAUBER),
         u0, t, 60, 1e-14, norm_alpha=params.alpha,
     )
-    mat = gl.assemble_matrix(grid, 2, params, pot, gl.GLAUBER)
-    reference = gl.matrix_exp_oracle(mat, flatten(u0), t)
+    mat = assemble_matrix(grid, 2, params, pot, gl.GLAUBER)
+    reference = matrix_exp_oracle(mat, flatten(u0), t)
     got = flatten(report.solution)
     assert np.max(np.abs(got - reference)) / np.max(np.abs(reference)) <= 1e-8
 
@@ -94,8 +99,8 @@ def test_taylor_evolve_oracle_agreement_across_dimensions(n_sites, n_max):
         lambda k: apply_generator(k, params, pot, gl.GLAUBER),
         u0, t, 60, 1e-13, norm_alpha=0.5,
     )
-    mat = gl.assemble_matrix(grid, n_max, params, pot, gl.GLAUBER)
-    reference = gl.matrix_exp_oracle(mat, flatten(u0), t)
+    mat = assemble_matrix(grid, n_max, params, pot, gl.GLAUBER)
+    reference = matrix_exp_oracle(mat, flatten(u0), t)
     tol = max(1e-8, 10 * report.tail_estimate)
     scale = np.max(np.abs(reference))
     assert np.max(np.abs(flatten(report.solution) - reference)) <= tol * scale
@@ -177,28 +182,10 @@ def test_evolve_global_rejects_bad_initial_envelope():
         gl.evolve_global(params, pot, u0, 0.1)
 
 
-def test_f_q_series_values():
-    assert gl.f_q_series(0, 0.0, 1.0, 1.0, 1e-14) == 0.0
-    # x = t M / gap = 0.1: compare against a direct partial sum
-    value = gl.f_q_series(0, 0.1, 1.0, 1.0, 1e-14)
-    direct = sum((0.1 * m) ** m / math.factorial(m) for m in range(1, 40))
-    assert math.isclose(value, direct, rel_tol=1e-12)
-    with pytest.raises(DivergentSeriesError):
-        gl.f_q_series(0, 0.4, 1.0, 1.0, 1e-12)  # 0.4 > 1/e
-
-
-def test_f_q_series_monotone():
-    times = [0.02, 0.05, 0.1, 0.2, 0.3]
-    values = [gl.f_q_series(1, t, 1.0, 1.0, 1e-14) for t in times]
-    assert all(a < b for a, b in zip(values, values[1:]))
-    orders = [gl.f_q_series(q, 0.1, 1.0, 1.0, 1e-14) for q in range(4)]
-    assert all(a < b for a, b in zip(orders, orders[1:]))
-
-
 def test_matrix_exp_oracle():
     v = np.arange(1.0, 6.0)
-    assert np.allclose(gl.matrix_exp_oracle(np.zeros((5, 5)), v, 1.0), v, rtol=0)
-    decay = gl.matrix_exp_oracle(-np.eye(5), v, 1.0)
+    assert np.allclose(matrix_exp_oracle(np.zeros((5, 5)), v, 1.0), v, rtol=0)
+    decay = matrix_exp_oracle(-np.eye(5), v, 1.0)
     assert np.allclose(decay, math.exp(-1.0) * v, rtol=1e-13)
 
     rng = np.random.default_rng(6)
@@ -211,7 +198,7 @@ def test_matrix_exp_oracle():
     for m in range(1, 60):
         term = (t / m) * (a @ term)
         series += term
-    got = gl.matrix_exp_oracle(a, v0, t)
+    got = matrix_exp_oracle(a, v0, t)
     assert np.max(np.abs(got - series)) / np.max(np.abs(series)) <= 1e-12
 
 
@@ -227,9 +214,9 @@ def test_solve_report_invariants_and_symmetry():
 
 def test_matrix_exp_oracle_validation():
     with pytest.raises(InvalidArgumentError):
-        gl.matrix_exp_oracle(np.zeros((2, 3)), np.zeros(2), 1.0)
+        matrix_exp_oracle(np.zeros((2, 3)), np.zeros(2), 1.0)
     with pytest.raises(InvalidArgumentError):
-        gl.matrix_exp_oracle(np.zeros((2, 2)), np.zeros(3), 1.0)
+        matrix_exp_oracle(np.zeros((2, 2)), np.zeros(3), 1.0)
 
 
 def test_taylor_overflow_is_nonfinite_state_without_warning():
@@ -241,3 +228,12 @@ def test_taylor_overflow_is_nonfinite_state_without_warning():
             gl.taylor_evolve(
                 lambda k: apply_generator(k, params, pot, gl.GLAUBER), u0, 0.01, 10, 1e-12
             )
+
+
+def test_evolve_global_rejects_non_finite_t_final():
+    # an infinite horizon used to return a report with zero steps
+    grid, pot, params, _ = interacting_setup()
+    u0 = gl.exponential_hierarchy(gl.constant_field(grid, params.z), 2)
+    for bad in (math.inf, math.nan, -1.0):
+        with pytest.raises(InvalidArgumentError):
+            gl.evolve_global(params, pot, u0, bad)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import glauberlab as gl
-from glauberlab.errors import InvalidArgumentError, NonfiniteStateError
+from glauberlab.errors import InvalidArgumentError, MemoryGuardError, NonfiniteStateError
+
+from helpers import exponential_gf_eval
 
 
 def test_vlasov_rhs_fixed_point_and_empty():
@@ -144,17 +146,17 @@ def test_long_time_contraction_fixed_point():
 def test_exponential_gf_eval():
     grid = gl.make_grid(8, 8.0)
     rho = gl.constant_field(grid, 0.3)
-    assert gl.exponential_gf_eval(rho, gl.zero_field(grid)) == 1.0
+    assert exponential_gf_eval(rho, gl.zero_field(grid)) == 1.0
     theta = gl.constant_field(grid, 0.2)
     assert math.isclose(
-        gl.exponential_gf_eval(rho, theta), math.exp(0.3 * 0.2 * 8.0), rel_tol=1e-14
+        exponential_gf_eval(rho, theta), math.exp(0.3 * 0.2 * 8.0), rel_tol=1e-14
     )
     # truncated hierarchy evaluation differs by at most ~ the first dropped term
     n_max = 4
     k = gl.exponential_hierarchy(rho, n_max)
     u = 0.3 * 0.2 * 8.0
     tail = u ** (n_max + 1) / math.factorial(n_max + 1)
-    diff = abs(gl.exponential_gf_eval(rho, theta) - gl.evaluate_gf(k, theta))
+    diff = abs(exponential_gf_eval(rho, theta) - gl.evaluate_gf(k, theta))
     assert diff <= tail * 2.0
 
 
@@ -180,9 +182,34 @@ def test_chaos_propagation_time_derivative_consistency():
         return gl.integrate(rho0, cfg, pot)[0]
 
     fd = (
-        gl.exponential_gf_eval(rho_at(t_mid + h), theta)
-        - gl.exponential_gf_eval(rho_at(t_mid - h), theta)
+        exponential_gf_eval(rho_at(t_mid + h), theta)
+        - exponential_gf_eval(rho_at(t_mid - h), theta)
     ) / (2 * h)
     k_mid = gl.exponential_hierarchy(rho_at(t_mid), 6)
     gen = gl.evaluate_generator_gf(k_mid, theta, params, pot, gl.VLASOV_LIMIT)
     assert abs(fd - gen) <= 1e-3
+
+
+def test_vlasov_config_rejects_non_finite_step_and_horizon():
+    for dt, t_final in ((math.inf, 1.0), (math.nan, 1.0), (0.1, math.inf), (0.1, math.nan)):
+        with pytest.raises(InvalidArgumentError):
+            gl.VlasovConfig(z=1.0, dt=dt, t_final=t_final)
+
+
+def test_integrate_step_count_guard_fails_before_stepping():
+    # dt = 1e-300 used to hang in an unbounded step loop
+    grid = gl.make_grid(8, 8.0)
+    rho0 = gl.constant_field(grid, 0.5)
+    pot = gl.zero_potential(grid)
+    for dt, t_final in ((1e-300, 0.05), (1e-300, 1e300)):
+        cfg = gl.VlasovConfig(z=1.0, dt=dt, t_final=t_final)
+        with pytest.raises(MemoryGuardError):
+            gl.integrate(rho0, cfg, pot)
+    # the largest benchmarked run, 200 steps on 512 sites, stays inside the guard
+    big = gl.make_grid(512, 64.0)
+    _, trajectory = gl.integrate(
+        gl.constant_field(big, 0.5),
+        gl.VlasovConfig(z=0.5, dt=0.01, t_final=2.0, sample_stride=100),
+        gl.zero_potential(big),
+    )
+    assert trajectory[-1][0] == 2.0
