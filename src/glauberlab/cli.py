@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 
 from .config import ExperimentConfig, parse_config
-from .errors import GlauberLabError
+from .errors import GlauberLabError, InvalidArgumentError
 from .harness import (
     cmd_chaos_check,
     cmd_evolve,
@@ -88,7 +88,12 @@ def main(argv=None) -> int:
                 line += " closed_form_error=%.3g" % closed_err
             print(line)
         elif args.command == "scaling-study":
-            epsilons = [float(piece) for piece in args.epsilons.split(",") if piece]
+            try:
+                epsilons = [float(piece) for piece in args.epsilons.split(",") if piece]
+            except ValueError:
+                raise InvalidArgumentError(
+                    "--epsilons must be comma-separated numbers, got %r" % args.epsilons
+                ) from None
             result = cmd_scaling_study(cfg, args.out, epsilons)
             print("scaling-study: fitted_order=%.4f" % result.fitted_order)
         elif args.command == "chaos-check":

@@ -73,7 +73,7 @@ class CorrelationHierarchy:
 
     __slots__ = ("grid", "tensors")
 
-    def __init__(self, grid: Grid, tensors, max_entries=MEMORY_GUARD_ENTRIES):
+    def __init__(self, grid: Grid, tensors):
         n = grid.n_sites
         tens = []
         for order, t in enumerate(tensors):
@@ -88,12 +88,7 @@ class CorrelationHierarchy:
             tens.append(arr)
         if not tens:
             raise InvalidArgumentError("hierarchy needs at least the order-0 tensor")
-        n_max = len(tens) - 1
-        if n**n_max > max_entries:
-            raise MemoryGuardError(
-                "top tensor would hold %d entries (guard %d)"
-                % (n**n_max, max_entries)
-            )
+        require_within_memory_guard(n, len(tens) - 1)
         self.grid = grid
         self.tensors = tens
 
@@ -123,9 +118,19 @@ class CorrelationHierarchy:
         )
 
 
+def require_within_memory_guard(n_sites, n_max):
+    """Raise MemoryGuardError when the order-n_max tensor would exceed the guard."""
+    if n_sites**n_max > MEMORY_GUARD_ENTRIES:
+        raise MemoryGuardError(
+            "top tensor would hold %d entries (guard %d)"
+            % (n_sites**n_max, MEMORY_GUARD_ENTRIES)
+        )
+
+
 def zero_hierarchy(grid, n_max) -> CorrelationHierarchy:
     if n_max < 0:
         raise InvalidArgumentError("n_max must be non-negative")
+    require_within_memory_guard(grid.n_sites, n_max)
     tensors = [np.zeros((grid.n_sites,) * n) for n in range(n_max + 1)]
     return CorrelationHierarchy(grid, tensors)
 
@@ -138,11 +143,7 @@ def exponential_hierarchy(rho: GridField, n_max) -> CorrelationHierarchy:
     if n_max < 0:
         raise InvalidArgumentError("n_max must be non-negative")
     grid = rho.grid
-    if grid.n_sites**n_max > MEMORY_GUARD_ENTRIES:
-        raise MemoryGuardError(
-            "order %d tensor on %d sites exceeds the memory guard"
-            % (n_max, grid.n_sites)
-        )
+    require_within_memory_guard(grid.n_sites, n_max)
     tensors = [np.array(1.0)]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_max):
@@ -158,6 +159,7 @@ def random_ruelle_hierarchy(grid, n_max, rng, envelope=1.0) -> CorrelationHierar
     the test suite; the envelope plays the role of the activity bound, so
     sampled states grow no faster than a prescribed geometric rate.
     """
+    require_within_memory_guard(grid.n_sites, n_max)
     tensors = [np.array(rng.uniform(0.5, 1.5))]
     for order in range(1, n_max + 1):
         raw = rng.uniform(-1.0, 1.0, size=(grid.n_sites,) * order)
@@ -433,11 +435,7 @@ def load_hierarchy(path) -> CorrelationHierarchy:
     if len(head) != 3 or n_max < 0:
         raise InvalidArgumentError("malformed snapshot header %r" % lines[0])
     grid = make_grid(n_sites, length)
-    if n_sites**n_max > MEMORY_GUARD_ENTRIES:
-        raise MemoryGuardError(
-            "top tensor would hold %d entries (guard %d)"
-            % (n_sites**n_max, MEMORY_GUARD_ENTRIES)
-        )
+    require_within_memory_guard(n_sites, n_max)
     tensors = [np.zeros((n_sites,) * n) for n in range(n_max + 1)]
     seen = [np.zeros((n_sites,) * n, dtype=bool) for n in range(n_max + 1)]
     for ln in lines[1:]:

@@ -152,17 +152,15 @@ def evolve_global(
     m_max=60,
     tol=1e-12,
     epsilon=GLAUBER,
-    ruelle_tol=RUELLE_TOL,
-    ruelle_drift_tol=RUELLE_DRIFT_TOL,
 ) -> SolveReport:
     """Continue local solves up to t_final under the activity envelope.
 
     The scale is pinned to alpha0 = 1/z and alpha = alpha0/2, each substep
     advances substep_fraction of the step radius, and the envelope margin
-    is re-checked before every restart.  Tolerances: the initial state must
-    satisfy margin <= 1 + ruelle_tol; during the run drift up to
-    1 + ruelle_drift_tol is accepted as truncation noise, beyond that the
-    run aborts with RuelleViolationError.
+    is re-checked before every restart, read from the last step record.
+    Tolerances: the initial state must satisfy margin <= 1 + RUELLE_TOL;
+    during the run drift up to 1 + RUELLE_DRIFT_TOL is accepted as
+    truncation noise, beyond that the run aborts with RuelleViolationError.
     """
     if not (t_final >= 0 and math.isfinite(t_final)):
         raise InvalidArgumentError("t_final must be finite and non-negative")
@@ -175,35 +173,27 @@ def evolve_global(
     step = substep_fraction * radius
 
     margin = ruelle_margin(u0, z)
-    if margin > 1.0 + ruelle_tol:
+    if margin > 1.0 + RUELLE_TOL:
         raise RuelleViolationError(margin, 0.0)
 
     u = u0
     now = 0.0
-    substeps = 0
     records = []
-    terms_peak = 0
-    tail = 0.0
     while t_final - now > 1e-12 * max(1.0, t_final):
-        if substeps > 0:
-            margin = ruelle_margin(u, z)
-            if margin > 1.0 + ruelle_drift_tol:
-                raise RuelleViolationError(margin, now)
+        if records and records[-1].ruelle_margin > 1.0 + RUELLE_DRIFT_TOL:
+            raise RuelleViolationError(records[-1].ruelle_margin, now)
         dt_step = min(step, t_final - now)
         local = solve_local(gparams, pot, epsilon, u, dt_step, m_max, tol)
         u = local.solution
         now += dt_step
-        substeps += 1
-        terms_peak = max(terms_peak, local.terms_used)
-        tail = local.tail_estimate
         records.append(
             step_record(now, u, z, gparams.alpha, local.terms_used, local.tail_estimate)
         )
     return SolveReport(
         solution=u,
-        terms_used=terms_peak,
-        tail_estimate=tail,
+        terms_used=max((r.terms_used for r in records), default=0),
+        tail_estimate=records[-1].tail_estimate if records else 0.0,
         radius=radius,
-        restarts=max(0, substeps - 1),
+        restarts=max(0, len(records) - 1),
         steps=records,
     )

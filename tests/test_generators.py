@@ -327,6 +327,24 @@ def test_birth_gf_term_matches_per_site_oracle_bitwise(n_sites, n_max):
             assert value == birth_gf_term_oracle(k, theta, pot, kind)
 
 
+@pytest.mark.parametrize("n_sites,n_max", ORACLE_SHAPES)
+def test_generator_value_is_death_and_birth_terms_bitwise(n_sites, n_max):
+    # verify-bounds assembles L_eps B(theta) from the two terms it already
+    # holds; that must be the duality oracle's value bit for bit.
+    grid = gl.make_grid(n_sites, 5.0)
+    rng = np.random.default_rng(300 + n_max)
+    for trial in range(4):
+        shape = gl.gaussian_potential if trial % 2 else gl.tophat_potential
+        pot = shape(grid, rng.uniform(0.1, 1.0), rng.uniform(0.5, 2.0))
+        params = gl.ScaleParams(0.5, 1.0, rng.uniform(0.1, 1.0))
+        k = gl.random_ruelle_hierarchy(grid, n_max, rng, envelope=params.z)
+        theta = gl.GridField(grid, rng.uniform(-0.6, 0.6, n_sites))
+        death = death_gf_term(k, theta)
+        for kind in ORACLE_KINDS:
+            value = -death + params.z * birth_gf_term(k, theta, pot, kind)
+            assert value == gl.evaluate_generator_gf(k, theta, params, pot, kind)
+
+
 def test_apply_generator_working_set_is_a_few_top_tensors():
     grid, pot, params, rng = standard_setup(n_sites=64, n_max=3)
     k = gl.random_ruelle_hierarchy(grid, 3, rng, envelope=0.5)

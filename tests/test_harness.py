@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import glauberlab as gl
-from glauberlab.cli import main
+from glauberlab import generators, harness
+from glauberlab.cli import EXIT_CODES, main
 from glauberlab.config import ExperimentConfig, parse_config
 from glauberlab.harness import (
     cmd_chaos_check,
@@ -156,6 +157,98 @@ def test_cmd_verify_bounds_degenerate_potential_and_other_seed(tmp_path):
     assert set(cmd_verify_bounds(free, tmp_path, n_cases=25).values()) == {0}
     reseeded = replace(ExperimentConfig(), seed=987654321)
     assert set(cmd_verify_bounds(reseeded, tmp_path, n_cases=25).values()) == {0}
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of generators.<name> made through either module attribute.
+
+    The harness looks the term up in its own namespace, evaluate_generator_gf
+    in generators', so both are wrapped with one counter.
+    """
+    calls = []
+    original = getattr(generators, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(generators, name, counted)
+    monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("epsilon,births_per_case", [(1.0, 2), (0.25, 3), (0.0, 3)])
+def test_cmd_verify_bounds_evaluates_each_term_once(
+    tmp_path, monkeypatch, epsilon, births_per_case
+):
+    # per case: one death term, one birth term per distinct epsilon of
+    # [1, eps_gap, 0]; the checks column still counts every listed epsilon
+    births = _count_calls(monkeypatch, "birth_gf_term")
+    deaths = _count_calls(monkeypatch, "death_gf_term")
+    cases = 3
+    cfg = replace(ExperimentConfig(), epsilon=epsilon)
+    assert set(cmd_verify_bounds(cfg, tmp_path, n_cases=cases).values()) == {0}
+    assert len(births) == births_per_case * cases
+    assert len(deaths) == cases
+    rows = (tmp_path / "verify_bounds.csv").read_text().split("\n")
+    assert rows[2:4] == ["birth-estimate,9,0", "generator-estimate,9,0"]
+
+
+@pytest.mark.parametrize(
+    "line,epsilons",
+    [
+        ("", "0.1"),  # ZeroDivisionError in the slope fit
+        ("", "0.1,0.1"),  # one distinct epsilon, same fault
+        ("potential.kind = zero", "0.4,0.2"),  # zero gaps: math domain error
+        ("", "abc"),  # raw ValueError from float()
+    ],
+)
+def test_cli_scaling_study_rejects_unfittable_sweeps(tmp_path, capsys, line, epsilons):
+    conf = tmp_path / "run.conf"
+    conf.write_text(line + "\n")
+    out = tmp_path / "o"
+    status = main(["--config", str(conf), "--out", str(out), "scaling-study",
+                   "--epsilons", epsilons])
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-argument:")
+    assert err.count("\n") == 1
+    assert os.listdir(out) == []
+
+
+# (config, subcommand) -> error code of every shipped-config run that fails
+SHIPPED_FAILURES = {
+    ("chaos", "scaling-study"): "radius-exceeded",
+    ("equilibrium", "scaling-study"): "radius-exceeded",
+    ("vlasov_closed_form", "scaling-study"): "radius-exceeded",
+    ("default", "chaos-check"): "invalid-argument",
+    ("equilibrium", "chaos-check"): "invalid-argument",
+    ("vlasov_closed_form", "chaos-check"): "invalid-argument",
+}
+
+
+def test_every_subcommand_on_every_shipped_config(tmp_path, capsys):
+    # each run ends in success or in its documented status with exactly one
+    # `error: <code>:` line, never in an uncaught exception
+    configs = sorted(CONFIG_DIR.glob("*.conf"))
+    assert [c.stem for c in configs] == [
+        "chaos", "default", "equilibrium", "vlasov_closed_form"
+    ]
+    commands = [["evolve"], ["vlasov"], ["scaling-study"], ["chaos-check"],
+                ["verify-bounds", "--cases", "5"]]
+    for conf in configs:
+        for command in commands:
+            out = tmp_path / (conf.stem + "_" + command[0])
+            status = main(["--config", str(conf), "--out", str(out)] + command)
+            captured = capsys.readouterr()
+            code = SHIPPED_FAILURES.get((conf.stem, command[0]))
+            if code is None:
+                assert (status, captured.err) == (0, ""), (conf.stem, command)
+                assert captured.out.startswith(command[0] + ":")
+            else:
+                assert status == EXIT_CODES.get(code, 1), (conf.stem, command)
+                assert captured.err.startswith("error: %s:" % code)
+                assert captured.err.count("\n") == 1
 
 
 def command_runs(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -72,6 +73,32 @@ def test_memory_guard():
         gl.zero_hierarchy(grid, 8)  # 10^8 entries
     with pytest.raises(MemoryGuardError):
         gl.exponential_hierarchy(gl.constant_field(grid, 1.0), 8)
+
+
+def test_memory_guard_is_one_check_made_before_allocation(tmp_path):
+    # 3163^2 entries is just over the 1e7 guard; every builder must refuse it
+    # with the same message before allocating the 80 MB top tensor.
+    grid = gl.make_grid(3163, 3163.0)
+    snapshot = tmp_path / "big.txt"
+    snapshot.write_text("3163,3163.0,2\n")
+    builders = [
+        lambda: gl.zero_hierarchy(grid, 2),
+        lambda: gl.exponential_hierarchy(gl.constant_field(grid, 0.5), 2),
+        lambda: gl.random_ruelle_hierarchy(grid, 2, np.random.default_rng(0)),
+        lambda: gl.load_hierarchy(snapshot),
+    ]
+    for build in builders:
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                MemoryGuardError,
+                match=r"^top tensor would hold 10004569 entries \(guard 10000000\)$",
+            ):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 def test_evaluate_gf_constant_term():
