@@ -29,12 +29,16 @@ import numpy as np
 from .errors import (
     GridMismatchError,
     InvalidArgumentError,
-    MemoryGuardError,
     NonfiniteStateError,
 )
-from .lattice import Grid, GridField, make_grid, require_same_grid
-
-MEMORY_GUARD_ENTRIES = 10_000_000
+from .lattice import (  # the guard lives in lattice; re-exported for bench/ and tests
+    MEMORY_GUARD_ENTRIES,
+    Grid,
+    GridField,
+    make_grid,
+    require_same_grid,
+    require_within_memory_guard,
+)
 
 
 @dataclass(frozen=True)
@@ -115,15 +119,6 @@ class CorrelationHierarchy:
         return "CorrelationHierarchy(n_sites=%d, n_max=%d)" % (
             self.grid.n_sites,
             self.n_max,
-        )
-
-
-def require_within_memory_guard(n_sites, n_max):
-    """Raise MemoryGuardError when the order-n_max tensor would exceed the guard."""
-    if n_sites**n_max > MEMORY_GUARD_ENTRIES:
-        raise MemoryGuardError(
-            "top tensor would hold %d entries (guard %d)"
-            % (n_sites**n_max, MEMORY_GUARD_ENTRIES)
         )
 
 

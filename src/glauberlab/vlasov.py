@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, MemoryGuardError, NonfiniteStateError
-from .hierarchy import MEMORY_GUARD_ENTRIES
 from .lattice import (
+    MEMORY_GUARD_ENTRIES,
     GridField,
     PairPotential,
     convolution_kernel,

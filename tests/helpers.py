@@ -306,3 +306,16 @@ def exponential_gf_eval(rho, theta) -> float:
     """Product-form functional exp(sum_x rho(x) theta(x) dx)."""
     require_same_grid(rho, theta)
     return math.exp(float(np.sum(rho.values * theta.values)) * rho.grid.spacing)
+
+
+def convolve_oracle(samples, values, dx):
+    """Periodic convolution by a double loop with a correctly rounded sum.
+
+    samples[d] is phi at displacement d; entry x is
+    fsum_y samples[(x - y) mod N] * values[y], times dx.
+    """
+    n = len(samples)
+    return [
+        math.fsum(float(samples[(x - y) % n]) * float(values[y]) for y in range(n)) * dx
+        for x in range(n)
+    ]

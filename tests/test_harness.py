@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -290,10 +291,11 @@ def test_commands_are_deterministic(tmp_path):
             assert read(out_a / name) == read(out_b / name), (label, name)
 
 
-def test_cli_thread_count_independence(tmp_path):
-    # No CSV-producing path goes through threaded BLAS; pin different thread
-    # counts in subprocesses and demand byte-identical output anyway.
-    default = str(CONFIG_DIR / "default.conf")
+def outputs_under_thread_counts(tmp_path, config, command):
+    """Run the CLI in subprocesses pinned to 1 and 4 BLAS/OMP threads.
+
+    Returns one {file name: bytes} dict of the --out directory per run.
+    """
     outputs = []
     for threads in ("1", "4"):
         out = tmp_path / ("threads_" + threads)
@@ -303,13 +305,34 @@ def test_cli_thread_count_independence(tmp_path):
         env["MKL_NUM_THREADS"] = threads
         proc = subprocess.run(
             [sys.executable, "-m", "glauberlab",
-             "--config", default, "--out", str(out), "evolve"],
+             "--config", config, "--out", str(out), command],
             env=env,
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append({name: read(out / name) for name in sorted(os.listdir(out))})
+    return outputs
+
+
+def test_cli_thread_count_independence(tmp_path):
+    # No CSV-producing path goes through threaded BLAS; pin different thread
+    # counts in subprocesses and demand byte-identical output anyway.
+    default = str(CONFIG_DIR / "default.conf")
+    outputs = outputs_under_thread_counts(tmp_path, default, "evolve")
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_kinetic_thread_count_independence(tmp_path):
+    # At N = 512 a BLAS matrix-vector product would engage its threads;
+    # the kinetic right-hand side must not go through one.
+    conf = tmp_path / "kinetic.conf"
+    conf.write_text(
+        "grid.n_sites = 512\ngrid.length = 64.0\n"
+        "time.t_final = 0.05\nvlasov.dt = 0.01\nvlasov.sample_stride = 1\n"
+    )
+    outputs = outputs_under_thread_counts(tmp_path, str(conf), "vlasov")
+    assert outputs[0]["vlasov_trajectory.csv"].count(b"\n") == 6 * 512 + 1
     assert outputs[0] == outputs[1]
 
 
@@ -342,6 +365,34 @@ def test_cli_exit_codes(tmp_path, capsys):
         "time.t_final = 2.0\nvlasov.dt = 1.0\n"
     )
     assert main(["--config", str(blowup), "--out", str(tmp_path / "o4"), "vlasov"]) == 4
+
+
+@pytest.mark.parametrize(
+    "lines,command",
+    [
+        # one step passes integrate's steps x sites check; the kernel does not
+        (["time.t_final = 0.001", "vlasov.dt = 0.001"], "vlasov"),
+        # the coupling check convolves before any hierarchy is built
+        (["truncation.n_max = 4"], "chaos-check"),
+    ],
+)
+def test_cli_convolution_kernel_hits_memory_guard(tmp_path, capsys, lines, command):
+    # 3163^2 entries is just over the 1e7 guard; both commands used to
+    # build two 80 MB N x N matrices here.
+    conf = tmp_path / "big.conf"
+    conf.write_text("\n".join(["grid.n_sites = 3163", "grid.length = 3163.0"] + lines) + "\n")
+    tracemalloc.start()
+    try:
+        status = main(["--config", str(conf), "--out", str(tmp_path / "o"), command])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == 1
+    assert capsys.readouterr().err == (
+        "error: memory-guard: top tensor would hold 10004569 entries (guard 10000000)\n"
+    )
+    assert peak < 1_000_000
+    assert not list((tmp_path / "o").glob("*.csv"))
 
 
 def test_cli_product_state_overflow_exits_nonfinite(tmp_path, capsys):

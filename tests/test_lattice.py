@@ -1,10 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import glauberlab as gl
 from glauberlab.errors import GridMismatchError, InvalidArgumentError
+from glauberlab.lattice import GAUSSIAN_FLOOR, convolution_kernel, convolve_values
+
+from helpers import convolve_oracle
 
 
 def test_make_grid_spacing():
@@ -55,6 +61,21 @@ def test_gaussian_potential_matches_direct_sums():
     assert math.isclose(pot.norm_l1, sum(abs(v) for v in expected) * grid.spacing,
                         rel_tol=1e-14)
     assert math.isclose(pot.norm_linf, max(abs(v) for v in expected), rel_tol=1e-14)
+
+
+def test_gaussian_tail_below_floor_is_zero_and_moves_no_convolution():
+    grid = gl.make_grid(512, 64.0)
+    r = np.minimum(np.arange(512), 512 - np.arange(512)) * grid.spacing
+    f = gl.GridField(grid, np.random.default_rng(5).uniform(0.05, 1.0, 512))
+    for amplitude, width in ((0.8, 0.7), (0.5, 1.0), (0.2, 1.1)):
+        pot = gl.gaussian_potential(grid, amplitude, width)
+        raw = amplitude * np.exp(-((r / width) ** 2))
+        floored = (raw > 0.0) & (raw < GAUSSIAN_FLOOR)
+        assert np.any(floored & (raw < np.finfo(np.float64).tiny))  # subnormal tail
+        assert np.all(pot.values_by_displacement[floored] == 0.0)
+        assert np.array_equal(pot.values_by_displacement[~floored], raw[~floored])
+        unfloored = gl.potential_from_samples(grid, raw)
+        assert gl.convolve(pot, f).values.tobytes() == gl.convolve(unfloored, f).values.tobytes()
 
 
 def test_potential_rejects_negative_and_asymmetric():
@@ -138,6 +159,70 @@ def test_convolve_grid_mismatch():
     f = gl.constant_field(gl.make_grid(16, 8.0), 1.0)
     with pytest.raises(GridMismatchError):
         gl.convolve(pot, f)
+
+
+@st.composite
+def convolution_case(draw):
+    n = draw(st.integers(2, 64))
+    length = draw(st.floats(0.1, 100.0))
+    raw = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
+    values = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    raw = np.array(raw)
+    samples = (raw + raw[(-np.arange(n)) % n]) / 2.0  # exactly even
+    return gl.make_grid(n, length), samples, np.array(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=convolution_case())
+def test_convolve_matches_fsum_oracle(case):
+    grid, samples, values = case
+    out = gl.convolve(gl.potential_from_samples(grid, samples), gl.GridField(grid, values))
+    expected = convolve_oracle(samples, values, grid.spacing)
+    n = grid.n_sites
+    for x in range(n):
+        scale = math.fsum(
+            abs(samples[(x - y) % n] * values[y]) for y in range(n)
+        ) * grid.spacing
+        assert abs(out.values[x] - expected[x]) <= 1e-14 * scale
+
+
+def _kinetic_kernel_and_values(n=512):
+    grid = gl.make_grid(n, 8.0)
+    kernel = convolution_kernel(gl.gaussian_potential(grid, 0.5, 1.0))
+    values = np.random.default_rng(11).uniform(-1.0, 1.0, n)
+    return kernel, values, grid.spacing
+
+
+def _copy_at_offset(arr, offset):
+    """Copy arr into a fresh buffer starting offset bytes past its base."""
+    buf = np.zeros(arr.nbytes + 64, dtype=np.uint8)
+    out = buf[offset:offset + arr.nbytes].view(np.float64).reshape(arr.shape)
+    out[...] = arr
+    return out
+
+
+def test_convolve_values_bits_ignore_alignment_and_repeats():
+    kernel, values, dx = _kinetic_kernel_and_values()
+    first = convolve_values(kernel, values, dx).tobytes()
+    for _ in range(3):
+        assert convolve_values(kernel, values, dx).tobytes() == first
+    for offset in range(8, 64, 8):
+        moved = convolve_values(
+            _copy_at_offset(kernel, offset), _copy_at_offset(values, offset), dx
+        )
+        assert moved.tobytes() == first, offset
+
+
+def test_convolve_values_allocates_no_kernel_sized_temporary():
+    kernel, values, dx = _kinetic_kernel_and_values()
+    convolve_values(kernel, values, dx)
+    tracemalloc.start()
+    try:
+        convolve_values(kernel, values, dx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024  # the N x N product alone would be 2 MiB
 
 
 def test_field_norms_examples():
