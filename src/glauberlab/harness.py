@@ -62,11 +62,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# exact types only: bool, numpy scalars and subclasses fall back to _fmt
+_FORMATTERS = {float: float.__repr__, int: int.__repr__, str: str}
+
+
 def write_csv(rows, path):
-    """Write rows (first row is the header) with LF endings and repr floats."""
+    """Write rows (first row is the header) with LF endings and repr floats.
+
+    A cell whose exact type is in _FORMATTERS skips _fmt, with the same text.
+    """
+    fmt = _FORMATTERS.get
     with open(path, "w", newline="\n") as fh:
         for row in rows:
-            fh.write(",".join(_fmt(cell) for cell in row) + "\n")
+            fh.write(",".join([fmt(type(cell), _fmt)(cell) for cell in row]) + "\n")
 
 
 def cmd_evolve(cfg: ExperimentConfig, out_dir, mode="auto") -> SolveReport:
@@ -163,8 +171,8 @@ def cmd_vlasov(cfg: ExperimentConfig, out_dir):
 
     rows = [["t", "site_index", "rho_value"]]
     for t, values in trajectory:
-        for site, value in enumerate(values):
-            rows.append([t, site, float(value)])
+        for site, value in enumerate(values.tolist()):
+            rows.append([t, site, value])
     write_csv(rows, os.path.join(out_dir, "vlasov_trajectory.csv"))
 
     summary = [["stationary_residual", "linf_bound_ok", "closed_form_max_error"]]
@@ -321,7 +329,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir, n_cases=100):
     combined generator estimate, the rescaled-vs-limit gap bound, and the
     derivative growth estimates.  Violations are counted and reported,
     never raised.  Each case evaluates the death term once and the birth
-    term once per distinct epsilon; checks are counted per listed epsilon.
+    term once per distinct epsilon, and counts checks per distinct epsilon.
     """
     if n_cases < 1:
         raise InvalidArgumentError("n_cases must be at least 1")
@@ -331,8 +339,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir, n_cases=100):
     rng = np.random.default_rng(cfg.seed)
 
     eps_gap = cfg.epsilon if cfg.epsilon > 0 else 0.5
-    epsilons = [GLAUBER, eps_gap, VLASOV_LIMIT]
-    distinct = dict.fromkeys(epsilons)
+    distinct = dict.fromkeys([GLAUBER, eps_gap, VLASOV_LIMIT])
     shift_constants = {eps: shift_bound_constants(pot, eps) for eps in distinct}
     big_m = norm_bound_M(params, pot)
     suites = {
@@ -366,7 +373,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir, n_cases=100):
         )
 
         gen_bound = big_m / gap * big_k * weight
-        for epsilon in epsilons:
+        for epsilon in distinct:
             c0, c1 = shift_constants[epsilon]
             birth_bound = (
                 (a_dprime * a_prime / (a_dprime - c0 * a_prime))

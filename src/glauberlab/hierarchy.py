@@ -71,8 +71,9 @@ class CorrelationHierarchy:
     """Symmetric tensors k_0 .. k_{n_max} on a shared grid.
 
     tensors[0] is a 0-d array (a scalar); tensors[n] has shape (N,)*n.
-    Symmetry under index permutations is preserved by construction in all
-    package operations and can be asserted with `symmetrize`.
+    Symmetry under index permutations holds to roundoff, not by construction:
+    evolved tensors can differ from their transposes in the last bits, and
+    `symmetrize` makes them exact.
     """
 
     __slots__ = ("grid", "tensors")

@@ -11,14 +11,16 @@ computed by direct O(N^2) summation; the direct sum is the normative
 semantics, an FFT path is deliberately not used.  The sum is einsum's sum
 of products over each kernel row (optimize=False: no BLAS call and no N x N
 temporary), so its reduction order is fixed for a given numpy build and
-results are reproducible bit for bit.  The N x N kernel is held to the same
-entry guard as the hierarchy tensors.  Gaussian samples below GAUSSIAN_FLOOR
+results are reproducible bit for bit.  The N x N kernel is an O(N) strided
+view, still held to the same N^2 entry guard as the hierarchy tensors so the
+site limits stay where they were.  Gaussian samples below GAUSSIAN_FLOOR
 are stored as zero, so a gaussian's convolution never multiplies by a
 subnormal number, which takes the processor's slow path.
 """
 
 import numpy as np
 from dataclasses import dataclass
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridMismatchError, InvalidArgumentError, MemoryGuardError
 
@@ -181,18 +183,25 @@ def require_same_grid(a, b):
 
 
 def displacement_matrix(grid):
-    """Matrix D with D[x, y] = (x - y) mod n_sites."""
+    """Matrix D with D[x, y] = (x - y) mod n_sites, held to the N^2 entry guard."""
+    require_within_memory_guard(grid.n_sites, 2)
     idx = np.arange(grid.n_sites)
     return (idx[:, None] - idx[None, :]) % grid.n_sites
 
 
 def convolution_kernel(pot: PairPotential):
-    """Matrix K[x, y] = phi(x - y) of the periodic convolution.
+    """Matrix K[x, y] = phi(x - y) of the periodic convolution, as a view.
 
+    Row x is phi at displacements x, x-1, .., x-N+1 (mod N), so every row
+    is a window of one (2N-1)-vector and K is a read-only strided view of it:
+    O(N) memory, no N x N array.  The N^2 entry guard is kept, so the site
+    limits of the commands that convolve do not depend on the layout.
     Raises MemoryGuardError before allocating when N^2 exceeds the guard.
     """
-    require_within_memory_guard(pot.grid.n_sites, 2)
-    return pot.values_by_displacement[displacement_matrix(pot.grid)]
+    n = pot.grid.n_sites
+    require_within_memory_guard(n, 2)
+    row0 = pot.values_by_displacement[-np.arange(n) % n]
+    return sliding_window_view(np.concatenate([row0, row0])[1:], n)[::-1]
 
 
 def convolve_values(kernel, values, dx):

@@ -9,13 +9,17 @@ that `import glauberlab` needs numpy alone.
 
 import itertools
 import math
+import os
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 
+import glauberlab
 from glauberlab.errors import GlauberLabError, InvalidArgumentError, MemoryGuardError
 from glauberlab.generators import apply_generator, shift_displacement_tables
+from glauberlab.harness import _fmt
 from glauberlab.hierarchy import (
     MEMORY_GUARD_ENTRIES,
     CorrelationHierarchy,
@@ -31,6 +35,16 @@ class PrecisionLossError(GlauberLabError):
     """A finite-difference estimate failed its internal consistency check."""
 
     code = "precision-loss"
+
+
+def child_env(**overrides):
+    """os.environ plus overrides, for a child Python that must import the
+    glauberlab under test: its source root goes first on PYTHONPATH, since
+    the test process may have found it through pytest's pythonpath."""
+    src = str(Path(glauberlab.__file__).resolve().parents[1])
+    env = {**os.environ, **overrides}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def rel_err(a, b) -> float:
@@ -197,6 +211,13 @@ def save_hierarchy_oracle(k, path):
             )
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_csv_oracle(rows, path):
+    """CSV writer that formats every cell with harness._fmt, one call per cell."""
+    with open(path, "w", newline="\n") as fh:
+        for row in rows:
+            fh.write(",".join(_fmt(cell) for cell in row) + "\n")
 
 
 def flatten(k):

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import glauberlab as gl
 from glauberlab import generators, harness
@@ -23,6 +25,8 @@ from glauberlab.harness import (
     write_csv,
 )
 
+from helpers import child_env, write_csv_oracle
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -35,6 +39,29 @@ def test_write_csv_format(tmp_path):
     write_csv([["a", "b", "c"], [1, 0.5, "x"], [2, 1e-5, True]], path)
     data = read(path)
     assert data == b"a,b,c\n1,0.5,x\n2,1e-05,true\n"
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_CSV_CELLS = st.one_of(
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126)),
+    st.sampled_from([-0.0, 5e-324, math.nan, math.inf, -math.inf]),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.lists(_CSV_CELLS, max_size=6), max_size=8))
+def test_write_csv_matches_per_cell_fmt_oracle(tmp_path, rows):
+    write_csv(rows, tmp_path / "fast.csv")
+    write_csv_oracle(rows, tmp_path / "oracle.csv")
+    assert read(tmp_path / "fast.csv") == read(tmp_path / "oracle.csv")
 
 
 def test_cmd_evolve_equilibrium_rows_repeat(tmp_path):
@@ -182,8 +209,8 @@ def _count_calls(monkeypatch, name):
 def test_cmd_verify_bounds_evaluates_each_term_once(
     tmp_path, monkeypatch, epsilon, births_per_case
 ):
-    # per case: one death term, one birth term per distinct epsilon of
-    # [1, eps_gap, 0]; the checks column still counts every listed epsilon
+    # per case: one death term; per distinct epsilon of [1, eps_gap, 0], one
+    # birth term, one birth check and one generator check
     births = _count_calls(monkeypatch, "birth_gf_term")
     deaths = _count_calls(monkeypatch, "death_gf_term")
     cases = 3
@@ -192,7 +219,8 @@ def test_cmd_verify_bounds_evaluates_each_term_once(
     assert len(births) == births_per_case * cases
     assert len(deaths) == cases
     rows = (tmp_path / "verify_bounds.csv").read_text().split("\n")
-    assert rows[2:4] == ["birth-estimate,9,0", "generator-estimate,9,0"]
+    checks = births_per_case * cases
+    assert rows[2:4] == ["birth-estimate,%d,0" % checks, "generator-estimate,%d,0" % checks]
 
 
 @pytest.mark.parametrize(
@@ -299,10 +327,11 @@ def outputs_under_thread_counts(tmp_path, config, command):
     outputs = []
     for threads in ("1", "4"):
         out = tmp_path / ("threads_" + threads)
-        env = dict(os.environ)
-        env["OMP_NUM_THREADS"] = threads
-        env["OPENBLAS_NUM_THREADS"] = threads
-        env["MKL_NUM_THREADS"] = threads
+        env = child_env(
+            OMP_NUM_THREADS=threads,
+            OPENBLAS_NUM_THREADS=threads,
+            MKL_NUM_THREADS=threads,
+        )
         proc = subprocess.run(
             [sys.executable, "-m", "glauberlab",
              "--config", config, "--out", str(out), command],
@@ -384,6 +413,25 @@ def test_cli_convolution_kernel_hits_memory_guard(tmp_path, capsys, lines, comma
     tracemalloc.start()
     try:
         status = main(["--config", str(conf), "--out", str(tmp_path / "o"), command])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == 1
+    assert capsys.readouterr().err == (
+        "error: memory-guard: top tensor would hold 10004569 entries (guard 10000000)\n"
+    )
+    assert peak < 1_000_000
+    assert not list((tmp_path / "o").glob("*.csv"))
+
+
+def test_cli_evolve_shift_matrices_hit_memory_guard(tmp_path, capsys):
+    # at order 1 the hierarchy guard lets 3163 sites through; the birth
+    # operator's displacement matrix and shift rows would take about 240 MB
+    conf = tmp_path / "big.conf"
+    conf.write_text("grid.n_sites = 3163\ngrid.length = 3163.0\ntruncation.n_max = 1\n")
+    tracemalloc.start()
+    try:
+        status = main(["--config", str(conf), "--out", str(tmp_path / "o"), "evolve"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

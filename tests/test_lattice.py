@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 import glauberlab as gl
 from glauberlab.errors import GridMismatchError, InvalidArgumentError
-from glauberlab.lattice import GAUSSIAN_FLOOR, convolution_kernel, convolve_values
+from glauberlab.lattice import (
+    GAUSSIAN_FLOOR,
+    convolution_kernel,
+    convolve_values,
+    displacement_matrix,
+)
 
 from helpers import convolve_oracle
 
@@ -223,6 +228,53 @@ def test_convolve_values_allocates_no_kernel_sized_temporary():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024  # the N x N product alone would be 2 MiB
+
+
+KERNEL_SIZES = list(range(2, 40)) + [127, 128, 129, 255, 256, 512, 513]
+
+
+def _kernel_potentials(n):
+    grid = gl.make_grid(n, n / 4.0)
+    return grid, [gl.gaussian_potential(grid, 0.5, 1.3), gl.tophat_potential(grid, 0.7, 2.0)]
+
+
+def test_convolution_kernel_view_equals_displacement_gather():
+    for n in KERNEL_SIZES:
+        grid, pots = _kernel_potentials(n)
+        for pot in pots:
+            kernel = convolution_kernel(pot)
+            gathered = pot.values_by_displacement[displacement_matrix(grid)]
+            assert kernel.shape == (n, n)
+            assert not kernel.flags.writeable
+            assert np.array_equal(kernel, gathered), n
+
+
+def test_convolve_values_view_and_contiguous_kernel_agree_bitwise():
+    rng = np.random.default_rng(23)
+    for n in KERNEL_SIZES:
+        grid, pots = _kernel_potentials(n)
+        for pot in pots:
+            kernel = convolution_kernel(pot)
+            dense = np.ascontiguousarray(kernel)
+            for _ in range(3):
+                values = rng.uniform(-1.0, 2.0, n)
+                assert (
+                    convolve_values(kernel, values, grid.spacing).tobytes()
+                    == convolve_values(dense, values, grid.spacing).tobytes()
+                ), n
+
+
+def test_convolution_kernel_allocates_order_n_at_the_guard():
+    # 3162 is the largest N the guard allows; a dense kernel would be 80 MB
+    pot = gl.gaussian_potential(gl.make_grid(3162, 400.0), 0.5, 1.0)
+    tracemalloc.start()
+    try:
+        kernel = convolution_kernel(pot)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kernel.shape == (3162, 3162)
+    assert peak < 1_000_000
 
 
 def test_field_norms_examples():

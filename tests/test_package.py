@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from helpers import child_env
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -12,7 +14,11 @@ def test_import_does_not_load_scipy():
     # scipy is a test dependency only; the package must start on numpy alone
     code = "import sys, glauberlab; print('scipy' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code],
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        check=True,
     )
     assert out.stdout.strip() == "False"
 
