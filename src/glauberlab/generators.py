@@ -47,7 +47,8 @@ VLASOV_LIMIT = 0.0
 def shift_displacement_tables(pot: PairPotential, epsilon):
     """Per-displacement samples (a, b) of the birth shift fields at epsilon.
 
-    expm1 keeps b accurate down to epsilon -> 0; epsilon = 0 is the limit.
+    expm1 keeps b accurate down to epsilon -> 0; epsilon = 0 is the limit.  A
+    subnormal epsilon*phi has lost bits, so b is -phi there, correctly rounded.
     """
     if not (epsilon >= 0 and math.isfinite(epsilon)):
         raise InvalidArgumentError(
@@ -56,7 +57,10 @@ def shift_displacement_tables(pot: PairPotential, epsilon):
     phi = pot.values_by_displacement
     if epsilon == 0:
         return np.ones_like(phi), -phi
-    return np.exp(-epsilon * phi), np.expm1(-epsilon * phi) / epsilon
+    with np.errstate(over="ignore"):
+        x = -epsilon * phi
+    b = np.where(np.abs(x) < np.finfo(np.float64).tiny, -phi, np.expm1(x) / epsilon)
+    return np.exp(x), b
 
 
 def _shift_matrices(pot, epsilon):
@@ -160,15 +164,23 @@ def evaluate_generator_gf(k, theta, params: ScaleParams, pot, epsilon) -> float:
     return -death_gf_term(k, theta) + params.z * birth_gf_term(k, theta, pot, epsilon)
 
 
+def exp_or_inf(x) -> float:
+    """math.exp(x), or inf where it overflows: inf is still an upper bound."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def norm_bound_M(params: ScaleParams, pot: PairPotential) -> float:
     """Uniform numerator M of the scale estimate ||L B|| <= M/(gap) ||B||.
 
     M = alpha0 (1 + z alpha0 exp(||phi||_1/alpha - 1)); the same constant
     works for every epsilon because |a_x| <= 1 and ||b_x||_1 <= ||phi||_1
-    for each of them.
+    for each of them.  It is inf when the exponential overflows.
     """
     return params.alpha0 * (
-        1.0 + params.z * params.alpha0 * math.exp(pot.norm_l1 / params.alpha - 1.0)
+        1.0 + params.z * params.alpha0 * exp_or_inf(pot.norm_l1 / params.alpha - 1.0)
     )
 
 
@@ -187,12 +199,12 @@ def vlasov_gap_bound(eps, params, pot, alpha_prime, alpha_dprime) -> float:
             "need alpha <= alpha' < alpha'' <= alpha0, got %r < %r in [%r, %r]"
             % (alpha_prime, alpha_dprime, params.alpha, params.alpha0)
         )
-    gap = alpha_dprime - alpha_prime
+    gap = float(alpha_dprime - alpha_prime)  # float arithmetic overflows to inf quietly
     return (
         eps
         * params.z
         * pot.norm_linf
-        * math.exp(pot.norm_l1 / params.alpha)
+        * exp_or_inf(pot.norm_l1 / params.alpha)
         * (
             pot.norm_l1 * params.alpha0 / gap
             + 4.0 * params.alpha0**3 / (gap**2 * math.e)

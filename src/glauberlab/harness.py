@@ -26,6 +26,7 @@ from .generators import (
     VLASOV_LIMIT,
     birth_gf_term,
     death_gf_term,
+    exp_or_inf,
     norm_bound_M,
     shift_bound_constants,
     vlasov_gap_bound,
@@ -377,7 +378,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir, n_cases=100):
             c0, c1 = shift_constants[epsilon]
             birth_bound = (
                 (a_dprime * a_prime / (a_dprime - c0 * a_prime))
-                * math.exp(c1 / a_dprime - 1.0)
+                * exp_or_inf(c1 / a_dprime - 1.0)
                 * big_k
                 * weight
             )

@@ -18,9 +18,14 @@ The scale norm used for all solver bookkeeping is the computable surrogate
 which dominates the weighted-functional norm sup_theta |B(theta)| e^{-||theta||_1/alpha}
 through the series majorant; inequality checks in this package always place
 the surrogate on the majorant side.
+
+A snapshot (save_hierarchy, load_hierarchy) is an uncompressed npz archive of
+n_sites (int64), length (float64) and k0 .. k{n_max}, read back bit for bit; its
+zip entries carry numpy's one fixed date, so equal hierarchies give equal bytes.
 """
 
 import math
+import zipfile
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -356,7 +361,7 @@ def scale_hierarchy(a, k) -> CorrelationHierarchy:
     return CorrelationHierarchy(k.grid, [a * t for t in k.tensors])
 
 
-def flat_dimension(grid, n_max) -> int:
+def flat_dimension(grid, n_max) -> int:  # kept importable for bench/ladder.py
     return sum(grid.n_sites**n for n in range(n_max + 1))
 
 
@@ -387,73 +392,43 @@ def max_abs_by_order(k: CorrelationHierarchy):
 
 
 def save_hierarchy(k: CorrelationHierarchy, path):
-    """Write the snapshot text format.
+    """Write k as a snapshot at exactly `path`: np.savez appends `.npz` to names, not to files."""
+    tensors = {"k%d" % n: t for n, t in enumerate(k.tensors)}
+    with open(path, "wb") as fh:
+        np.savez(fh, n_sites=np.int64(k.grid.n_sites), length=np.float64(k.grid.length), **tensors)
 
-    First line `n_sites,length,n_max`, then one line per entry
-    `n,i1,...,in,value`, orders ascending and indices in C order.  Values are written with repr,
-    so the file round-trips float64 entries exactly.  Order n is written
-    one chunk per leading index i1, from a line template built once per
-    order.
-    """
-    n_sites = k.grid.n_sites
-    fields = ["%d," % i for i in range(n_sites)]
-    tails = [""]  # "i2,...,in," for every trailing index of order n, C order
-    with open(path, "w", newline="\n") as fh:
-        fh.write("%d,%s,%d\n" % (n_sites, repr(k.grid.length), k.n_max))
-        fh.write("0,%s\n" % repr(float(k.tensors[0])))
-        for n, tensor in enumerate(k.tensors[1:], start=1):
-            if n > 1:
-                tails = [tail + field for tail in tails for field in fields]
-            # one line per tail: "%s" takes the "n,i1," head, "%r" the value
-            template = "".join(["%s" + tail + "%r\n" for tail in tails])
-            args = [None] * (2 * len(tails))
-            for lead in range(n_sites):
-                args[0::2] = ["%d,%d," % (n, lead)] * len(tails)
-                args[1::2] = tensor[lead].ravel().tolist()
-                fh.write(template % tuple(args))
+
+def _read_entry(archive, key, dtype, shape=()):
+    """Entry `key`, read once its header shows dtype and shape: a lying shape is never allocated."""
+    with archive.zip.open(key + ".npy") as fh:
+        header = np.lib.format.read_magic(fh) == (1, 0) and np.lib.format.read_array_header_1_0(fh)
+    if not header or (header[0], header[2]) != (shape, np.dtype(dtype)):
+        raise InvalidArgumentError("entry %s is not %s of shape %r" % (key, dtype.__name__, shape))
+    return archive[key]
 
 
 def load_hierarchy(path) -> CorrelationHierarchy:
     """Read a snapshot written by save_hierarchy.
 
-    Every entry must appear exactly once, with its order in 0..n_max and
-    its indices in 0..n_sites-1; anything else raises InvalidArgumentError.
+    Any other entry set, dtype or shape, a bad grid, a non-finite value or an
+    unreadable file raises InvalidArgumentError; the guard is checked first.
     """
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise InvalidArgumentError("empty snapshot file %s" % path)
-    head = lines[0].split(",")
     try:
-        n_sites, length, n_max = int(head[0]), float(head[1]), int(head[2])
-    except (ValueError, IndexError):
-        raise InvalidArgumentError("malformed snapshot header %r" % lines[0]) from None
-    if len(head) != 3 or n_max < 0:
-        raise InvalidArgumentError("malformed snapshot header %r" % lines[0])
-    grid = make_grid(n_sites, length)
-    require_within_memory_guard(n_sites, n_max)
-    tensors = [np.zeros((n_sites,) * n) for n in range(n_max + 1)]
-    seen = [np.zeros((n_sites,) * n, dtype=bool) for n in range(n_max + 1)]
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        try:
-            order = int(parts[0])
-            idx = tuple(int(p) for p in parts[1:-1])
-            value = float(parts[-1])
-        except ValueError:
-            raise InvalidArgumentError("malformed snapshot line %r" % ln) from None
-        if not (0 <= order <= n_max) or len(parts) != order + 2:
-            raise InvalidArgumentError("malformed snapshot line %r" % ln)
-        if not all(0 <= i < n_sites for i in idx):
-            raise InvalidArgumentError("snapshot index out of range in line %r" % ln)
-        if seen[order][idx]:
-            raise InvalidArgumentError("duplicate snapshot entry in line %r" % ln)
-        seen[order][idx] = True
-        tensors[order][idx] = value
-    expected = flat_dimension(grid, n_max)
-    count = sum(int(np.count_nonzero(s)) for s in seen)
-    if count != expected:
-        raise InvalidArgumentError(
-            "snapshot holds %d entries, expected %d" % (count, expected)
-        )
-    return CorrelationHierarchy(grid, tensors)
+        with open(path, "rb") as fh:
+            if fh.read(4) != b"PK\x03\x04":  # np.load would read a bare .npy whole
+                raise InvalidArgumentError("not an npz archive")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as archive:
+                names = archive.zip.namelist()
+                keys = ["n_sites", "length"] + ["k%d" % n for n in range(len(names) - 2)]
+                if sorted(names) != sorted(key + ".npy" for key in keys):
+                    raise InvalidArgumentError("entries %r are not %r" % (names, keys))
+                n_sites = int(_read_entry(archive, "n_sites", np.int64))
+                grid = make_grid(n_sites, float(_read_entry(archive, "length", np.float64)))
+                require_within_memory_guard(n_sites, len(keys) - 3)
+                tensors = [_read_entry(archive, key, np.float64, (n_sites,) * n)
+                           for n, key in enumerate(keys[2:])]
+                return CorrelationHierarchy(grid, tensors)
+    # InvalidArgumentError is a ValueError, so every reason above also gets the path
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise InvalidArgumentError("bad snapshot %s: %s" % (path, exc)) from None

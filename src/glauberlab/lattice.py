@@ -42,12 +42,12 @@ class Grid:
 def make_grid(n_sites, length) -> Grid:
     """Build a grid with spacing length/n_sites.
 
-    Requires n_sites >= 2 and length > 0.
+    Requires n_sites >= 2 and a finite length > 0.
     """
     if int(n_sites) != n_sites or n_sites < 2:
         raise InvalidArgumentError("n_sites must be an integer >= 2, got %r" % (n_sites,))
-    if not (length > 0):
-        raise InvalidArgumentError("length must be positive, got %r" % (length,))
+    if not (0 < length < np.inf):
+        raise InvalidArgumentError("length must be finite and positive, got %r" % (length,))
     n = int(n_sites)
     return Grid(n, float(length), float(length) / n)
 

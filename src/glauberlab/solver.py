@@ -27,11 +27,13 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     InvalidArgumentError,
+    MemoryGuardError,
     RadiusExceededError,
     RuelleViolationError,
 )
 from .generators import GLAUBER, apply_generator, norm_bound_M
 from .hierarchy import (
+    MEMORY_GUARD_ENTRIES,
     CorrelationHierarchy,
     ScaleParams,
     max_abs_by_order,
@@ -161,6 +163,7 @@ def evolve_global(
     Tolerances: the initial state must satisfy margin <= 1 + RUELLE_TOL;
     during the run drift up to 1 + RUELLE_DRIFT_TOL is accepted as
     truncation noise, beyond that the run aborts with RuelleViolationError.
+    A zero step radius or too many substeps for the memory guard fail up front.
     """
     if not (t_final >= 0 and math.isfinite(t_final)):
         raise InvalidArgumentError("t_final must be finite and non-negative")
@@ -175,6 +178,14 @@ def evolve_global(
     margin = ruelle_margin(u0, z)
     if margin > 1.0 + RUELLE_TOL:
         raise RuelleViolationError(margin, 0.0)
+    if t_final > 0 and step == 0:
+        raise RadiusExceededError("t=%.9g outside the guaranteed interval [0, 0)" % t_final)
+    substeps = t_final / step if t_final > 0 else 0.0  # each records n_max + 1 rows
+    if substeps * (u0.n_max + 1) > MEMORY_GUARD_ENTRIES:
+        raise MemoryGuardError(
+            "%.3g substeps of %d state rows exceed the guard of %d entries"
+            % (substeps, u0.n_max + 1, MEMORY_GUARD_ENTRIES)
+        )
 
     u = u0
     now = 0.0

@@ -198,21 +198,6 @@ def birth_gf_term_oracle(k, theta_values, pot, epsilon) -> float:
     return dx * math.fsum(contributions)
 
 
-def save_hierarchy_oracle(k, path):
-    """Snapshot writer with one formatted line per np.ndindex entry."""
-    lines = ["%d,%s,%d" % (k.grid.n_sites, repr(k.grid.length), k.n_max)]
-    for n, tensor in enumerate(k.tensors):
-        if n == 0:
-            lines.append("0,%s" % repr(float(tensor)))
-            continue
-        for idx in np.ndindex(*tensor.shape):
-            lines.append(
-                "%d,%s,%s" % (n, ",".join(str(i) for i in idx), repr(float(tensor[idx])))
-            )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def write_csv_oracle(rows, path):
     """CSV writer that formats every cell with harness._fmt, one call per cell."""
     with open(path, "w", newline="\n") as fh:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,48 @@ def test_shift_tables():
     _, b_tiny = shift_displacement_tables(pot, 1e-12)
     assert np.all(np.isfinite(b_tiny))
     assert np.allclose(b_tiny, -phi * (1 - 1e-12 * phi / 2), rtol=1e-9)
+
+
+@pytest.mark.parametrize("epsilon", [5e-324, 1e-310])
+def test_shift_table_below_the_normal_range_is_the_limit_bit_for_bit(epsilon):
+    # epsilon * phi is subnormal here; expm1(-epsilon * phi) / epsilon gave -0.0
+    # at 5e-324 and tails off by about 3e-7 relative at 1e-310
+    _, pot, _, _ = standard_setup()
+    phi = pot.values_by_displacement
+    assert np.all(np.abs(epsilon * phi) < np.finfo(np.float64).tiny)
+    a, b = shift_displacement_tables(pot, epsilon)
+    assert b.tobytes() == (-phi).tobytes()
+    assert np.array_equal(a, np.exp(-epsilon * phi))
+
+
+@pytest.mark.parametrize("epsilon", [1.0, 0.25, 0.05])
+def test_shift_table_in_the_normal_range_keeps_its_arithmetic(epsilon):
+    _, pot, _, _ = standard_setup()
+    phi = pot.values_by_displacement
+    a, b = shift_displacement_tables(pot, epsilon)
+    assert a.tobytes() == np.exp(-epsilon * phi).tobytes()
+    assert b.tobytes() == (np.expm1(-epsilon * phi) / epsilon).tobytes()
+
+
+def test_shift_table_at_a_huge_epsilon_is_the_exact_limit_without_warnings():
+    pot = gl.gaussian_potential(gl.make_grid(8, 8.0), 4.0, 1.0)
+    phi = pot.values_by_displacement
+    overflows = phi > 1.8  # epsilon * phi above the largest double
+    assert overflows.any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, b = shift_displacement_tables(pot, 1e308)
+    assert np.all(a[overflows] == 0.0)
+    assert np.all(b[overflows] == -1.0 / 1e308)
+
+
+def test_bound_constants_overflow_to_inf():
+    grid = gl.make_grid(8, 8.0)
+    pot = gl.gaussian_potential(grid, 800.0, 1.0)
+    params = gl.ScaleParams(0.5, 1.0, 0.5)
+    assert gl.norm_bound_M(params, pot) == math.inf
+    assert gl.vlasov_gap_bound(1.0, params, pot, 0.5, 1.0) == math.inf
+    assert gl.step_radius(gl.norm_bound_M(params, pot), 0.5, 1.0) == 0.0
 
 
 def test_shift_bound_constants():

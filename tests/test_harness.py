@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -441,6 +442,51 @@ def test_cli_evolve_shift_matrices_hit_memory_guard(tmp_path, capsys):
     )
     assert peak < 1_000_000
     assert not list((tmp_path / "o").glob("*.csv"))
+
+
+def run_default_with(tmp_path, line, command):
+    """main() on default.conf plus one line, with warnings as errors."""
+    conf = tmp_path / "run.conf"
+    conf.write_text((CONFIG_DIR / "default.conf").read_text() + line + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(["--config", str(conf), "--out", str(tmp_path / "o")] + command)
+
+
+@pytest.mark.parametrize(
+    "line,command,status,out,err",
+    [
+        # math.exp in norm_bound_M raised a raw OverflowError; M = inf, radius 0
+        ("potential.amplitude = 800", ["evolve"], 2, "",
+         "error: radius-exceeded: t=0.05 outside the guaranteed interval [0, 0)\n"),
+        ("potential.amplitude = 800", ["scaling-study"], 2, "",
+         "error: radius-exceeded: t=0.05 outside the guaranteed interval [0, 0)\n"),
+        ("potential.amplitude = 800", ["verify-bounds", "--cases", "20"], 0,
+         "verify-bounds: violations=0\n", ""),
+        # vlasov_gap_bound printed a numpy overflow RuntimeWarning
+        ("model.epsilon = 1e308", ["verify-bounds", "--cases", "20"], 0,
+         "verify-bounds: violations=0\n", ""),
+        # the subnormal shift table made all 20 gap checks fail
+        ("model.epsilon = 5e-324", ["verify-bounds", "--cases", "20"], 0,
+         "verify-bounds: violations=0\n", ""),
+    ],
+)
+def test_cli_extreme_model_values_end_cleanly(tmp_path, capsys, line, command, status, out, err):
+    assert run_default_with(tmp_path, line, command) == status
+    assert capsys.readouterr() == (out, err)
+
+
+def test_cli_evolve_huge_horizon_hits_memory_guard_at_once(tmp_path, capsys):
+    # 1e300 / 0.079 substeps used to run (and keep a record each) forever
+    start = time.perf_counter()
+    status = run_default_with(tmp_path, "time.t_final = 1e300", ["evolve"])
+    assert time.perf_counter() - start < 5.0
+    assert status == 1
+    assert capsys.readouterr().err == (
+        "error: memory-guard: 1.14e+301 substeps of 4 state rows exceed the guard"
+        " of 10000000 entries\n"
+    )
+    assert not list((tmp_path / "o").iterdir())
 
 
 def test_cli_product_state_overflow_exits_nonfinite(tmp_path, capsys):

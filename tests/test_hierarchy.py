@@ -1,6 +1,11 @@
+import io
 import math
+import pickle
+import time
 import tracemalloc
 import warnings
+import zipfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +26,6 @@ from helpers import (
     flatten,
     lagrange_eval,
     rel_err,
-    save_hierarchy_oracle,
     substitute_affine_oracle,
     taylor_coefficient_fd,
     unflatten,
@@ -79,8 +83,9 @@ def test_memory_guard_is_one_check_made_before_allocation(tmp_path):
     # 3163^2 entries is just over the 1e7 guard; every builder must refuse it
     # with the same message before allocating the 80 MB top tensor.
     grid = gl.make_grid(3163, 3163.0)
-    snapshot = tmp_path / "big.txt"
-    snapshot.write_text("3163,3163.0,2\n")
+    snapshot = tmp_path / "big.npz"
+    # the header says (3163, 2); the tensors behind it are never read
+    write_archive(snapshot, archive_entries(3163, 3163.0, [np.array(1.0)] * 3))
     builders = [
         lambda: gl.zero_hierarchy(grid, 2),
         lambda: gl.exponential_hierarchy(gl.constant_field(grid, 0.5), 2),
@@ -387,49 +392,138 @@ def test_substitute_and_evaluate_match_single_field_oracles_bitwise(n_sites, n_m
         assert gl.evaluate_gf(k, gl.GridField(k.grid, theta)) == evaluate_gf_oracle(k, theta)
 
 
-@pytest.mark.parametrize("n_sites,n_max", [(2, 0), (3, 1), (4, 2), (5, 4)])
-def test_snapshot_bytes_match_per_entry_writer(tmp_path, n_sites, n_max):
-    k, _ = small_random_hierarchy(n_sites=n_sites, n_max=n_max, seed=50 + n_max)
-    edge = [-0.0, 5e-324, 1e308, -1e-300, 1e16, 1e-5, 0.1]
+def archive_entries(n_sites, length, tensors):
+    entries = {"n_sites": np.int64(n_sites), "length": np.float64(length)}
+    entries.update(("k%d" % n, t) for n, t in enumerate(tensors))
+    return entries
+
+
+def write_archive(path, entries, raw=()):
+    """np.savez the entries into `path`, then append raw (name, bytes) members."""
+    with open(path, "wb") as fh:
+        np.savez(fh, **entries)
+    with zipfile.ZipFile(path, "a") as zf:
+        for name, data in raw:
+            zf.writestr(name, data)
+
+
+def npy_bytes(header, data=b""):
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, header)
+    return buf.getvalue() + data
+
+
+@pytest.mark.parametrize("n_max", range(5))
+def test_snapshot_roundtrip_is_bit_exact_at_edge_values(tmp_path, n_max):
+    k, _ = small_random_hierarchy(n_sites=3, n_max=n_max, seed=50 + n_max)
+    edge = [-0.0, 5e-324, 1e308, -1e308, -5e-324]
+    k.tensors[0] = np.array(-0.0)
     for n in range(1, n_max + 1):
         flat = k.tensors[n].reshape(-1)
         flat[: len(edge)] = edge[: flat.size]
-    if n_max == 0:
-        k.tensors[0] = np.array(-0.0)
-    gl.save_hierarchy(k, tmp_path / "new.txt")
-    save_hierarchy_oracle(k, tmp_path / "old.txt")
-    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
-
-
-def _snapshot_lines(tmp_path):
-    k, _ = small_random_hierarchy(n_sites=3, n_max=2, seed=60)
-    path = tmp_path / "snapshot.txt"
+    path = tmp_path / "hierarchy_final.txt"
     gl.save_hierarchy(k, path)
-    return path, path.read_text().splitlines()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hierarchy_final.txt"]
+    loaded = gl.load_hierarchy(path)
+    assert loaded.grid == k.grid
+    assert [t.dtype for t in loaded.tensors] == [np.dtype(np.float64)] * (n_max + 1)
+    assert flatten(loaded).tobytes() == flatten(k).tobytes()
 
 
-def test_load_rejects_negative_index(tmp_path):
-    path, lines = _snapshot_lines(tmp_path)
-    lines[-1] = "2,2,-1," + lines[-1].split(",")[-1]  # would wrap to entry (2, 2)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(InvalidArgumentError, match="out of range"):
-        gl.load_hierarchy(path)
+def test_snapshot_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch):
+    # np.savez stamps every zip entry with a fixed date; if that ever changed,
+    # the second write, made under a clock 20 years back, would differ
+    k, _ = small_random_hierarchy(n_sites=4, n_max=3, seed=51)
+    gl.save_hierarchy(k, tmp_path / "first")
+    monkeypatch.setattr(
+        zipfile, "time", SimpleNamespace(time=lambda: 1e9, localtime=time.localtime)
+    )
+    gl.save_hierarchy(k, tmp_path / "second")
+    assert (tmp_path / "first").read_bytes() == (tmp_path / "second").read_bytes()
 
 
-def test_load_rejects_duplicate_hiding_a_missing_entry(tmp_path):
-    path, lines = _snapshot_lines(tmp_path)
-    lines[-1] = lines[-2]  # count still matches, entry (2, 2) is gone
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(InvalidArgumentError, match="duplicate"):
-        gl.load_hierarchy(path)
+GOOD_TENSORS = [np.array(1.0), np.full(3, 0.5), np.full((3, 3), 0.25)]
+F8 = {"descr": "<f8", "fortran_order": False}
 
 
-def test_load_rejects_order_above_n_max(tmp_path):
-    path, lines = _snapshot_lines(tmp_path)
-    lines[-1] = "3,0,0,0,0.5"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(InvalidArgumentError, match="malformed"):
-        gl.load_hierarchy(path)
+def _replace(index, tensor):
+    tensors = list(GOOD_TENSORS)
+    tensors[index] = tensor
+    return archive_entries(3, 3.0, tensors)
+
+
+def _with(**changes):
+    return archive_entries(3, 3.0, GOOD_TENSORS) | changes
+
+
+def _without(key):
+    entries = _with()
+    del entries[key]
+    return entries
+
+
+NOT_NPZ = "not an npz archive$"
+BAD_KEYS = r"entries \[.*\] are not \['n_sites', 'length', 'k0'"
+MALFORMED = {
+    # kind: (file bytes or archive entries, extra raw zip members, message)
+    "missing-file": (None, (), "No such file"),
+    "empty-file": (b"", (), NOT_NPZ),
+    "text-format": (b"3,3.0,2\n0,1.0\n1,0,0.5\n", (), NOT_NPZ),
+    "bare-npy": (npy_bytes(F8 | {"shape": (2,)}, bytes(16)), (), NOT_NPZ),
+    "missing-key": (_without("k1"), (), BAD_KEYS),
+    "missing-header": (_without("length"), (), BAD_KEYS),
+    "extra-key": (_with(note=np.zeros(1)), (), BAD_KEYS),
+    "extra-raw-member": (_with(), [("k3", b"0.5")], BAD_KEYS),
+    "object-entry": (_replace(1, np.array([0.5, None, 0.5], dtype=object)), (), "k1 is not float64"),
+    "pickled-entry": (_without("k1"), [("k1.npy", pickle.dumps([0.5] * 3))], "magic string"),
+    "int-tensor": (_replace(1, np.arange(3)), (), "k1 is not float64"),
+    "float32-tensor": (_replace(1, np.full(3, 0.5, dtype=np.float32)), (), "k1 is not float64"),
+    "wrong-shape": (_replace(2, np.zeros((3, 4))), (), r"k2 is not float64 of shape \(3, 3\)"),
+    # a header that claims 800 TB is refused before anything is allocated
+    "lying-shape": (
+        _without("k2"),
+        [("k2.npy", npy_bytes(F8 | {"shape": (10**7, 10**7)}, bytes(72)))],
+        r"k2 is not float64 of shape \(3, 3\)",
+    ),
+    "short-data": (
+        _without("k2"), [("k2.npy", npy_bytes(F8 | {"shape": (3, 3)}, bytes(16)))], "EOF"
+    ),
+    "non-finite": (_replace(2, np.where(np.eye(3) > 0, np.nan, 0.25)), (), "non-finite"),
+    "bad-n-sites": (archive_entries(1, 3.0, [np.array(1.0)]), (), "n_sites must be"),
+    "float-n-sites": (_with(n_sites=np.float64(3.0)), (), "n_sites is not int64"),
+    "infinite-length": (archive_entries(3, np.inf, GOOD_TENSORS), (), "length must be finite"),
+    "no-tensor": (archive_entries(3, 3.0, []), (), "at least the order-0 tensor"),
+}
+
+
+@pytest.mark.parametrize("kind", list(MALFORMED) + ["truncated"])
+def test_load_rejects_malformed_snapshot(tmp_path, kind):
+    path = tmp_path / "hierarchy_final.txt"
+    if kind == "truncated":
+        gl.save_hierarchy(gl.zero_hierarchy(gl.make_grid(3, 3.0), 2), path)
+        path.write_bytes(path.read_bytes()[:300])
+        message = "File is not a zip file"
+    else:
+        content, raw, message = MALFORMED[kind]
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            write_archive(path, content, raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match=message) as info:
+            gl.load_hierarchy(path)
+    assert type(info.value) is InvalidArgumentError
+    assert str(info.value).startswith("bad snapshot %s: " % path)
+
+
+def test_load_accepts_the_well_formed_test_archive(tmp_path):
+    # the malformed cases above each change one entry of this archive
+    path = tmp_path / "good"
+    write_archive(path, _with())
+    loaded = gl.load_hierarchy(path)
+    assert loaded.grid == gl.make_grid(3, 3.0)
+    assert all(np.array_equal(a, b) for a, b in zip(loaded.tensors, GOOD_TENSORS))
 
 
 def test_exponential_hierarchy_overflow_is_nonfinite_state():
