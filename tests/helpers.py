@@ -7,9 +7,11 @@ production paths they check.  They live here, not in the package, so
 that `import glauberlab` needs numpy alone.
 """
 
+import io
 import itertools
 import math
 import os
+import zipfile
 from itertools import permutations
 from pathlib import Path
 
@@ -196,6 +198,26 @@ def birth_gf_term_oracle(k, theta_values, pot, epsilon) -> float:
         top = top * dx**nm / math.factorial(nm)
         contributions.append(theta_values[x] * (evaluate_gf_oracle(k, shifted) - top))
     return dx * math.fsum(contributions)
+
+
+def save_hierarchy_oracle(k, path):
+    """Snapshot writer that stores one hand-built .npy member per entry.
+
+    Members n_sites, length, k0..k{n_max} in that order, uncompressed, each with
+    the fixed 1980 stamp and a zip64 local header, as np.savez writes them.
+    """
+    entries = {"n_sites": np.int64(k.grid.n_sites), "length": np.float64(k.grid.length)}
+    entries.update(("k%d" % n, t) for n, t in enumerate(k.tensors))
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+        for key, value in entries.items():
+            value = np.asarray(value)
+            header = io.BytesIO()
+            np.lib.format.write_array_header_1_0(
+                header, {"descr": value.dtype.str, "fortran_order": False, "shape": value.shape}
+            )
+            info = zipfile.ZipInfo(key + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
+            with zf.open(info, "w", force_zip64=True) as fh:
+                fh.write(header.getvalue() + value.tobytes(order="C"))
 
 
 def write_csv_oracle(rows, path):

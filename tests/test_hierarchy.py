@@ -26,6 +26,7 @@ from helpers import (
     flatten,
     lagrange_eval,
     rel_err,
+    save_hierarchy_oracle,
     substitute_affine_oracle,
     taylor_coefficient_fd,
     unflatten,
@@ -428,6 +429,20 @@ def test_snapshot_roundtrip_is_bit_exact_at_edge_values(tmp_path, n_max):
     assert loaded.grid == k.grid
     assert [t.dtype for t in loaded.tensors] == [np.dtype(np.float64)] * (n_max + 1)
     assert flatten(loaded).tobytes() == flatten(k).tobytes()
+
+
+@pytest.mark.parametrize("n_sites,n_max", [(2, 0), (3, 1), (4, 2), (5, 4)])
+def test_snapshot_bytes_match_per_entry_writer(tmp_path, n_sites, n_max):
+    k, _ = small_random_hierarchy(n_sites=n_sites, n_max=n_max, seed=50 + n_max)
+    edge = [-0.0, 5e-324, 1e308, -1e-300, 1e16, 1e-5, 0.1]
+    for n in range(1, n_max + 1):
+        flat = k.tensors[n].reshape(-1)
+        flat[: len(edge)] = edge[: flat.size]
+    if n_max == 0:
+        k.tensors[0] = np.array(-0.0)
+    gl.save_hierarchy(k, tmp_path / "new.npz")
+    save_hierarchy_oracle(k, tmp_path / "old.npz")
+    assert (tmp_path / "new.npz").read_bytes() == (tmp_path / "old.npz").read_bytes()
 
 
 def test_snapshot_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch):
