@@ -36,7 +36,6 @@ from .lattice import (
 from .hierarchy import (
     CorrelationHierarchy,
     ScaleParams,
-    axpy,
     cauchy_estimate_check,
     evaluate_gf,
     exponential_hierarchy,
@@ -48,8 +47,6 @@ from .hierarchy import (
     save_hierarchy,
     scale_norm,
     substitute_affine,
-    symmetrize,
-    variational_derivative,
     zero_hierarchy,
 )
 from .generators import (

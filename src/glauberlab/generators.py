@@ -200,13 +200,8 @@ def vlasov_gap_bound(eps, params, pot, alpha_prime, alpha_dprime) -> float:
             % (alpha_prime, alpha_dprime, params.alpha, params.alpha0)
         )
     gap = float(alpha_dprime - alpha_prime)  # float arithmetic overflows to inf quietly
-    return (
-        eps
-        * params.z
-        * pot.norm_linf
-        * exp_or_inf(pot.norm_l1 / params.alpha)
-        * (
-            pot.norm_l1 * params.alpha0 / gap
-            + 4.0 * params.alpha0**3 / (gap**2 * math.e)
-        )
-    )
+    try:
+        spread = pot.norm_l1 * params.alpha0 / gap + 4.0 * params.alpha0**3 / (gap**2 * math.e)
+    except OverflowError:  # only a power raises; inf is still an upper bound
+        return math.inf
+    return eps * params.z * pot.norm_linf * exp_or_inf(pot.norm_l1 / params.alpha) * spread

@@ -27,7 +27,6 @@ zip entries carry numpy's one fixed date, so equal hierarchies give equal bytes.
 import math
 import zipfile
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -77,8 +76,8 @@ class CorrelationHierarchy:
 
     tensors[0] is a 0-d array (a scalar); tensors[n] has shape (N,)*n.
     Symmetry under index permutations holds to roundoff, not by construction:
-    evolved tensors can differ from their transposes in the last bits, and
-    `symmetrize` makes them exact.
+    evolved and sampled tensors can differ from their transposes in the last
+    bits.
     """
 
     __slots__ = ("grid", "tensors")
@@ -158,9 +157,14 @@ def random_ruelle_hierarchy(grid, n_max, rng, envelope=1.0) -> CorrelationHierar
 
     The order-0 entry is drawn near 1.  Used by the inequality harness and
     the test suite; the envelope plays the role of the activity bound, so
-    sampled states grow no faster than a prescribed geometric rate.
+    sampled states grow no faster than a prescribed geometric rate.  Each
+    uniform draw is averaged over its axis permutations by the coset
+    recursion, with the rng stream and law of the n!-term average and its
+    entries up to roundoff.  An overflowing envelope^n_max is NonfiniteStateError.
     """
     require_within_memory_guard(grid.n_sites, n_max)
+    if _pow_or_inf(envelope, n_max) == math.inf:
+        raise NonfiniteStateError("activity envelope %r overflows at order %d" % (envelope, n_max))
     tensors = [np.array(rng.uniform(0.5, 1.5))]
     for order in range(1, n_max + 1):
         raw = rng.uniform(-1.0, 1.0, size=(grid.n_sites,) * order)
@@ -241,13 +245,6 @@ def variational_derivative_field(k: CorrelationHierarchy, theta: GridField):
     return out
 
 
-def variational_derivative(k: CorrelationHierarchy, theta: GridField, x) -> float:
-    """delta B(theta; x) at a single site x."""
-    if not (0 <= int(x) < k.grid.n_sites):
-        raise InvalidArgumentError("site index %r out of range" % (x,))
-    return float(variational_derivative_field(k, theta)[int(x)])
-
-
 def substitute_affine_rows(k: CorrelationHierarchy, a_rows, b_rows, top):
     """Orders 0..top of theta -> B(a_x*theta + b_x) for every row x at once.
 
@@ -293,13 +290,24 @@ def substitute_affine(k, a: GridField, b: GridField) -> CorrelationHierarchy:
     return CorrelationHierarchy(k.grid, [t[0] for t in tensors])
 
 
-def scale_norm(k: CorrelationHierarchy, alpha) -> float:
-    """Surrogate scale norm sup_n alpha^n max|k_n|."""
+def _pow_or_inf(base, n) -> float:
+    """float(base)**n, or inf where it overflows: inf is still an upper bound."""
+    try:
+        return float(base) ** n
+    except OverflowError:
+        return math.inf
+
+
+def _scale_norm(profile, alpha) -> float:
+    """scale_norm from max_abs_by_order; an order with max 0 contributes 0."""
     if not (alpha > 0):
         raise InvalidArgumentError("alpha must be positive")
-    return max(
-        float(alpha**n * np.max(np.abs(t))) for n, t in enumerate(k.tensors)
-    )
+    return max(_pow_or_inf(alpha, n) * m if m else 0.0 for n, m in enumerate(profile))
+
+
+def scale_norm(k: CorrelationHierarchy, alpha) -> float:
+    """Surrogate scale norm sup_n alpha^n max|k_n|, inf where alpha^n overflows."""
+    return _scale_norm(max_abs_by_order(k), alpha)
 
 
 def ruelle_margin(k: CorrelationHierarchy, z) -> float:
@@ -309,17 +317,30 @@ def ruelle_margin(k: CorrelationHierarchy, z) -> float:
     return scale_norm(k, 1.0 / z)
 
 
-def gf_upper_bound(k: CorrelationHierarchy, r) -> float:
-    """Majorant sum_n max|k_n| r^n / n! >= sup over the radius-r ball of |B|."""
+def _gf_upper_bound(profile, r) -> float:
+    """gf_upper_bound from max_abs_by_order."""
     if not (r > 0):
         raise InvalidArgumentError("r must be positive")
     total = 0.0
     weight = 1.0
-    for n, tensor in enumerate(k.tensors):
+    for n, m in enumerate(profile):
         if n > 0:
             weight *= r / n
-        total += weight * float(np.max(np.abs(tensor)))
+        total += weight * m
     return total
+
+
+def gf_upper_bound(k: CorrelationHierarchy, r) -> float:
+    """Majorant sum_n max|k_n| r^n / n! >= sup over the radius-r ball of |B|."""
+    return _gf_upper_bound(max_abs_by_order(k), r)
+
+
+def _cauchy_estimate_check(profile, n, r) -> bool:
+    """cauchy_estimate_check from max_abs_by_order, for 1 <= n < len(profile)."""
+    bound = _gf_upper_bound(profile, r)
+    if n == 1:
+        return profile[1] <= bound / r
+    return profile[n] <= math.factorial(n) * (math.e / r) ** n * bound
 
 
 def cauchy_estimate_check(k: CorrelationHierarchy, n, r) -> bool:
@@ -328,37 +349,12 @@ def cauchy_estimate_check(k: CorrelationHierarchy, n, r) -> bool:
     True iff max|k_1| <= (1/r) * gf_upper_bound(k, r) for n = 1 and
     max|k_n| <= n! (e/r)^n * gf_upper_bound(k, r) for n >= 2.  Because the
     majorant dominates the sup of |B| over the complex radius-r ball and
-    k_n is the n-th derivative kernel at 0, the check holds identically.
+    k_n is the n-th derivative kernel at 0, the check holds identically,
+    also on sampled hierarchies, whose coset average is symmetric to roundoff.
     """
     if not (1 <= n <= k.n_max):
         raise InvalidArgumentError("order %r outside 1..n_max" % (n,))
-    bound = gf_upper_bound(k, r)
-    top = float(np.max(np.abs(k.tensors[n])))
-    if n == 1:
-        return top <= bound / r
-    return top <= math.factorial(n) * (math.e / r) ** n * bound
-
-
-def _require_compatible(k1, k2):
-    if k1.grid != k2.grid:
-        raise GridMismatchError("hierarchies live on different grids")
-    if k1.n_max != k2.n_max:
-        raise InvalidArgumentError(
-            "hierarchies have different truncation orders %d and %d"
-            % (k1.n_max, k2.n_max)
-        )
-
-
-def axpy(a, k1, k2) -> CorrelationHierarchy:
-    """Entrywise a*k1 + k2."""
-    _require_compatible(k1, k2)
-    return CorrelationHierarchy(
-        k1.grid, [a * t1 + t2 for t1, t2 in zip(k1.tensors, k2.tensors)]
-    )
-
-
-def scale_hierarchy(a, k) -> CorrelationHierarchy:
-    return CorrelationHierarchy(k.grid, [a * t for t in k.tensors])
+    return _cauchy_estimate_check(max_abs_by_order(k), n, r)
 
 
 def flat_dimension(grid, n_max) -> int:  # kept importable for bench/ladder.py
@@ -366,22 +362,31 @@ def flat_dimension(grid, n_max) -> int:  # kept importable for bench/ladder.py
 
 
 def _symmetrize_tensor(tensor):
-    order = tensor.ndim
-    if order < 2:
-        return np.array(tensor, copy=True)
-    total = np.zeros_like(tensor)
-    for perm in permutations(range(order)):
-        total += np.transpose(tensor, perm)
-    return total / math.factorial(order)
+    """Average of `tensor` over all axis permutations, one new axis at a time.
 
-
-def symmetrize(k: CorrelationHierarchy) -> CorrelationHierarchy:
-    """Average every tensor over index permutations (idempotent)."""
-    return CorrelationHierarchy(k.grid, [_symmetrize_tensor(t) for t in k.tensors])
+    Stage m takes a tensor already symmetric in its first m - 1 axes and
+    averages it with its m - 1 swaps of axis m - 1 with an earlier axis,
+    one representative per coset of S_{m-1} in S_m: order n costs
+    1 + 2 + ... + (n - 1) strided adds instead of n! - 1.
+    """
+    out = tensor
+    for m in range(2, tensor.ndim + 1):
+        total = out + np.swapaxes(out, 0, m - 1)
+        for i in range(1, m - 1):
+            total += np.swapaxes(out, i, m - 1)
+        total /= m
+        out = total
+    return out
 
 
 def max_abs_difference(k1, k2) -> float:
-    _require_compatible(k1, k2)
+    if k1.grid != k2.grid:
+        raise GridMismatchError("hierarchies live on different grids")
+    if k1.n_max != k2.n_max:
+        raise InvalidArgumentError(
+            "hierarchies have different truncation orders %d and %d"
+            % (k1.n_max, k2.n_max)
+        )
     return max(
         float(np.max(np.abs(t1 - t2))) for t1, t2 in zip(k1.tensors, k2.tensors)
     )

@@ -153,7 +153,8 @@ def gaussian_potential(grid, amplitude, width) -> PairPotential:
     if not (width > 0):
         raise InvalidArgumentError("width must be positive")
     r = _min_image_distance(grid)
-    samples = amplitude * np.exp(-((r / width) ** 2))
+    with np.errstate(over="ignore"):  # an overflowing square is inf, its exp the right 0
+        samples = amplitude * np.exp(-((r / width) ** 2))
     samples[samples < GAUSSIAN_FLOOR] = 0.0
     return potential_from_samples(grid, samples)
 

@@ -83,6 +83,16 @@ def assert_all_symmetric(k, tol=1e-12):
             )
 
 
+def symmetrize_oracle(tensor):
+    """Average of `tensor` over all n! axis permutations, one transpose each.
+
+    Each entry's n! terms are summed with math.fsum: a plain running sum is
+    itself up to about 2e-15 off the exact average at order 5.
+    """
+    stack = np.stack([np.transpose(tensor, perm) for perm in permutations(range(tensor.ndim))])
+    return np.apply_along_axis(math.fsum, 0, stack) / math.factorial(tensor.ndim)
+
+
 def lagrange_eval(nodes, values, x) -> float:
     total = 0.0
     for i, (xi, yi) in enumerate(zip(nodes, values)):

@@ -213,7 +213,7 @@ def test_apply_generator_linearity():
     k1 = gl.random_ruelle_hierarchy(grid, 3, rng, envelope=0.5)
     k2 = gl.random_ruelle_hierarchy(grid, 3, rng, envelope=0.5)
     a, b = 1.7, -0.6
-    combo = gl.axpy(a, k1, unflatten(grid, 3, b * flatten(k2)))
+    combo = unflatten(grid, 3, a * flatten(k1) + b * flatten(k2))
     lhs = gl.apply_generator(combo, params, pot, gl.GLAUBER)
     r1 = gl.apply_generator(k1, params, pot, gl.GLAUBER)
     r2 = gl.apply_generator(k2, params, pot, gl.GLAUBER)

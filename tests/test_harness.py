@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import glauberlab as gl
-from glauberlab import generators, harness
+from glauberlab import generators, harness, hierarchy
 from glauberlab.cli import EXIT_CODES, main
 from glauberlab.config import ExperimentConfig, parse_config
 from glauberlab.harness import (
@@ -188,20 +188,21 @@ def test_cmd_verify_bounds_degenerate_potential_and_other_seed(tmp_path):
     assert set(cmd_verify_bounds(reseeded, tmp_path, n_cases=25).values()) == {0}
 
 
-def _count_calls(monkeypatch, name):
-    """Count calls of generators.<name> made through either module attribute.
+def _count_calls(monkeypatch, name, module=generators):
+    """Count calls of module.<name> made through either module attribute.
 
-    The harness looks the term up in its own namespace, evaluate_generator_gf
-    in generators', so both are wrapped with one counter.
+    The harness looks the name up in its own namespace, the defining module's
+    own functions (evaluate_generator_gf, the hierarchy norms) in that
+    module's, so both are wrapped with one counter.
     """
     calls = []
-    original = getattr(generators, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(generators, name, counted)
+    monkeypatch.setattr(module, name, counted)
     monkeypatch.setattr(harness, name, counted)
     return calls
 
@@ -222,6 +223,14 @@ def test_cmd_verify_bounds_evaluates_each_term_once(
     rows = (tmp_path / "verify_bounds.csv").read_text().split("\n")
     checks = births_per_case * cases
     assert rows[2:4] == ["birth-estimate,%d,0" % checks, "generator-estimate,%d,0" % checks]
+
+
+def test_cmd_verify_bounds_scans_each_hierarchy_once(tmp_path, monkeypatch):
+    # the scale norm and all n_max * 3 derivative checks share one profile
+    scans = _count_calls(monkeypatch, "max_abs_by_order", module=hierarchy)
+    cases = 3
+    assert set(cmd_verify_bounds(ExperimentConfig(), tmp_path, n_cases=cases).values()) == {0}
+    assert len(scans) == cases
 
 
 @pytest.mark.parametrize(
@@ -469,11 +478,50 @@ def run_default_with(tmp_path, line, command):
         # the subnormal shift table made all 20 gap checks fail
         ("model.epsilon = 5e-324", ["verify-bounds", "--cases", "20"], 0,
          "verify-bounds: violations=0\n", ""),
+        # raw OverflowErrors from Python float powers: envelope**order,
+        # scale_norm's alpha**n at 1/z, vlasov_gap_bound's alpha0**3
+        ("model.z = 1e300", ["verify-bounds", "--cases", "20"], 4, "",
+         "error: nonfinite-state: activity envelope 1e+300 overflows at order 3\n"),
+        ("model.z = 1e-300", ["evolve"], 0,
+         "evolve: t_final=0.05 restarts=0 tail=0\n", ""),
+        ("solver.alpha0 = 1e308", ["verify-bounds", "--cases", "20"], 0,
+         "verify-bounds: violations=0\n", ""),
+        # a pair with a' == a'' once divided by zero before the pair was checked
+        ("solver.alpha = 1.0\nsolver.alpha0 = 1.0000000000000002",
+         ["verify-bounds", "--cases", "20"], 1, "",
+         "error: invalid-argument: need alpha <= alpha' < alpha'' <= alpha0,"
+         " got 1.0 < 1.0 in [1.0, 1.0000000000000002]\n"),
     ],
 )
 def test_cli_extreme_model_values_end_cleanly(tmp_path, capsys, line, command, status, out, err):
     assert run_default_with(tmp_path, line, command) == status
     assert capsys.readouterr() == (out, err)
+
+
+@pytest.mark.parametrize(
+    "line,command,out",
+    [
+        # each printed a numpy overflow RuntimeWarning: the first two in
+        # gaussian_potential's square, the last in c1 / a'' of the birth bound
+        # on the numpy scalars _sample_scale_pair returned
+        ("potential.width = 1e-300", ["verify-bounds", "--cases", "20"],
+         "verify-bounds: violations=0\n"),
+        ("grid.length = 1e300", ["vlasov"], "vlasov: residual=0.475615 bound=pass\n"),
+        ("potential.amplitude = 1e308", ["verify-bounds", "--cases", "20"],
+         "verify-bounds: violations=0\n"),
+    ],
+)
+def test_cli_extreme_potentials_warn_nothing(tmp_path, line, command, out):
+    conf = tmp_path / "run.conf"
+    conf.write_text((CONFIG_DIR / "default.conf").read_text() + line + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "glauberlab",
+         "--config", str(conf), "--out", str(tmp_path / "o")] + command,
+        env=child_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
 
 def test_cli_evolve_huge_horizon_hits_memory_guard_at_once(tmp_path, capsys):

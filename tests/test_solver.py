@@ -13,7 +13,6 @@ from glauberlab.errors import (
     RuelleViolationError,
 )
 from glauberlab.generators import apply_generator, norm_bound_M
-from glauberlab.hierarchy import scale_hierarchy
 
 from helpers import (
     assemble_matrix,
@@ -57,7 +56,7 @@ def test_taylor_evolve_scalar_exponential():
     grid = gl.make_grid(6, 6.0)
     u0 = gl.random_ruelle_hierarchy(grid, 2, np.random.default_rng(1))
     report = gl.taylor_evolve(
-        lambda k: scale_hierarchy(-1.0, k), u0, 1.0, 40, 1e-15
+        lambda k: unflatten(grid, 2, -flatten(k)), u0, 1.0, 40, 1e-15
     )
     expected = unflatten(grid, 2, math.exp(-1.0) * flatten(u0))
     assert gl.max_abs_difference(report.solution, expected) <= 1e-12
@@ -67,7 +66,7 @@ def test_taylor_evolve_no_convergence():
     grid = gl.make_grid(4, 4.0)
     u0 = gl.random_ruelle_hierarchy(grid, 1, np.random.default_rng(2))
     with pytest.raises(ConvergenceError):
-        gl.taylor_evolve(lambda k: scale_hierarchy(-1.0, k), u0, 30.0, 3, 1e-12)
+        gl.taylor_evolve(lambda k: unflatten(grid, 1, -flatten(k)), u0, 30.0, 3, 1e-12)
 
 
 def test_taylor_evolve_matches_matrix_exponential():
