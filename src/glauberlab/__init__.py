@@ -41,6 +41,7 @@ from .hierarchy import (
     exponential_hierarchy,
     gf_upper_bound,
     load_hierarchy,
+    max_abs_by_order,
     max_abs_difference,
     random_ruelle_hierarchy,
     ruelle_margin,

@@ -69,8 +69,14 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config) if args.config else ExperimentConfig()
         if args.seed is not None:
+            if args.seed < 0:
+                raise InvalidArgumentError("--seed must be non-negative, got %d" % args.seed)
             cfg = replace(cfg, seed=args.seed)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            msg = "cannot create output directory %s: %s" % (args.out, exc.strerror)
+            raise InvalidArgumentError(msg) from None
 
         if args.command == "evolve":
             report = cmd_evolve(cfg, args.out, mode=args.mode)

@@ -93,8 +93,8 @@ def _validate(cfg: ExperimentConfig):
         (cfg.m_max >= 1, "solver.m_max must be >= 1"),
         (cfg.tol > 0, "solver.tol must be positive"),
         (cfg.t_final >= 0, "time.t_final must be non-negative"),
-        (0 < cfg.substep_fraction <= 1,
-         "time.substep_fraction must lie in (0, 1]"),
+        (0 < cfg.substep_fraction < 1,
+         "time.substep_fraction must lie in (0, 1)"),
         (cfg.dt > 0, "vlasov.dt must be positive"),
         (cfg.scheme in SCHEMES, "vlasov.scheme must be rk4 or euler"),
         (cfg.sample_stride >= 1, "vlasov.sample_stride must be >= 1"),
@@ -102,6 +102,7 @@ def _validate(cfg: ExperimentConfig):
          "initial.cosine_amplitude must be non-negative"),
         (cfg.potential_kind != "file" or bool(cfg.potential_path),
          "potential.kind = file requires potential.path"),
+        (cfg.seed >= 0, "rng.seed must be non-negative"),
     ]
     for ok, message in checks:
         if not ok:

@@ -32,13 +32,13 @@ from .generators import (
     vlasov_gap_bound,
 )
 from .hierarchy import (
-    _cauchy_estimate_check,
-    _scale_norm,
+    cauchy_estimate_check,
     evaluate_gf,
     exponential_hierarchy,
     max_abs_by_order,
     random_ruelle_hierarchy,
     save_hierarchy,
+    scale_norm,
 )
 from .lattice import GridField, convolve, field_l1_norm, field_linf_norm
 from .solver import SolveReport, evolve_global, solve_local, step_radius, step_record
@@ -101,18 +101,6 @@ def cmd_evolve(cfg: ExperimentConfig, out_dir, mode="auto") -> SolveReport:
         report = solve_local(
             params, pot, cfg.epsilon, u0, cfg.t_final, cfg.m_max, cfg.tol
         )
-        norm_alpha = params.alpha
-        if cfg.t_final > 0:
-            report.steps = [
-                step_record(
-                    cfg.t_final,
-                    report.solution,
-                    cfg.z,
-                    norm_alpha,
-                    report.terms_used,
-                    report.tail_estimate,
-                )
-            ]
     else:
         report = evolve_global(
             params,
@@ -124,10 +112,9 @@ def cmd_evolve(cfg: ExperimentConfig, out_dir, mode="auto") -> SolveReport:
             tol=cfg.tol,
             epsilon=cfg.epsilon,
         )
-        norm_alpha = 0.5 / cfg.z
 
     state_rows = [["t", "n", "max_abs", "scale_norm", "ruelle_margin"]]
-    for record in [step_record(0.0, u0, cfg.z, norm_alpha)] + report.steps:
+    for record in [step_record(0.0, u0, cfg.z, report.alpha)] + report.steps:
         state_rows += [
             [record.time, n, mx, record.scale_norm, record.ruelle_margin]
             for n, mx in enumerate(record.max_abs_by_order)
@@ -365,7 +352,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir, n_cases=100):
         k = random_ruelle_hierarchy(grid, cfg.n_max, rng, envelope=cfg.z)
         theta = GridField(grid, rng.uniform(-0.6, 0.6, size=grid.n_sites))
         profile = max_abs_by_order(k)
-        big_k = _scale_norm(profile, a_dprime)
+        big_k = scale_norm(profile, a_dprime)
         weight = math.exp(field_l1_norm(theta) / a_prime)
 
         # the generator value as evaluate_generator_gf assembles it, bit for bit
@@ -395,7 +382,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir, n_cases=100):
 
         for order in range(1, cfg.n_max + 1):
             for r in (0.5, 1.0, 2.0):
-                tally("derivative-growth", 1, int(not _cauchy_estimate_check(profile, order, r)))
+                tally("derivative-growth", 1, int(not cauchy_estimate_check(profile, order, r)))
 
     rows = [["suite", "checks", "violations"]]
     for name, (checked, violated) in suites.items():

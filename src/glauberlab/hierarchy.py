@@ -11,9 +11,11 @@ discretize the sum-over-configurations measure.  Orders above n_max are
 closed by zero, which keeps every operation in this package exactly linear
 on the truncated space.
 
-The scale norm used for all solver bookkeeping is the computable surrogate
+The scale norm, gf_upper_bound and cauchy_estimate_check read only the profile
+[max|k_0|, .., max|k_{n_max}|] that max_abs_by_order returns, so one scan of a
+hierarchy serves them all.  The scale norm is the computable surrogate
 
-    scale_norm(k, alpha) = sup_n alpha^n max|k_n|,
+    scale_norm(profile, alpha) = sup_n alpha^n max|k_n|,
 
 which dominates the weighted-functional norm sup_theta |B(theta)| e^{-||theta||_1/alpha}
 through the series majorant; inequality checks in this package always place
@@ -298,27 +300,25 @@ def _pow_or_inf(base, n) -> float:
         return math.inf
 
 
-def _scale_norm(profile, alpha) -> float:
-    """scale_norm from max_abs_by_order; an order with max 0 contributes 0."""
+def scale_norm(profile, alpha) -> float:
+    """Scale norm sup_n alpha^n max|k_n| of a profile; zero orders add 0, overflows inf."""
     if not (alpha > 0):
         raise InvalidArgumentError("alpha must be positive")
     return max(_pow_or_inf(alpha, n) * m if m else 0.0 for n, m in enumerate(profile))
-
-
-def scale_norm(k: CorrelationHierarchy, alpha) -> float:
-    """Surrogate scale norm sup_n alpha^n max|k_n|, inf where alpha^n overflows."""
-    return _scale_norm(max_abs_by_order(k), alpha)
 
 
 def ruelle_margin(k: CorrelationHierarchy, z) -> float:
     """scale_norm at 1/z; at most 1 iff the activity envelope |k_n| <= z^n holds."""
     if not (z > 0):
         raise InvalidArgumentError("z must be positive")
-    return scale_norm(k, 1.0 / z)
+    return scale_norm(max_abs_by_order(k), 1.0 / z)
 
 
-def _gf_upper_bound(profile, r) -> float:
-    """gf_upper_bound from max_abs_by_order."""
+def gf_upper_bound(profile, r) -> float:
+    """Majorant sum_n max|k_n| r^n / n! of a profile, >= sup |B| on the radius-r ball.
+
+    An order whose max is 0 adds 0, also where r^n / n! overflows to inf.
+    """
     if not (r > 0):
         raise InvalidArgumentError("r must be positive")
     total = 0.0
@@ -326,35 +326,30 @@ def _gf_upper_bound(profile, r) -> float:
     for n, m in enumerate(profile):
         if n > 0:
             weight *= r / n
-        total += weight * m
+        if m:
+            total += weight * m
     return total
 
 
-def gf_upper_bound(k: CorrelationHierarchy, r) -> float:
-    """Majorant sum_n max|k_n| r^n / n! >= sup over the radius-r ball of |B|."""
-    return _gf_upper_bound(max_abs_by_order(k), r)
+def cauchy_estimate_check(profile, n, r) -> bool:
+    """Check the derivative growth estimate at order n on a profile.
 
-
-def _cauchy_estimate_check(profile, n, r) -> bool:
-    """cauchy_estimate_check from max_abs_by_order, for 1 <= n < len(profile)."""
-    bound = _gf_upper_bound(profile, r)
-    if n == 1:
-        return profile[1] <= bound / r
-    return profile[n] <= math.factorial(n) * (math.e / r) ** n * bound
-
-
-def cauchy_estimate_check(k: CorrelationHierarchy, n, r) -> bool:
-    """Check the derivative growth estimate at order n against the majorant.
-
-    True iff max|k_1| <= (1/r) * gf_upper_bound(k, r) for n = 1 and
-    max|k_n| <= n! (e/r)^n * gf_upper_bound(k, r) for n >= 2.  Because the
-    majorant dominates the sup of |B| over the complex radius-r ball and
+    True iff r * max|k_1| <= gf_upper_bound(profile, r) for n = 1 (the very
+    product the majorant sums, so no rounded quotient can fail it) and
+    max|k_n| <= n! (e/r)^n * gf_upper_bound(profile, r) for n >= 2, where an
+    overflowing (e/r)^n reads as inf; a zero order passes.  Because
+    the majorant dominates the sup of |B| over the complex radius-r ball and
     k_n is the n-th derivative kernel at 0, the check holds identically,
     also on sampled hierarchies, whose coset average is symmetric to roundoff.
     """
-    if not (1 <= n <= k.n_max):
+    if not (1 <= n < len(profile)):
         raise InvalidArgumentError("order %r outside 1..n_max" % (n,))
-    return _cauchy_estimate_check(max_abs_by_order(k), n, r)
+    bound = gf_upper_bound(profile, r)
+    if not profile[n]:
+        return True
+    if n == 1:
+        return profile[1] * r <= bound
+    return profile[n] <= math.factorial(n) * _pow_or_inf(math.e / r, n) * bound
 
 
 def flat_dimension(grid, n_max) -> int:  # kept importable for bench/ladder.py
@@ -393,6 +388,7 @@ def max_abs_difference(k1, k2) -> float:
 
 
 def max_abs_by_order(k: CorrelationHierarchy):
+    """The profile [max|k_0|, .., max|k_{n_max}|] that the scale-norm family reads."""
     return [float(np.max(np.abs(t))) for t in k.tensors]
 
 

@@ -20,7 +20,7 @@ of that space) with alpha = alpha0/2 by default.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,14 +59,15 @@ class StepRecord:
 
 
 def step_record(time, u, z, alpha, terms_used=0, tail_estimate=0.0) -> StepRecord:
-    """Diagnostics of the state u at `time`: envelope margin at z, scale norm at alpha."""
+    """Diagnostics of u at `time` from one profile: scale norms at 1/z (the margin) and alpha."""
+    profile = max_abs_by_order(u)
     return StepRecord(
         time=time,
         terms_used=terms_used,
         tail_estimate=tail_estimate,
-        ruelle_margin=ruelle_margin(u, z),
-        scale_norm=scale_norm(u, alpha),
-        max_abs_by_order=max_abs_by_order(u),
+        ruelle_margin=scale_norm(profile, 1.0 / z),
+        scale_norm=scale_norm(profile, alpha),
+        max_abs_by_order=profile,
     )
 
 
@@ -78,8 +79,9 @@ class SolveReport:
     terms_used: int
     tail_estimate: float
     radius: float
+    alpha: float  # scale index of the report's norms
     restarts: int = 0
-    steps: list = field(default_factory=list)
+    steps: list = field(default_factory=list)  # one record per accepted substep, none at t = 0
 
 
 def step_radius(M, alpha, alpha0) -> float:
@@ -104,7 +106,7 @@ def taylor_evolve(apply, u0, t, m_max, tol, norm_alpha=1.0) -> SolveReport:
         raise InvalidArgumentError("m_max must be at least 1")
     u = u0.copy()
     if t == 0.0:
-        return SolveReport(u, 0, 0.0, math.inf)
+        return SolveReport(u, 0, 0.0, math.inf, norm_alpha)
     term = u0
     # Intermediates skip the constructor's finiteness scan: a term is scanned
     # only when its norm is not finite, the accepted sum once.
@@ -115,19 +117,19 @@ def taylor_evolve(apply, u0, t, m_max, tol, norm_alpha=1.0) -> SolveReport:
             )
             for acc, x in zip(u.tensors, term.tensors):
                 acc += x
-            tail = scale_norm(term, norm_alpha)
+            tail = scale_norm(max_abs_by_order(term), norm_alpha)
             if not math.isfinite(tail):
                 require_finite(term.tensors, "Taylor term %d" % m)
             if tail < tol:
                 require_finite(u.tensors, "evolved state")
-                return SolveReport(u, m, tail, math.inf)
+                return SolveReport(u, m, tail, math.inf, norm_alpha)
     raise ConvergenceError(
         "tail %.3g still above tol %.3g after %d terms" % (tail, tol, m_max)
     )
 
 
 def solve_local(params: ScaleParams, pot, epsilon, u0, t, m_max, tol) -> SolveReport:
-    """One guarded local solve of the generator at the given epsilon."""
+    """One guarded local solve at the given epsilon; for t > 0 its steps record the solution."""
     radius = step_radius(norm_bound_M(params, pot), params.alpha, params.alpha0)
     if t >= radius:
         raise RadiusExceededError(
@@ -142,6 +144,9 @@ def solve_local(params: ScaleParams, pot, epsilon, u0, t, m_max, tol) -> SolveRe
         norm_alpha=params.alpha,
     )
     report.radius = radius
+    if t > 0:
+        report.steps = [step_record(t, report.solution, params.z, params.alpha,
+                                    report.terms_used, report.tail_estimate)]
     return report
 
 
@@ -167,8 +172,8 @@ def evolve_global(
     """
     if not (t_final >= 0 and math.isfinite(t_final)):
         raise InvalidArgumentError("t_final must be finite and non-negative")
-    if not (0 < substep_fraction <= 1):
-        raise InvalidArgumentError("substep_fraction must lie in (0, 1]")
+    if not (0 < substep_fraction < 1):  # a substep of one whole radius fails solve_local's guard
+        raise InvalidArgumentError("substep_fraction must lie in (0, 1)")
     z = params.z
     alpha0 = 1.0 / z
     gparams = ScaleParams(alpha0 / 2.0, alpha0, z, params.epsilon)
@@ -197,14 +202,13 @@ def evolve_global(
         local = solve_local(gparams, pot, epsilon, u, dt_step, m_max, tol)
         u = local.solution
         now += dt_step
-        records.append(
-            step_record(now, u, z, gparams.alpha, local.terms_used, local.tail_estimate)
-        )
+        records.append(replace(local.steps[0], time=now))
     return SolveReport(
         solution=u,
         terms_used=max((r.terms_used for r in records), default=0),
         tail_estimate=records[-1].tail_estimate if records else 0.0,
         radius=radius,
+        alpha=gparams.alpha,
         restarts=max(0, len(records) - 1),
         steps=records,
     )

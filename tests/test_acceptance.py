@@ -182,7 +182,7 @@ def test_criterion_08_operator_level_vlasov_convergence():
         assert all(d1 > d2 for d1, d2 in zip(diffs, diffs[1:]))
         assert 0.8 <= loglog_slope(eps_list, diffs) <= 1.2
 
-        big_k = gl.scale_norm(k, params.alpha0)
+        big_k = gl.scale_norm(gl.max_abs_by_order(k), params.alpha0)
         for eps in eps_list:
             bound = gl.vlasov_gap_bound(eps, params, pot, params.alpha, params.alpha0)
             for _ in range(10):

@@ -70,6 +70,10 @@ def test_invariant_violations_rejected(tmp_path):
         parse_config(write(tmp_path, "potential.kind = box\n"))
     with pytest.raises(ConfigError):
         parse_config(write(tmp_path, "potential.kind = file\n"))  # path missing
+    with pytest.raises(ConfigError):  # a whole-radius substep fails solve_local's guard
+        parse_config(write(tmp_path, "time.substep_fraction = 1.0\n"))
+    with pytest.raises(ConfigError):  # numpy's default_rng refuses it
+        parse_config(write(tmp_path, "rng.seed = -1\n"))
 
 
 def test_builders():
@@ -146,7 +150,7 @@ FLOAT_RANGES = {
     "solver.alpha0": (0.5, None, True, False),
     "solver.tol": (0.0, None, True, False),
     "time.t_final": (0.0, None, False, False),
-    "time.substep_fraction": (0.0, 1.0, True, False),
+    "time.substep_fraction": (0.0, 1.0, True, True),
     "vlasov.dt": (0.0, None, True, False),
     "initial.level": (0.0, None, False, False),
     "initial.cosine_amplitude": (0.0, None, False, False),

@@ -329,7 +329,7 @@ def test_sampled_generator_estimate_bounds():
     for _ in range(30):
         k = gl.random_ruelle_hierarchy(grid, 3, rng, envelope=params.z)
         theta = gl.GridField(grid, rng.uniform(-0.6, 0.6, 8))
-        big_k = gl.scale_norm(k, params.alpha0)
+        big_k = gl.scale_norm(gl.max_abs_by_order(k), params.alpha0)
         weight = math.exp(gl.field_l1_norm(theta) / params.alpha)
         for kind in (gl.GLAUBER, 0.3, gl.VLASOV_LIMIT):
             value = abs(gl.evaluate_generator_gf(k, theta, params, pot, kind))

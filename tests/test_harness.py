@@ -491,6 +491,14 @@ def run_default_with(tmp_path, line, command):
          ["verify-bounds", "--cases", "20"], 1, "",
          "error: invalid-argument: need alpha <= alpha' < alpha'' <= alpha0,"
          " got 1.0 < 1.0 in [1.0, 1.0000000000000002]\n"),
+        # a negative seed ended in numpy's raw ValueError from default_rng
+        ("rng.seed = -5", ["scaling-study"], 5, "",
+         "error: parse-error: rng.seed must be non-negative\n"),
+        ("", ["--seed", "-1", "verify-bounds", "--cases", "2"], 1, "",
+         "error: invalid-argument: --seed must be non-negative, got -1\n"),
+        # a substep of one whole radius ended in radius-exceeded on its first solve
+        ("time.substep_fraction = 1.0\ntime.t_final = 1.0", ["evolve", "--mode", "global"], 5,
+         "", "error: parse-error: time.substep_fraction must lie in (0, 1)\n"),
     ],
 )
 def test_cli_extreme_model_values_end_cleanly(tmp_path, capsys, line, command, status, out, err):
@@ -556,6 +564,18 @@ def test_cli_seed_override_changes_sampled_outputs(tmp_path):
     assert main(["--config", default, "--out", out_b, "--seed", "2",
                  "scaling-study", "--epsilons", "0.4,0.2"]) == 0
     assert read(Path(out_a) / "scaling_gaps.csv") != read(Path(out_b) / "scaling_gaps.csv")
+
+
+def test_cli_out_that_cannot_be_a_directory_ends_cleanly(tmp_path, capsys):
+    # os.makedirs used to raise a raw FileExistsError or NotADirectoryError
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    for out, reason in ((blocker, "File exists"), (blocker / "sub", "Not a directory")):
+        assert main(["--out", str(out), "vlasov"]) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid-argument: cannot create output directory %s: %s\n" % (out, reason)
+        )
+    assert blocker.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize(

@@ -250,12 +250,12 @@ def test_scale_norm_examples_and_oracle():
     unit = gl.zero_hierarchy(grid, 3)
     unit.tensors[0] = np.array(1.0)
     for alpha in (0.1, 1.0, 3.0):
-        assert gl.scale_norm(unit, alpha) == 1.0
+        assert gl.scale_norm(gl.max_abs_by_order(unit), alpha) == 1.0
     c = 0.6
     k = gl.exponential_hierarchy(gl.constant_field(grid, c), 3)
     for alpha in (0.5, 1.0, 2.5):
         assert math.isclose(
-            gl.scale_norm(k, alpha), max(1.0, (alpha * c) ** 3), rel_tol=1e-12
+            gl.scale_norm(gl.max_abs_by_order(k), alpha), max(1.0, (alpha * c) ** 3), rel_tol=1e-12
         )
     rand, _ = small_random_hierarchy(n_sites=4, n_max=3, seed=15)
     alpha = 1.3
@@ -263,16 +263,16 @@ def test_scale_norm_examples_and_oracle():
         alpha**n * max(abs(float(v)) for v in np.ravel(t))
         for n, t in enumerate(rand.tensors)
     )
-    assert math.isclose(gl.scale_norm(rand, alpha), oracle, rel_tol=1e-14)
+    assert math.isclose(gl.scale_norm(gl.max_abs_by_order(rand), alpha), oracle, rel_tol=1e-14)
     # alpha^n overflows: inf bounds the non-zero orders, zero orders add 0, not nan
-    assert gl.scale_norm(unit, 1e300) == 1.0
-    assert gl.scale_norm(k, 1e300) == math.inf
+    assert gl.scale_norm(gl.max_abs_by_order(unit), 1e300) == 1.0
+    assert gl.scale_norm(gl.max_abs_by_order(k), 1e300) == math.inf
 
 
 def test_scale_norm_monotone_in_alpha():
     rand, _ = small_random_hierarchy(n_sites=4, n_max=3, seed=16)
     alphas = [0.2, 0.5, 0.9, 1.4, 2.0]
-    norms = [gl.scale_norm(rand, a) for a in alphas]
+    norms = [gl.scale_norm(gl.max_abs_by_order(rand), a) for a in alphas]
     assert all(n1 <= n2 + 1e-15 for n1, n2 in zip(norms, norms[1:]))
 
 
@@ -295,17 +295,17 @@ def test_gf_upper_bound_examples_and_oracle():
     grid = gl.make_grid(8, 8.0)
     unit = gl.zero_hierarchy(grid, 3)
     unit.tensors[0] = np.array(1.0)
-    assert gl.gf_upper_bound(unit, 2.0) == 1.0
+    assert gl.gf_upper_bound(gl.max_abs_by_order(unit), 2.0) == 1.0
     c, r = 0.4, 1.5
     k = gl.exponential_hierarchy(gl.constant_field(grid, c), 3)
     expected = sum((c * r) ** n / math.factorial(n) for n in range(4))
-    assert math.isclose(gl.gf_upper_bound(k, r), expected, rel_tol=1e-12)
+    assert math.isclose(gl.gf_upper_bound(gl.max_abs_by_order(k), r), expected, rel_tol=1e-12)
     rand, _ = small_random_hierarchy(n_sites=4, n_max=3, seed=18)
     oracle = sum(
         max(abs(float(v)) for v in np.ravel(t)) * r**n / math.factorial(n)
         for n, t in enumerate(rand.tensors)
     )
-    assert math.isclose(gl.gf_upper_bound(rand, r), oracle, rel_tol=1e-13)
+    assert math.isclose(gl.gf_upper_bound(gl.max_abs_by_order(rand), r), oracle, rel_tol=1e-13)
 
 
 def test_cauchy_estimate_check_worked_example():
@@ -314,13 +314,23 @@ def test_cauchy_estimate_check_worked_example():
     k.tensors[0] = np.array(1.0)
     k.tensors[1] = np.ones(8)
     # gf_upper_bound(k, 1) = 1 + 1 = 2 and max|k_1| = 1 <= 2/1
-    assert gl.cauchy_estimate_check(k, 1, 1.0)
+    assert gl.cauchy_estimate_check(gl.max_abs_by_order(k), 1, 1.0)
 
 
 def test_cauchy_estimate_check_zero_hierarchy():
     k = gl.zero_hierarchy(gl.make_grid(8, 8.0), 2)
-    assert gl.cauchy_estimate_check(k, 1, 0.5)
-    assert gl.cauchy_estimate_check(k, 2, 2.0)
+    assert gl.cauchy_estimate_check(gl.max_abs_by_order(k), 1, 0.5)
+    assert gl.cauchy_estimate_check(gl.max_abs_by_order(k), 2, 2.0)
+    # (e/r)^n overflows to inf, and inf * 0 must not turn a zero order into a violation
+    assert gl.cauchy_estimate_check(gl.max_abs_by_order(k), 2, 1e-110)
+    # r^2/2 overflows to inf; the zero order 2 adds 0 to the majorant, not inf * 0 = nan,
+    # and at order 1 a rounded bound / r fell just below max|k_1| on this hierarchy
+    gapped, _ = small_random_hierarchy(n_sites=4, n_max=2, seed=25)
+    gapped.tensors[2] = np.zeros((4, 4))
+    profile = gl.max_abs_by_order(gapped)
+    assert not math.isnan(gl.gf_upper_bound(profile, 1e300))
+    assert gl.cauchy_estimate_check(profile, 1, 1e300)
+    assert gl.cauchy_estimate_check(profile, 2, 1e300)
 
 
 def test_cauchy_estimate_check_random_sweep():
@@ -329,8 +339,8 @@ def test_cauchy_estimate_check_random_sweep():
     for case in range(200):
         k = gl.random_ruelle_hierarchy(grid, 3, rng, envelope=rng.uniform(0.2, 2.0))
         for n in range(1, 4):
-            for r in (0.5, 1.0, 2.0):
-                assert gl.cauchy_estimate_check(k, n, r)
+            for r in (0.5, 1.0, 2.0, 1e-110):  # (e/1e-110)^3 overflows to inf
+                assert gl.cauchy_estimate_check(gl.max_abs_by_order(k), n, r)
 
 
 def test_flatten_unflatten_and_max_abs_difference():

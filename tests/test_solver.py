@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import glauberlab as gl
+from glauberlab import hierarchy, solver
 from glauberlab.errors import (
     ConvergenceError,
     InvalidArgumentError,
@@ -50,6 +51,7 @@ def test_taylor_evolve_zero_operator():
     )
     assert gl.max_abs_difference(report.solution, u0) == 0.0
     assert report.tail_estimate == 0.0
+    assert report.alpha == 1.0  # the default norm_alpha
 
 
 def test_taylor_evolve_scalar_exponential():
@@ -121,6 +123,7 @@ def test_solve_local_zero_time_and_radius_guard():
     grid, pot, params, u0 = interacting_setup(seed=5)
     report = gl.solve_local(params, pot, gl.GLAUBER, u0, 0.0, 40, 1e-12)
     assert gl.max_abs_difference(report.solution, u0) == 0.0
+    assert report.steps == []  # no record for t = 0
     radius = report.radius
     with pytest.raises(RadiusExceededError):
         gl.solve_local(params, pot, gl.GLAUBER, u0, 1.01 * radius, 40, 1e-12)
@@ -168,9 +171,21 @@ def test_evolve_global_restart_bookkeeping():
     alpha0 = 1.0 / z
     inner = gl.ScaleParams(alpha0 / 2, alpha0, z)
     radius = gl.step_radius(norm_bound_M(inner, pot), alpha0 / 2, alpha0)
-    report = gl.evolve_global(params, pot, u0, 3.0 * radius)
+    t_final = 3.0 * radius
+    report = gl.evolve_global(params, pot, u0, t_final)
     assert report.restarts >= 3
     assert abs(float(report.solution.tensors[0]) - 1.0) <= 1e-9
+    # each record is the step record of its substep's state at the cumulative time
+    assert report.alpha == inner.alpha
+    u, now, expected = u0, 0.0, []
+    for _ in report.steps:
+        dt = min(0.9 * radius, t_final - now)
+        local = gl.solve_local(inner, pot, gl.GLAUBER, u, dt, 60, 1e-12)
+        u, now = local.solution, now + dt
+        expected.append(
+            solver.step_record(now, u, z, inner.alpha, local.terms_used, local.tail_estimate)
+        )
+    assert report.steps == expected
 
 
 def test_evolve_global_rejects_bad_initial_envelope():
@@ -205,10 +220,37 @@ def test_solve_report_invariants_and_symmetry():
     grid, pot, params, u0 = interacting_setup(seed=7)
     radius = gl.step_radius(norm_bound_M(params, pot), params.alpha, params.alpha0)
     tol = 1e-12
-    report = gl.solve_local(params, pot, gl.GLAUBER, u0, 0.6 * radius, 50, tol)
+    t = 0.6 * radius
+    report = gl.solve_local(params, pot, gl.GLAUBER, u0, t, 50, tol)
     assert report.tail_estimate <= tol
     assert report.terms_used <= 50
     assert_all_symmetric(report.solution, tol=1e-12)
+    assert report.alpha == params.alpha
+    assert report.steps == [
+        solver.step_record(t, report.solution, params.z, params.alpha,
+                           report.terms_used, report.tail_estimate)
+    ]
+
+
+def test_step_record_scans_the_state_once(monkeypatch):
+    # both norms and the stored profile come from one max_abs_by_order scan;
+    # the name is patched where hierarchy's own norms and solver look it up
+    calls = []
+    original = hierarchy.max_abs_by_order
+
+    def counted(k):
+        calls.append(k)
+        return original(k)
+
+    monkeypatch.setattr(hierarchy, "max_abs_by_order", counted)
+    monkeypatch.setattr(solver, "max_abs_by_order", counted)
+    _, _, params, u0 = interacting_setup()
+    record = solver.step_record(0.25, u0, params.z, params.alpha)
+    assert len(calls) == 1
+    profile = original(u0)
+    assert record.max_abs_by_order == profile
+    assert record.ruelle_margin == gl.scale_norm(profile, 1.0 / params.z)
+    assert record.scale_norm == gl.scale_norm(profile, params.alpha)
 
 
 def test_matrix_exp_oracle_validation():
@@ -236,3 +278,12 @@ def test_evolve_global_rejects_non_finite_t_final():
     for bad in (math.inf, math.nan, -1.0):
         with pytest.raises(InvalidArgumentError):
             gl.evolve_global(params, pot, u0, bad)
+
+
+def test_evolve_global_rejects_whole_radius_substep():
+    # a substep of one whole radius used to end in radius-exceeded on its first solve
+    grid, pot, params, _ = interacting_setup()
+    u0 = gl.exponential_hierarchy(gl.constant_field(grid, params.z), 2)
+    for bad in (0.0, 1.0):
+        with pytest.raises(InvalidArgumentError, match=r"\(0, 1\)"):
+            gl.evolve_global(params, pot, u0, 1.0, substep_fraction=bad)
