@@ -314,18 +314,25 @@ def ruelle_margin(k: CorrelationHierarchy, z) -> float:
     return scale_norm(max_abs_by_order(k), 1.0 / z)
 
 
+def _majorant_weights(r, count):
+    """r^n / n! for n = 0..count-1, accumulated as weight *= r / n."""
+    weight = 1.0
+    for n in range(count):
+        if n > 0:
+            weight *= r / n
+        yield weight
+
+
 def gf_upper_bound(profile, r) -> float:
     """Majorant sum_n max|k_n| r^n / n! of a profile, >= sup |B| on the radius-r ball.
 
-    An order whose max is 0 adds 0, also where r^n / n! overflows to inf.
+    r must be finite.  An order whose max is 0 adds 0, also where r^n / n!
+    overflows to inf.
     """
-    if not (r > 0):
-        raise InvalidArgumentError("r must be positive")
+    if not (0 < r < math.inf):
+        raise InvalidArgumentError("r must be finite and positive, got %r" % (r,))
     total = 0.0
-    weight = 1.0
-    for n, m in enumerate(profile):
-        if n > 0:
-            weight *= r / n
+    for weight, m in zip(_majorant_weights(r, len(profile)), profile):
         if m:
             total += weight * m
     return total
@@ -334,22 +341,26 @@ def gf_upper_bound(profile, r) -> float:
 def cauchy_estimate_check(profile, n, r) -> bool:
     """Check the derivative growth estimate at order n on a profile.
 
-    True iff r * max|k_1| <= gf_upper_bound(profile, r) for n = 1 (the very
-    product the majorant sums, so no rounded quotient can fail it) and
-    max|k_n| <= n! (e/r)^n * gf_upper_bound(profile, r) for n >= 2, where an
-    overflowing (e/r)^n reads as inf; a zero order passes.  Because
-    the majorant dominates the sup of |B| over the complex radius-r ball and
-    k_n is the n-th derivative kernel at 0, the check holds identically,
-    also on sampled hierarchies, whose coset average is symmetric to roundoff.
+    With w_n = r^n / n!, the very weight gf_upper_bound accumulates, and
+    bound = gf_upper_bound(profile, r), the check is w_1 max|k_1| <= bound
+    for n = 1 and w_n max|k_n| <= e^n bound for n >= 2, where an overflowing
+    e^n reads as inf; a zero order passes.  The left side is a product the
+    majorant sums, so no underflowing or overflowing weight can fail it.
+    Because the majorant dominates the sup of |B| over the complex radius-r
+    ball and k_n is the n-th derivative kernel at 0, the check holds
+    identically, also on sampled hierarchies, whose coset average is
+    symmetric to roundoff.
     """
     if not (1 <= n < len(profile)):
         raise InvalidArgumentError("order %r outside 1..n_max" % (n,))
     bound = gf_upper_bound(profile, r)
     if not profile[n]:
         return True
+    *_, weight = _majorant_weights(r, n + 1)
+    term = weight * profile[n]
     if n == 1:
-        return profile[1] * r <= bound
-    return profile[n] <= math.factorial(n) * _pow_or_inf(math.e / r, n) * bound
+        return term <= bound
+    return term <= (_pow_or_inf(math.e, n) * bound if bound else 0.0)  # inf * 0 is nan
 
 
 def flat_dimension(grid, n_max) -> int:  # kept importable for bench/ladder.py

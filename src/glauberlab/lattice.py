@@ -7,20 +7,22 @@ into N sites with spacing dx = L/N, and the continuum norms become
 
 Pair potentials are stored by periodic displacement d = 0..N-1 and are
 required to be non-negative and even, phi(d) = phi(N-d).  Convolution is
-computed by direct O(N^2) summation; the direct sum is the normative
-semantics, an FFT path is deliberately not used.  The sum is einsum's sum
-of products over each kernel row (optimize=False: no BLAS call and no N x N
-temporary), so its reduction order is fixed for a given numpy build and
-results are reproducible bit for bit.  The N x N kernel is an O(N) strided
-view, still held to the same N^2 entry guard as the hierarchy tensors so the
-site limits stay where they were.  Gaussian samples below GAUSSIAN_FLOOR
-are stored as zero, so a gaussian's convolution never multiplies by a
-subnormal number, which takes the processor's slow path.
+computed by direct summation over the support band, the B <= N displacements
+|d| <= s that hold every nonzero sample of phi: O(N B) work, O(N) memory.
+The direct sum is the normative semantics, an FFT path is deliberately not
+used, and only exact zeros of phi are skipped, whose products add nothing.
+The sum is einsum's sum of products over each (N, B) window row
+(optimize=False: no BLAS call and no N x N array or temporary), so its
+reduction order is fixed for a given numpy build and results are
+reproducible bit for bit.  The kernel is still held to the same N^2 entry
+guard as the hierarchy tensors so the site limits stay where they were.
+Gaussian samples below GAUSSIAN_FLOOR are stored as zero, so a gaussian's
+convolution never multiplies by a subnormal number, which takes the
+processor's slow path, and its band narrows to the samples above the floor.
 """
 
 import numpy as np
 from dataclasses import dataclass
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridMismatchError, InvalidArgumentError, MemoryGuardError
 
@@ -146,7 +148,7 @@ def gaussian_potential(grid, amplitude, width) -> PairPotential:
     underflow exp already are.  Kept, they make their products in the
     convolution subnormal, which more than doubles the cost of one
     convolution at N = 512, for terms below 1e-292 times the values they
-    multiply.
+    multiply.  Dropping them also narrows the convolution's support band.
     """
     if amplitude < 0:
         raise InvalidArgumentError("amplitude must be non-negative")
@@ -191,29 +193,48 @@ def displacement_matrix(grid):
 
 
 def convolution_kernel(pot: PairPotential):
-    """Matrix K[x, y] = phi(x - y) of the periodic convolution, as a view.
+    """Wrap index and weights of the periodic convolution over phi's support band.
 
-    Row x is phi at displacements x, x-1, .., x-N+1 (mod N), so every row
-    is a window of one (2N-1)-vector and K is a read-only strided view of it:
-    O(N) memory, no N x N array.  The N^2 entry guard is kept, so the site
-    limits of the commands that convolve do not depend on the layout.
-    Raises MemoryGuardError before allocating when N^2 exceeds the guard.
+    The band is the B displacements d = s, s-1, .., s-B+1, where s is the
+    largest min-image distance of a nonzero sample and B = min(2s+1, N):
+    it holds every nonzero sample, and at full support (B = N) each
+    displacement exactly once.  Without support B = 0.  The index is
+    j - s for j = 0..N+B-2 and weight j is phi(s - j), so window row x of
+    the gathered values pairs phi(d) with v(x - d).  O(N) memory, no N x N
+    array.  The N^2 entry guard is kept, so the site limits of the commands
+    that convolve do not depend on the layout.  Raises MemoryGuardError
+    before allocating when N^2 exceeds the guard.
     """
     n = pot.grid.n_sites
     require_within_memory_guard(n, 2)
-    row0 = pot.values_by_displacement[-np.arange(n) % n]
-    return sliding_window_view(np.concatenate([row0, row0])[1:], n)[::-1]
+    phi = pot.values_by_displacement
+    support = np.flatnonzero(phi)
+    if support.size:
+        s = int(np.max(np.minimum(support, n - support)))
+        b = min(2 * s + 1, n)
+    else:
+        s = b = 0
+    weights = phi[(s - np.arange(b)) % n]
+    return np.arange(n + b - 1) - s, weights
 
 
 def convolve_values(kernel, values, dx):
-    """Direct sum (K v)(x) = sum_y K[x, y] v(y) dx over raw arrays.
+    """Direct sum (K v)(x) = sum_d phi(d) v(x - d) dx over the support band.
 
-    The one convolution path: einsum's sum of products over each row, with
-    optimize=False so it never calls BLAS and allocates no N x N temporary.
-    The reduction order is fixed for a given numpy build, so results are
-    reproducible bit for bit, whatever the thread count or buffer alignment.
+    The one convolution path, O(N B) with B <= N: gather the values once
+    along the wrap index, lay an (N, B) window over them (row x holds
+    v(x - d) for the band's d) and take einsum's sum of products with the
+    weights, with optimize=False, so no FFT, no BLAS call and no N x N
+    array.  The products left out are those with exact zeros of phi, which
+    add nothing.  The reduction order is fixed for a given numpy build, so
+    results are reproducible bit for bit, whatever the thread count or
+    buffer alignment.
     """
-    return np.einsum("ij,j->i", kernel, values, optimize=False) * dx
+    index, weights = kernel
+    gathered = np.asarray(values, dtype=np.float64).take(index, mode="wrap")
+    b = weights.size
+    window = np.ndarray((index.size - b + 1, b), np.float64, gathered, 0, (8, 8))
+    return np.einsum("ij,j->i", window, weights, optimize=False) * dx
 
 
 def convolve(pot: PairPotential, f: GridField) -> GridField:

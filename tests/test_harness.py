@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import glauberlab as gl
-from glauberlab import generators, harness, hierarchy
+from glauberlab import generators, harness, hierarchy, lattice, vlasov
 from glauberlab.cli import EXIT_CODES, main
 from glauberlab.config import ExperimentConfig, parse_config
 from glauberlab.harness import (
@@ -373,6 +374,46 @@ def test_cli_kinetic_thread_count_independence(tmp_path):
     outputs = outputs_under_thread_counts(tmp_path, str(conf), "vlasov")
     assert outputs[0]["vlasov_trajectory.csv"].count(b"\n") == 6 * 512 + 1
     assert outputs[0] == outputs[1]
+
+
+BLAS_NAMES = {"dot", "matmul", "vecdot", "tensordot", "inner", "vdot"}
+
+
+def blas_calls(source):
+    """Lines of source that may reach BLAS: @, a BLAS-backed product, or an
+    einsum whose optimize is not the literal False."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if name in BLAS_NAMES:
+            found.append((node.lineno, name))
+        if isinstance(node, ast.Call):
+            func = node.func
+            callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            optimize = [kw.value for kw in node.keywords if kw.arg == "optimize"]
+            if callee == "einsum" and not (
+                optimize and isinstance(optimize[0], ast.Constant) and optimize[0].value is False
+            ):
+                found.append((node.lineno, "einsum"))
+    return found
+
+
+def test_blas_scan_flags_each_form():
+    for line in ("y = k @ v", "y @= k", "y = np.dot(k, v)", "y = k.dot(v)",
+                 "y = np.matmul(k, v)", "y = np.vecdot(k, v)", "y = np.tensordot(k, v, 1)",
+                 "y = np.einsum('ij,j->i', k, v)", "y = np.einsum('ij,j->i', k, v, optimize=True)",
+                 "y = np.einsum('ij,j->i', k, v, optimize='greedy')"):
+        assert blas_calls(line), line
+    assert not blas_calls("y = np.einsum('ij,j->i', k, v, optimize=False) * dx")
+
+
+def test_kinetic_path_calls_no_blas():
+    # The thread-count tests do not catch a single-threaded BLAS gemv, so the
+    # kinetic path is held to direct sums by its source.
+    for module in (lattice, vlasov):
+        assert blas_calls(Path(module.__file__).read_text()) == [], module.__name__
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -333,6 +333,20 @@ def test_cauchy_estimate_check_zero_hierarchy():
     assert gl.cauchy_estimate_check(profile, 2, 1e300)
 
 
+def test_cauchy_estimate_check_extreme_radii_are_no_violations():
+    # r^2/2 underflows to 0, so the majorant is 0 and (e/r)^2 is inf: inf * 0
+    # was nan.  The weighted term (r^2/2) * 1 is that same 0.
+    assert gl.cauchy_estimate_check([0.0, 0.0, 1.0], 2, 1e-170)
+    # e^n overflows where the majorant is 0 as well
+    assert gl.cauchy_estimate_check([0.0] * 800 + [1.0], 800, 1e-3)
+    # (e/inf)^2 * inf was 0 * inf = nan; an infinite radius is now refused
+    with pytest.raises(InvalidArgumentError):
+        gl.cauchy_estimate_check([1.0, 1.0, 1.0], 2, math.inf)
+    for r in (math.inf, -math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(InvalidArgumentError):
+            gl.gf_upper_bound([1.0, 1.0], r)
+
+
 def test_cauchy_estimate_check_random_sweep():
     grid = gl.make_grid(4, 4.0)
     rng = np.random.default_rng(19)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import glauberlab as gl
@@ -69,6 +69,9 @@ def test_gaussian_potential_matches_direct_sums():
 
 
 def test_gaussian_tail_below_floor_is_zero_and_moves_no_convolution():
+    # The floor also narrows the band, so the floored convolution sums fewer
+    # terms in another order than the unfloored one: both are held to the
+    # oracle bound instead of to each other's bits.
     grid = gl.make_grid(512, 64.0)
     r = np.minimum(np.arange(512), 512 - np.arange(512)) * grid.spacing
     f = gl.GridField(grid, np.random.default_rng(5).uniform(0.05, 1.0, 512))
@@ -80,7 +83,9 @@ def test_gaussian_tail_below_floor_is_zero_and_moves_no_convolution():
         assert np.all(pot.values_by_displacement[floored] == 0.0)
         assert np.array_equal(pot.values_by_displacement[~floored], raw[~floored])
         unfloored = gl.potential_from_samples(grid, raw)
-        assert gl.convolve(pot, f).values.tobytes() == gl.convolve(unfloored, f).values.tobytes()
+        assert convolution_kernel(pot)[1].size < convolution_kernel(unfloored)[1].size
+        for p in (pot, unfloored):
+            _assert_within_oracle_bound(grid, raw, f.values, gl.convolve(p, f).values)
 
 
 def test_potential_rejects_negative_and_asymmetric():
@@ -166,6 +171,17 @@ def test_convolve_grid_mismatch():
         gl.convolve(pot, f)
 
 
+def _assert_within_oracle_bound(grid, samples, values, out):
+    """|out - oracle| <= 1e-14 * sum_y |phi(x-y) v(y)| dx at every site x."""
+    expected = convolve_oracle(samples, values, grid.spacing)
+    n = grid.n_sites
+    for x in range(n):
+        scale = math.fsum(
+            abs(samples[(x - y) % n] * values[y]) for y in range(n)
+        ) * grid.spacing
+        assert abs(out[x] - expected[x]) <= 1e-14 * scale, x
+
+
 @st.composite
 def convolution_case(draw):
     n = draw(st.integers(2, 64))
@@ -182,13 +198,51 @@ def convolution_case(draw):
 def test_convolve_matches_fsum_oracle(case):
     grid, samples, values = case
     out = gl.convolve(gl.potential_from_samples(grid, samples), gl.GridField(grid, values))
-    expected = convolve_oracle(samples, values, grid.spacing)
-    n = grid.n_sites
-    for x in range(n):
-        scale = math.fsum(
-            abs(samples[(x - y) % n] * values[y]) for y in range(n)
-        ) * grid.spacing
-        assert abs(out.values[x] - expected[x]) <= 1e-14 * scale
+    _assert_within_oracle_bound(grid, samples, values, out.values)
+
+
+def _compact_case(n, cutoff, edge, raw, values):
+    """Even samples cut to zero beyond min-image distance cutoff.
+
+    cutoff = -1 is the zero potential; the samples at distance cutoff are
+    set to edge > 0, so the support reaches exactly that distance.
+    """
+    distance = np.minimum(np.arange(n), n - np.arange(n))
+    raw = np.array(raw, dtype=np.float64)
+    samples = (raw + raw[(-np.arange(n)) % n]) / 2.0
+    samples[distance > cutoff] = 0.0
+    samples[distance == cutoff] = edge
+    return gl.make_grid(n, n / 4.0), samples, np.array(values, dtype=np.float64), cutoff
+
+
+@st.composite
+def compact_convolution_case(draw):
+    n = draw(st.integers(2, 64))
+    cutoff = draw(st.integers(-1, n // 2))
+    edge = draw(st.floats(1e-3, 10.0))
+    raw = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
+    values = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    return _compact_case(n, cutoff, edge, raw, values)
+
+
+def _edge_example(n, cutoff):
+    return example(case=_compact_case(n, cutoff, 0.9, np.linspace(0.5, 2.0, n),
+                                      np.linspace(-1.0, 1.5, n)))
+
+
+@_edge_example(8, -1)  # zero potential, B = 0
+@_edge_example(8, 0)  # one sample, B = 1
+@_edge_example(8, 4)  # full support through phi(N/2), B = N
+@_edge_example(7, 3)  # full support at odd N, B = N
+@settings(max_examples=200, deadline=None)
+@given(case=compact_convolution_case())
+def test_convolve_compact_support_matches_fsum_oracle(case):
+    grid, samples, values, cutoff = case
+    pot = gl.potential_from_samples(grid, samples)
+    out = gl.convolve(pot, gl.GridField(grid, values))
+    _assert_within_oracle_bound(grid, samples, values, out.values)
+    band = 0 if cutoff < 0 else min(2 * cutoff + 1, grid.n_sites)
+    assert convolution_kernel(pot)[1].size == band
 
 
 def _kinetic_kernel_and_values(n=512):
@@ -201,7 +255,7 @@ def _kinetic_kernel_and_values(n=512):
 def _copy_at_offset(arr, offset):
     """Copy arr into a fresh buffer starting offset bytes past its base."""
     buf = np.zeros(arr.nbytes + 64, dtype=np.uint8)
-    out = buf[offset:offset + arr.nbytes].view(np.float64).reshape(arr.shape)
+    out = buf[offset:offset + arr.nbytes].view(arr.dtype).reshape(arr.shape)
     out[...] = arr
     return out
 
@@ -212,9 +266,8 @@ def test_convolve_values_bits_ignore_alignment_and_repeats():
     for _ in range(3):
         assert convolve_values(kernel, values, dx).tobytes() == first
     for offset in range(8, 64, 8):
-        moved = convolve_values(
-            _copy_at_offset(kernel, offset), _copy_at_offset(values, offset), dx
-        )
+        moved_kernel = tuple(_copy_at_offset(part, offset) for part in kernel)
+        moved = convolve_values(moved_kernel, _copy_at_offset(values, offset), dx)
         assert moved.tobytes() == first, offset
 
 
@@ -235,33 +288,31 @@ KERNEL_SIZES = list(range(2, 40)) + [127, 128, 129, 255, 256, 512, 513]
 
 def _kernel_potentials(n):
     grid = gl.make_grid(n, n / 4.0)
-    return grid, [gl.gaussian_potential(grid, 0.5, 1.3), gl.tophat_potential(grid, 0.7, 2.0)]
+    full = np.full(n, 0.3)
+    return grid, [
+        gl.gaussian_potential(grid, 0.5, 1.3),
+        gl.tophat_potential(grid, 0.7, 2.0),
+        gl.zero_potential(grid),
+        gl.potential_from_samples(grid, full),  # phi(N/2) != 0 at even N
+    ]
 
 
-def test_convolution_kernel_view_equals_displacement_gather():
+def test_convolution_kernel_band_holds_every_nonzero_sample():
     for n in KERNEL_SIZES:
         grid, pots = _kernel_potentials(n)
+        sites = np.arange(n)
         for pot in pots:
-            kernel = convolution_kernel(pot)
-            gathered = pot.values_by_displacement[displacement_matrix(grid)]
-            assert kernel.shape == (n, n)
-            assert not kernel.flags.writeable
-            assert np.array_equal(kernel, gathered), n
-
-
-def test_convolve_values_view_and_contiguous_kernel_agree_bitwise():
-    rng = np.random.default_rng(23)
-    for n in KERNEL_SIZES:
-        grid, pots = _kernel_potentials(n)
-        for pot in pots:
-            kernel = convolution_kernel(pot)
-            dense = np.ascontiguousarray(kernel)
-            for _ in range(3):
-                values = rng.uniform(-1.0, 2.0, n)
-                assert (
-                    convolve_values(kernel, values, grid.spacing).tobytes()
-                    == convolve_values(dense, values, grid.spacing).tobytes()
-                ), n
+            index, weights = convolution_kernel(pot)
+            b = weights.size
+            assert b <= n and index.size == n + b - 1
+            assert np.array_equal(np.diff(index), np.ones(index.size - 1, dtype=index.dtype))
+            # weight j multiplies v at index[x + j], so row 0 reads columns index[:b]
+            columns = index[:b] % n
+            assert np.unique(columns).size == b, n
+            gathered = pot.values_by_displacement[displacement_matrix(grid)][0]
+            assert np.array_equal(weights, gathered[columns]), n
+            outside = np.setdiff1d(sites, columns)
+            assert np.all(gathered[outside] == 0.0), n
 
 
 def test_convolution_kernel_allocates_order_n_at_the_guard():
@@ -269,11 +320,10 @@ def test_convolution_kernel_allocates_order_n_at_the_guard():
     pot = gl.gaussian_potential(gl.make_grid(3162, 400.0), 0.5, 1.0)
     tracemalloc.start()
     try:
-        kernel = convolution_kernel(pot)
+        convolution_kernel(pot)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert kernel.shape == (3162, 3162)
     assert peak < 1_000_000
 
 
