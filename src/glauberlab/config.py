@@ -178,8 +178,12 @@ def build_initial_density(cfg: ExperimentConfig, grid: Grid) -> GridField:
     """Initial density level + cosine wobble; the level defaults to z."""
     level = cfg.z if math.isnan(cfg.initial_level) else cfg.initial_level
     positions = np.arange(grid.n_sites) * grid.spacing
+    # x and L scaled by one power of two, so 2 pi x cannot overflow; the
+    # scaling is exact, so the phase keeps its unscaled bits wherever
+    # those stay normal
+    e = math.frexp(grid.length)[1]
     values = level + cfg.initial_cosine_amplitude * np.cos(
-        2.0 * math.pi * positions / grid.length
+        2.0 * math.pi * np.ldexp(positions, -e) / math.ldexp(grid.length, -e)
     )
     if np.any(values < 0):
         raise ConfigError("initial density dips below zero; lower the wobble")

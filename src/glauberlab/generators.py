@@ -38,7 +38,7 @@ from .hierarchy import (
     variational_derivative_field,
     zero_hierarchy,
 )
-from .lattice import GridField, PairPotential, displacement_matrix, require_same_grid
+from .lattice import GridField, PairPotential, displacement_matrix, l1_norm, require_same_grid
 
 GLAUBER = 1.0
 VLASOV_LIMIT = 0.0
@@ -72,7 +72,7 @@ def _shift_matrices(pot, epsilon):
 def shift_bound_constants(pot, epsilon):
     """(c0, c1) with c0 = max_y a_x(y) and c1 = ||b_x||_1, both x-independent."""
     a_disp, b_disp = shift_displacement_tables(pot, epsilon)
-    return float(np.max(a_disp)), float(np.sum(np.abs(b_disp)) * pot.grid.spacing)
+    return float(np.max(a_disp)), l1_norm(b_disp, pot.grid.spacing)
 
 
 def apply_death(k: CorrelationHierarchy) -> CorrelationHierarchy:

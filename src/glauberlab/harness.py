@@ -3,8 +3,11 @@
 Each command takes a parsed ExperimentConfig and an output directory,
 writes CSV files (comma delimiter, header row, LF endings, floats via
 repr so reruns are byte-identical), and returns its headline numbers.
-Randomness is drawn from numpy's default_rng seeded by the config, so a
-(config, seed) pair pins every output bit.
+The small tables go through write_csv; the kinetic trajectory is written
+one formatted block per sample by write_trajectory_csv, with the bytes
+write_csv would give the same rows.  Randomness is drawn from numpy's
+default_rng seeded by the config, so a (config, seed) pair pins every
+output bit.
 """
 
 import math
@@ -20,7 +23,7 @@ from .config import (
     build_potential,
     build_scale_params,
 )
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NonfiniteStateError
 from .generators import (
     GLAUBER,
     VLASOV_LIMIT,
@@ -77,6 +80,24 @@ def write_csv(rows, path):
     with open(path, "w", newline="\n") as fh:
         for row in rows:
             fh.write(",".join([fmt(type(cell), _fmt)(cell) for cell in row]) + "\n")
+
+
+def write_trajectory_csv(trajectory, path):
+    """Write (t, values) samples as rows t,site_index,rho_value, one block per sample.
+
+    The bytes are those of write_csv on the per-row table.  The ",<site>,"
+    parts are laid out once per file as a %-template over the sites; each
+    sample fills it with repr(t) and the reprs of its values in one call.
+    """
+    n = len(trajectory[0][1])
+    template = "".join(["%%s,%d,%%r\n" % site for site in range(n)])
+    cells = [None] * (2 * n)
+    with open(path, "w", newline="\n") as fh:
+        fh.write("t,site_index,rho_value\n")
+        for t, values in trajectory:
+            cells[0::2] = (repr(float(t)),) * n
+            cells[1::2] = values.tolist()
+            fh.write(template % tuple(cells))
 
 
 def cmd_evolve(cfg: ExperimentConfig, out_dir, mode="auto") -> SolveReport:
@@ -158,11 +179,7 @@ def cmd_vlasov(cfg: ExperimentConfig, out_dir):
         analytic = cfg.z + (rho0.values - cfg.z) * math.exp(-cfg.t_final)
         closed_form_err = float(np.max(np.abs(final.values - analytic)))
 
-    rows = [["t", "site_index", "rho_value"]]
-    for t, values in trajectory:
-        for site, value in enumerate(values.tolist()):
-            rows.append([t, site, value])
-    write_csv(rows, os.path.join(out_dir, "vlasov_trajectory.csv"))
+    write_trajectory_csv(trajectory, os.path.join(out_dir, "vlasov_trajectory.csv"))
 
     summary = [["stationary_residual", "linf_bound_ok", "closed_form_max_error"]]
     summary.append(
@@ -320,6 +337,8 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir, n_cases=100):
     never raised.  Each case evaluates the death term once and the birth
     term once per distinct epsilon, and counts checks per distinct epsilon;
     the scale norm and all derivative checks read one max_abs_by_order scan.
+    Raises NonfiniteStateError when a case's weight exp(||theta||_1 / a')
+    overflows.
     """
     if n_cases < 1:
         raise InvalidArgumentError("n_cases must be at least 1")
@@ -353,7 +372,12 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir, n_cases=100):
         theta = GridField(grid, rng.uniform(-0.6, 0.6, size=grid.n_sites))
         profile = max_abs_by_order(k)
         big_k = scale_norm(profile, a_dprime)
-        weight = math.exp(field_l1_norm(theta) / a_prime)
+        exponent = field_l1_norm(theta) / a_prime
+        weight = exp_or_inf(exponent)
+        if weight == math.inf:  # the functional values it scales overflow too
+            raise NonfiniteStateError(
+                "test-function weight exp(||theta||_1 / a') = exp(%.3g) overflows" % exponent
+            )
 
         # the generator value as evaluate_generator_gf assembles it, bit for bit
         death = death_gf_term(k, theta)

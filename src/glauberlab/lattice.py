@@ -80,9 +80,15 @@ def zero_field(grid) -> GridField:
     return GridField(grid, np.zeros(grid.n_sites))
 
 
+def l1_norm(values, dx) -> float:
+    """sum |values| dx, inf where that overflows: an inf norm still bounds."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.abs(values)) * dx)
+
+
 def field_l1_norm(f: GridField) -> float:
     """Discrete L1 norm, sum |f| dx."""
-    return float(np.sum(np.abs(f.values)) * f.grid.spacing)
+    return l1_norm(f.values, f.grid.spacing)
 
 
 def field_linf_norm(f: GridField) -> float:
@@ -127,7 +133,7 @@ def potential_from_samples(grid, values) -> PairPotential:
         raise InvalidArgumentError(
             "potential must be even in displacement (asymmetry %.3g)" % worst
         )
-    norm_l1 = float(np.sum(np.abs(vals)) * grid.spacing)
+    norm_l1 = l1_norm(vals, grid.spacing)
     norm_linf = float(np.max(np.abs(vals)))
     return PairPotential(grid, vals, norm_l1, norm_linf)
 

@@ -56,11 +56,17 @@ class VlasovConfig:
             raise InvalidArgumentError("sample_stride must be at least 1")
 
 
+def _rhs(kernel, values, z, dx):
+    """-v + z exp(-(phi * v)) on raw values, phi given by its convolution kernel."""
+    return -values + z * np.exp(-convolve_values(kernel, values, dx))
+
+
 def vlasov_rhs(rho: GridField, z, pot: PairPotential) -> GridField:
     """Right-hand side -rho + z exp(-(phi * rho))."""
     require_same_grid(rho, pot)
-    conv = convolve_values(convolution_kernel(pot), rho.values, pot.grid.spacing)
-    return GridField(rho.grid, -rho.values + z * np.exp(-conv))
+    with np.errstate(over="ignore"):  # an overflowing phi * rho is inf, its exp the right 0
+        values = _rhs(convolution_kernel(pot), rho.values, z, pot.grid.spacing)
+    return GridField(rho.grid, values)
 
 
 def integrate(rho0: GridField, cfg: VlasovConfig, pot: PairPotential):
@@ -86,7 +92,7 @@ def integrate(rho0: GridField, cfg: VlasovConfig, pot: PairPotential):
     z = cfg.z
 
     def rhs(values):
-        return -values + z * np.exp(-convolve_values(kernel, values, dx))
+        return _rhs(kernel, values, z, dx)
 
     def step(values, h):
         if cfg.scheme == "euler":

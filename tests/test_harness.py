@@ -25,6 +25,7 @@ from glauberlab.harness import (
     cmd_verify_bounds,
     cmd_vlasov,
     write_csv,
+    write_trajectory_csv,
 )
 
 from helpers import child_env, write_csv_oracle
@@ -64,6 +65,72 @@ def test_write_csv_matches_per_cell_fmt_oracle(tmp_path, rows):
     write_csv(rows, tmp_path / "fast.csv")
     write_csv_oracle(rows, tmp_path / "oracle.csv")
     assert read(tmp_path / "fast.csv") == read(tmp_path / "oracle.csv")
+
+
+def per_row_table(trajectory):
+    """The trajectory as write_csv's table: a header, then one row per sample and site."""
+    rows = [["t", "site_index", "rho_value"]]
+    for t, values in trajectory:
+        rows += [[t, site, value] for site, value in enumerate(values.tolist())]
+    return rows
+
+
+def assert_trajectory_matches_oracle(tmp_path, trajectory):
+    write_trajectory_csv(trajectory, tmp_path / "fast.csv")
+    write_csv_oracle(per_row_table(trajectory), tmp_path / "oracle.csv")
+    assert read(tmp_path / "fast.csv") == read(tmp_path / "oracle.csv")
+
+
+_EDGE_VALUES = [-0.0, 5e-324, 1e-05, 1e16, sys.float_info.max]
+
+
+def _integrated(n_sites, t_final, dt, sample_stride):
+    grid = gl.make_grid(n_sites, float(n_sites))
+    pot = gl.gaussian_potential(grid, 0.5, 1.0)
+    rho0 = gl.GridField(grid, 0.5 + 0.1 * np.cos(np.arange(n_sites)))
+    cfg = vlasov.VlasovConfig(z=0.5, dt=dt, t_final=t_final, sample_stride=sample_stride)
+    return vlasov.integrate(rho0, cfg, pot)[1]
+
+
+_TRAJECTORIES = {
+    # 0.3 does not divide 1.0: the last sample sits at t_final after a remainder step
+    "n2-remainder-step": lambda: _integrated(2, 1.0, 0.3, 1),
+    "n3-stride-beyond-steps": lambda: _integrated(3, 0.5, 0.1, 50),
+    "n512-integrated": lambda: _integrated(512, 0.2, 0.01, 5),
+    "n2-float64-t-edge-values": lambda: [
+        (np.float64(0.1) * 3, np.array(_EDGE_VALUES[:2])),
+        (np.float64(1e16), np.array(_EDGE_VALUES[3:])),
+    ],
+    "n3-edge-values": lambda: [
+        (0.0, np.array(_EDGE_VALUES[:3])),
+        (1e-05, np.array(_EDGE_VALUES[2:])),
+    ],
+    "n512-edge-values": lambda: [
+        (t, np.resize(np.array(_EDGE_VALUES), 512) * sign)
+        for t, sign in ((0.0, 1.0), (np.float64(2.5), -1.0), (sys.float_info.max, 1.0))
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TRAJECTORIES))
+def test_write_trajectory_csv_matches_per_row_oracle(tmp_path, case):
+    trajectory = _TRAJECTORIES[case]()
+    assert_trajectory_matches_oracle(tmp_path, trajectory)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n_sites=st.integers(1, 12),
+    samples=st.lists(st.tuples(_FINITE, st.lists(_FINITE, min_size=12, max_size=12)),
+                     min_size=1, max_size=4),
+)
+def test_write_trajectory_csv_matches_per_row_oracle_property(tmp_path, n_sites, samples):
+    trajectory = [(t, np.array(values[:n_sites])) for t, values in samples]
+    assert_trajectory_matches_oracle(tmp_path, trajectory)
 
 
 def test_cmd_evolve_equilibrium_rows_repeat(tmp_path):
@@ -540,6 +607,17 @@ def run_default_with(tmp_path, line, command):
         # a substep of one whole radius ended in radius-exceeded on its first solve
         ("time.substep_fraction = 1.0\ntime.t_final = 1.0", ["evolve", "--mode", "global"], 5,
          "", "error: parse-error: time.substep_fraction must lie in (0, 1)\n"),
+        # math.exp of ||theta||_1 / a' raised a raw OverflowError
+        ("grid.length = 1e300", ["verify-bounds", "--cases", "20"], 4, "",
+         "error: nonfinite-state: test-function weight exp(||theta||_1 / a')"
+         " = exp(5.88e+299) overflows\n"),
+        # numpy overflow RuntimeWarnings: the potential's L1 norm, and 2 pi x
+        # in the initial density's cosine
+        ("potential.amplitude = 1.7976931348623157e308\npotential.width = 7",
+         ["scaling-study"], 2, "",
+         "error: radius-exceeded: t=0.05 outside the guaranteed interval [0, 0)\n"),
+        ("grid.length = 1.7976931348623157e308\nmodel.z = 1e300", ["evolve"], 4, "",
+         "error: nonfinite-state: product state of order 3 has non-finite entries\n"),
     ],
 )
 def test_cli_extreme_model_values_end_cleanly(tmp_path, capsys, line, command, status, out, err):
@@ -558,6 +636,12 @@ def test_cli_extreme_model_values_end_cleanly(tmp_path, capsys, line, command, s
         ("grid.length = 1e300", ["vlasov"], "vlasov: residual=0.475615 bound=pass\n"),
         ("potential.amplitude = 1e308", ["verify-bounds", "--cases", "20"],
          "verify-bounds: violations=0\n"),
+        # overflow in the potential's L1 norm, then in the shift constant ||b||_1
+        ("potential.amplitude = 1.7976931348623157e308\npotential.width = 7",
+         ["verify-bounds", "--cases", "20"], "verify-bounds: violations=0\n"),
+        # overflow in 2 pi x of the initial cosine, then in phi * rho of the residual
+        ("grid.length = 1.7976931348623157e308\nmodel.z = 1e300", ["vlasov"],
+         "vlasov: residual=9.51229e+299 bound=pass\n"),
     ],
 )
 def test_cli_extreme_potentials_warn_nothing(tmp_path, line, command, out):
