@@ -4,7 +4,8 @@ Subcommands: evolve, vlasov, scaling-study, chaos-check, verify-bounds.
 Global flags --config PATH, --out DIR, --seed N.  Failures print a
 machine-readable `error: <code>: <message>` line on stderr and exit with
 the documented status: 2 radius-exceeded, 3 ruelle-violated,
-4 nonfinite-state, 5 parse-error, 1 anything else.
+4 nonfinite-state, 5 parse-error, 1 anything else.  Usage errors are
+invalid-argument (status 1); -h prints help and exits 0.
 """
 
 import argparse
@@ -32,8 +33,15 @@ EXIT_CODES = {
 DEFAULT_EPSILONS = "0.4,0.2,0.1,0.05"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as invalid-argument instead of argparse's usage text and status 2."""
+
+    def error(self, message):
+        raise InvalidArgumentError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="glauberlab",
         description="Birth-and-death hierarchy evolution and mean-field scaling runs.",
     )
@@ -65,8 +73,8 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = parse_config(args.config) if args.config else ExperimentConfig()
         if args.seed is not None:
             if args.seed < 0:

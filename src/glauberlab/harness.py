@@ -8,6 +8,10 @@ one formatted block per sample by write_trajectory_csv, with the bytes
 write_csv would give the same rows.  Randomness is drawn from numpy's
 default_rng seeded by the config, so a (config, seed) pair pins every
 output bit.
+
+Every command that evolves a hierarchy calls _evolve, the one place that
+chooses a local solve or global continuation: evolve passes its --mode,
+scaling-study "local" for every run, chaos-check "global".
 """
 
 import math
@@ -35,6 +39,7 @@ from .generators import (
     vlasov_gap_bound,
 )
 from .hierarchy import (
+    _pow_or_inf,
     cauchy_estimate_check,
     evaluate_gf,
     exponential_hierarchy,
@@ -67,19 +72,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# exact types only: bool, numpy scalars and subclasses fall back to _fmt
-_FORMATTERS = {float: float.__repr__, int: int.__repr__, str: str}
-
-
 def write_csv(rows, path):
-    """Write rows (first row is the header) with LF endings and repr floats.
-
-    A cell whose exact type is in _FORMATTERS skips _fmt, with the same text.
-    """
-    fmt = _FORMATTERS.get
+    """Write rows (first row is the header) with LF endings and repr floats."""
     with open(path, "w", newline="\n") as fh:
         for row in rows:
-            fh.write(",".join([fmt(type(cell), _fmt)(cell) for cell in row]) + "\n")
+            fh.write(",".join([_fmt(cell) for cell in row]) + "\n")
 
 
 def write_trajectory_csv(trajectory, path):
@@ -100,39 +97,37 @@ def write_trajectory_csv(trajectory, path):
             fh.write(template % tuple(cells))
 
 
-def cmd_evolve(cfg: ExperimentConfig, out_dir, mode="auto") -> SolveReport:
-    """Evolve the product state with density from the config.
+def _evolve(cfg: ExperimentConfig, params, pot, epsilon, u0, mode) -> SolveReport:
+    """Evolve u0 to cfg.t_final under the generator at epsilon.
 
-    mode "local" forces a single guarded solve at the configured scale
-    indices, "global" forces envelope-based continuation, "auto" picks
-    local when t_final fits inside one step radius.  Writes per-step state
-    and solver diagnostics plus the final hierarchy snapshot.
+    mode "local" is one guarded solve at the configured scale indices,
+    "global" envelope-based continuation, and "auto" is local iff t_final
+    lies inside the configured step radius (alpha0 - alpha)/(e M).
     """
     if mode not in ("auto", "local", "global"):
         raise InvalidArgumentError("mode must be auto, local or global")
+    if mode == "auto":
+        radius = step_radius(norm_bound_M(params, pot), params.alpha, params.alpha0)
+        mode = "local" if cfg.t_final < radius else "global"
+    if mode == "local":
+        return solve_local(params, pot, epsilon, u0, cfg.t_final, cfg.m_max, cfg.tol)
+    return evolve_global(
+        params, pot, u0, cfg.t_final, substep_fraction=cfg.substep_fraction,
+        m_max=cfg.m_max, tol=cfg.tol, epsilon=epsilon,
+    )
+
+
+def cmd_evolve(cfg: ExperimentConfig, out_dir, mode="auto") -> SolveReport:
+    """Evolve the product state with density from the config (mode as in _evolve).
+
+    Writes per-step state and solver diagnostics plus the final hierarchy
+    snapshot.
+    """
     grid = build_grid(cfg)
     pot = build_potential(cfg, grid)
     params = build_scale_params(cfg)
-    rho0 = build_initial_density(cfg, grid)
-    u0 = exponential_hierarchy(rho0, cfg.n_max)
-
-    radius = step_radius(norm_bound_M(params, pot), params.alpha, params.alpha0)
-    go_local = mode == "local" or (mode == "auto" and cfg.t_final < radius)
-    if go_local:
-        report = solve_local(
-            params, pot, cfg.epsilon, u0, cfg.t_final, cfg.m_max, cfg.tol
-        )
-    else:
-        report = evolve_global(
-            params,
-            pot,
-            u0,
-            cfg.t_final,
-            substep_fraction=cfg.substep_fraction,
-            m_max=cfg.m_max,
-            tol=cfg.tol,
-            epsilon=cfg.epsilon,
-        )
+    u0 = exponential_hierarchy(build_initial_density(cfg, grid), cfg.n_max)
+    report = _evolve(cfg, params, pot, cfg.epsilon, u0, mode)
 
     state_rows = [["t", "n", "max_abs", "scale_norm", "ruelle_margin"]]
     for record in [step_record(0.0, u0, cfg.z, report.alpha)] + report.steps:
@@ -143,16 +138,10 @@ def cmd_evolve(cfg: ExperimentConfig, out_dir, mode="auto") -> SolveReport:
     write_csv(state_rows, os.path.join(out_dir, "evolve_state.csv"))
 
     step_rows = [["t", "terms_used", "tail_estimate", "ruelle_margin", "scale_norm"]]
-    for record in report.steps:
-        step_rows.append(
-            [
-                record.time,
-                record.terms_used,
-                record.tail_estimate,
-                record.ruelle_margin,
-                record.scale_norm,
-            ]
-        )
+    step_rows += [
+        [r.time, r.terms_used, r.tail_estimate, r.ruelle_margin, r.scale_norm]
+        for r in report.steps
+    ]
     write_csv(step_rows, os.path.join(out_dir, "evolve_steps.csv"))
     save_hierarchy(report.solution, os.path.join(out_dir, "hierarchy_final.txt"))
     return report
@@ -223,12 +212,8 @@ def cmd_scaling_study(cfg: ExperimentConfig, out_dir, epsilons) -> ScalingStudyR
     grid = build_grid(cfg)
     pot = build_potential(cfg, grid)
     params = build_scale_params(cfg)
-    rho0 = build_initial_density(cfg, grid)
-    u0 = exponential_hierarchy(rho0, cfg.n_max)
-
-    limit_run = solve_local(
-        params, pot, VLASOV_LIMIT, u0, cfg.t_final, cfg.m_max, cfg.tol
-    ).solution
+    u0 = exponential_hierarchy(build_initial_density(cfg, grid), cfg.n_max)
+    limit_run = _evolve(cfg, params, pot, VLASOV_LIMIT, u0, "local").solution
 
     rng = np.random.default_rng(cfg.seed)
     thetas = [
@@ -240,9 +225,7 @@ def cmd_scaling_study(cfg: ExperimentConfig, out_dir, epsilons) -> ScalingStudyR
 
     gaps = []
     for eps in eps_list:
-        run = solve_local(
-            params, pot, eps, u0, cfg.t_final, cfg.m_max, cfg.tol
-        ).solution
+        run = _evolve(cfg, params, pot, eps, u0, "local").solution
         gap = max(
             abs(evaluate_gf(run, theta) - ref) * w
             for theta, ref, w in zip(thetas, limit_values, weights)
@@ -287,17 +270,7 @@ def cmd_chaos_check(cfg: ExperimentConfig, out_dir):
             % (coupling, CHAOS_COUPLING_CAP)
         )
     u0 = exponential_hierarchy(rho0, cfg.n_max)
-    report = evolve_global(
-        params,
-        pot,
-        u0,
-        cfg.t_final,
-        substep_fraction=cfg.substep_fraction,
-        m_max=cfg.m_max,
-        tol=cfg.tol,
-        epsilon=VLASOV_LIMIT,
-    )
-    evolved = report.solution
+    evolved = _evolve(cfg, params, pot, VLASOV_LIMIT, u0, "global").solution
     vcfg = VlasovConfig(z=cfg.z, dt=cfg.dt, scheme=cfg.scheme, t_final=cfg.t_final)
     rho_t, _ = integrate(rho0, vcfg, pot)
 
@@ -338,7 +311,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir, n_cases=100):
     term once per distinct epsilon, and counts checks per distinct epsilon;
     the scale norm and all derivative checks read one max_abs_by_order scan.
     Raises NonfiniteStateError when a case's weight exp(||theta||_1 / a')
-    overflows.
+    or its power ||theta||_1^n_max overflows.
     """
     if n_cases < 1:
         raise InvalidArgumentError("n_cases must be at least 1")
@@ -372,12 +345,16 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir, n_cases=100):
         theta = GridField(grid, rng.uniform(-0.6, 0.6, size=grid.n_sites))
         profile = max_abs_by_order(k)
         big_k = scale_norm(profile, a_dprime)
-        exponent = field_l1_norm(theta) / a_prime
+        l1 = field_l1_norm(theta)
+        exponent = l1 / a_prime
         weight = exp_or_inf(exponent)
         if weight == math.inf:  # the functional values it scales overflow too
             raise NonfiniteStateError(
                 "test-function weight exp(||theta||_1 / a') = exp(%.3g) overflows" % exponent
             )
+        if _pow_or_inf(l1, cfg.n_max) == math.inf:  # scales B's top order, which overflows too
+            raise NonfiniteStateError("test-function power ||theta||_1^n_max = %.3g^%d overflows"
+                                      % (l1, cfg.n_max))
 
         # the generator value as evaluate_generator_gf assembles it, bit for bit
         death = death_gf_term(k, theta)

@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 import glauberlab as gl
 from glauberlab import generators, harness, hierarchy, lattice, vlasov
 from glauberlab.cli import EXIT_CODES, main
-from glauberlab.config import ExperimentConfig, parse_config
+from glauberlab.config import (
+    ExperimentConfig,
+    build_grid,
+    build_initial_density,
+    build_potential,
+    build_scale_params,
+    parse_config,
+)
 from glauberlab.harness import (
     cmd_chaos_check,
     cmd_evolve,
@@ -151,12 +158,40 @@ def test_cmd_evolve_equilibrium_rows_repeat(tmp_path):
 def test_cmd_evolve_zero_time_snapshot_equals_input(tmp_path):
     cfg = replace(ExperimentConfig(), t_final=0.0)
     cmd_evolve(cfg, tmp_path)
-    from glauberlab.config import build_grid, build_initial_density
-
     grid = build_grid(cfg)
     u0 = gl.exponential_hierarchy(build_initial_density(cfg, grid), cfg.n_max)
     loaded = gl.load_hierarchy(tmp_path / "hierarchy_final.txt")
     assert gl.max_abs_difference(loaded, u0) == 0.0
+
+
+def evolve_outputs(tmp_path, cfg, mode):
+    out = tmp_path / mode
+    out.mkdir(parents=True)
+    cmd_evolve(cfg, out, mode=mode)
+    return {name: read(out / name) for name in sorted(os.listdir(out))}
+
+
+def test_cmd_evolve_auto_is_local_iff_t_final_fits_the_radius(tmp_path):
+    cfg = ExperimentConfig()
+    params = build_scale_params(cfg)
+    pot = build_potential(cfg, build_grid(cfg))
+    radius = gl.step_radius(gl.norm_bound_M(params, pot), params.alpha, params.alpha0)
+
+    inside = replace(cfg, t_final=math.nextafter(radius, 0.0))
+    local = evolve_outputs(tmp_path / "in", inside, "local")
+    assert evolve_outputs(tmp_path / "in", inside, "auto") == local
+    assert evolve_outputs(tmp_path / "in", inside, "global") != local
+
+    outside = replace(cfg, t_final=math.nextafter(radius, math.inf))
+    with pytest.raises(gl.RadiusExceededError):
+        cmd_evolve(outside, tmp_path, mode="local")
+    assert evolve_outputs(tmp_path / "out", outside, "auto") == (
+        evolve_outputs(tmp_path / "out", outside, "global")
+    )
+
+    with pytest.raises(gl.InvalidArgumentError, match="mode must be auto, local or global"):
+        cmd_evolve(cfg, tmp_path / "bogus", mode="bogus")
+    assert not (tmp_path / "bogus").exists()
 
 
 def test_cmd_vlasov_closed_form_and_contraction(tmp_path):
@@ -197,13 +232,6 @@ def test_cmd_scaling_study_epsilon_one_equals_plain_gap(tmp_path):
     # coincide with an independently computed plain-vs-limit gap.
     cfg = ExperimentConfig()
     result = cmd_scaling_study(cfg, tmp_path, [1.0, 0.5])
-    from glauberlab.config import (
-        build_grid,
-        build_initial_density,
-        build_potential,
-        build_scale_params,
-    )
-
     grid = build_grid(cfg)
     pot = build_potential(cfg, grid)
     params = build_scale_params(cfg)
@@ -483,6 +511,36 @@ def test_kinetic_path_calls_no_blas():
         assert blas_calls(Path(module.__file__).read_text()) == [], module.__name__
 
 
+POLICY_NAMES = {"solve_local", "evolve_global", "step_radius"}
+
+
+def policy_namers(source):
+    """Top-level functions of source (or "<module>") that name a solver entry point
+    or the step radius outside an import."""
+    namers = set()
+    for top in ast.parse(source).body:
+        if isinstance(top, (ast.Import, ast.ImportFrom)):
+            continue
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name in POLICY_NAMES:
+                namers.add(owner)
+    return namers
+
+
+def test_policy_scan_flags_each_form():
+    assert policy_namers("def cmd_a(p):\n    return solve_local(p)") == {"cmd_a"}
+    assert policy_namers("def cmd_b(p):\n    return solver.evolve_global(p)") == {"cmd_b"}
+    assert policy_namers("radius = step_radius(1.0, 0.5, 1.0)") == {"<module>"}
+    assert policy_namers("from .solver import solve_local, step_radius") == set()
+
+
+def test_one_function_chooses_the_evolution():
+    # a second caller would be a second auto / local / global policy
+    assert policy_namers(Path(harness.__file__).read_text()) == {"_evolve"}
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.conf"
     bad.write_text("model.zz = 1\n")
@@ -512,6 +570,29 @@ def test_cli_exit_codes(tmp_path, capsys):
         "time.t_final = 2.0\nvlasov.dt = 1.0\n"
     )
     assert main(["--config", str(blowup), "--out", str(tmp_path / "o4"), "vlasov"]) == 4
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["evolve", "--mode", "bogus"],
+         "argument --mode: invalid choice: 'bogus' (choose from 'auto', 'local', 'global')"),
+        (["verify-bounds", "--cases", "x"], "argument --cases: invalid int value: 'x'"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_cli_usage_errors_are_invalid_argument(tmp_path, capsys, argv, message):
+    # argparse printed its usage text and exited 2, the status of radius-exceeded
+    assert main(["--out", str(tmp_path / "o")] + argv) == 1
+    assert capsys.readouterr() == ("", "error: invalid-argument: %s\n" % message)
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["evolve", "-h"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: glauberlab evolve")
 
 
 @pytest.mark.parametrize(
@@ -618,6 +699,11 @@ def run_default_with(tmp_path, line, command):
          "error: radius-exceeded: t=0.05 outside the guaranteed interval [0, 0)\n"),
         ("grid.length = 1.7976931348623157e308\nmodel.z = 1e300", ["evolve"], 4, "",
          "error: nonfinite-state: product state of order 3 has non-finite entries\n"),
+        # a huge a' kept the weight finite; theta dx overflowed in the variational
+        # derivative, warned in death_gf_term and died on inf - inf in fsum
+        ("grid.length = 1e300\nsolver.alpha0 = 1e308", ["verify-bounds", "--cases", "20"], 4, "",
+         "error: nonfinite-state: test-function power ||theta||_1^n_max = 3.24e+299^3"
+         " overflows\n"),
     ],
 )
 def test_cli_extreme_model_values_end_cleanly(tmp_path, capsys, line, command, status, out, err):
