@@ -182,9 +182,10 @@ def build_initial_density(cfg: ExperimentConfig, grid: Grid) -> GridField:
     # scaling is exact, so the phase keeps its unscaled bits wherever
     # those stay normal
     e = math.frexp(grid.length)[1]
-    values = level + cfg.initial_cosine_amplitude * np.cos(
-        2.0 * math.pi * np.ldexp(positions, -e) / math.ldexp(grid.length, -e)
-    )
+    with np.errstate(over="ignore"):  # an overflowing sum is GridField's invalid-argument
+        values = level + cfg.initial_cosine_amplitude * np.cos(
+            2.0 * math.pi * np.ldexp(positions, -e) / math.ldexp(grid.length, -e)
+        )
     if np.any(values < 0):
         raise ConfigError("initial density dips below zero; lower the wobble")
     return GridField(grid, values)

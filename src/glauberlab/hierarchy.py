@@ -201,11 +201,19 @@ def _contract_trailing(tensor, rows, count):
     return out
 
 
+def _fsum_or_nan(terms) -> float:
+    """math.fsum, or nan where it raises on inf - inf or on a sum past the largest double."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
 def evaluate_gf_rows(k: CorrelationHierarchy, rows):
     """B(theta) for every row theta of `rows` (shape (R, N)), as a list of floats.
 
     Each row's order contributions are combined with math.fsum, so every
-    value is correctly rounded.
+    value is correctly rounded; a value that overflows is nan.
     """
     dx = k.grid.spacing
     per_order = []
@@ -216,7 +224,7 @@ def evaluate_gf_rows(k: CorrelationHierarchy, rows):
         per_order.append(
             [weight * v for v in _contract_trailing(tensor, rows, n).tolist()]
         )
-    return [math.fsum(terms) for terms in zip(*per_order)]
+    return [_fsum_or_nan(terms) for terms in zip(*per_order)]
 
 
 def evaluate_gf(k: CorrelationHierarchy, theta: GridField) -> float:
@@ -265,11 +273,14 @@ def substitute_affine_rows(k: CorrelationHierarchy, a_rows, b_rows, top):
     row = [np.broadcast_to(t, batch + t.shape) for t in k.tensors]
     acc = [r.copy() for r in row[: top + 1]]
     weight = 1.0
+    nxt = [_contract_last(r, b_rows) for r in row[1:]]
     for j in range(1, nm + 1):
         weight *= dx / j
-        row = [_contract_last(row[p + 1], b_rows) for p in range(nm - j + 1)]
+        # row j+1 is contracted from row j before row j is weighted in place
+        row, nxt = nxt, [_contract_last(r, b_rows) for r in nxt[1:]]
         for m in range(min(top, nm - j) + 1):
-            acc[m] += weight * row[m]
+            row[m] *= weight
+            acc[m] += row[m]
     del row
     for m in range(1, top + 1):
         for axis in range(m):
@@ -399,8 +410,12 @@ def max_abs_difference(k1, k2) -> float:
 
 
 def max_abs_by_order(k: CorrelationHierarchy):
-    """The profile [max|k_0|, .., max|k_{n_max}|] that the scale-norm family reads."""
-    return [float(np.max(np.abs(t))) for t in k.tensors]
+    """The profile [max|k_0|, .., max|k_{n_max}|] that the scale-norm family reads.
+
+    Two reductions per order and no |k_n| temporary; the outer abs turns the
+    -0.0 of an all-zero order, and a negative nan, into what np.abs gives.
+    """
+    return [abs(float(max(t.max(), -t.min()))) for t in k.tensors]
 
 
 def save_hierarchy(k: CorrelationHierarchy, path):

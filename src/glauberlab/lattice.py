@@ -44,13 +44,16 @@ class Grid:
 def make_grid(n_sites, length) -> Grid:
     """Build a grid with spacing length/n_sites.
 
-    Requires n_sites >= 2 and a finite length > 0.
+    Requires n_sites >= 2 and a finite length > 0 whose spacing does not
+    underflow to 0.
     """
     if int(n_sites) != n_sites or n_sites < 2:
         raise InvalidArgumentError("n_sites must be an integer >= 2, got %r" % (n_sites,))
     if not (0 < length < np.inf):
         raise InvalidArgumentError("length must be finite and positive, got %r" % (length,))
     n = int(n_sites)
+    if float(length) / n == 0:
+        raise InvalidArgumentError("spacing %r / %d underflows to 0" % (length, n))
     return Grid(n, float(length), float(length) / n)
 
 

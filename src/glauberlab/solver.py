@@ -99,22 +99,32 @@ def taylor_evolve(apply, u0, t, m_max, tol, norm_alpha=1.0) -> SolveReport:
     The stopping norm is scale_norm at norm_alpha; tail_estimate is the
     norm of the last added term.  Raises ConvergenceError when m_max terms
     did not reach tol.
+
+    Each term apply(term) is scaled by t/m in place, so apply must not keep
+    the arrays it returns.  A read-only array, or one that shares memory with
+    apply's argument (lambda h: h, say), is scaled into a new array instead,
+    so u0 is never changed.
     """
     if t < 0:
         raise InvalidArgumentError("t must be non-negative")
     if m_max < 1:
         raise InvalidArgumentError("m_max must be at least 1")
-    u = u0.copy()
+    # u0 was validated when it was built; intermediates skip the constructor's
+    # finiteness scan too: a term is scanned only when its norm is not
+    # finite, the accepted sum once.
+    u = CorrelationHierarchy._trusted(u0.grid, [x.copy() for x in u0.tensors])
     if t == 0.0:
         return SolveReport(u, 0, 0.0, math.inf, norm_alpha)
     term = u0
-    # Intermediates skip the constructor's finiteness scan: a term is scanned
-    # only when its norm is not finite, the accepted sum once.
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, m_max + 1):
-            term = CorrelationHierarchy._trusted(
-                u0.grid, [(t / m) * x for x in apply(term).tensors]
-            )
+            scaled = []
+            for x in apply(term).tensors:
+                owned = x.flags.writeable and not any(
+                    np.may_share_memory(x, y) for y in term.tensors
+                )
+                scaled.append(np.multiply(x, t / m, out=x if owned else None))
+            term = CorrelationHierarchy._trusted(u0.grid, scaled)
             for acc, x in zip(u.tensors, term.tensors):
                 acc += x
             tail = scale_norm(max_abs_by_order(term), norm_alpha)

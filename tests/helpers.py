@@ -20,7 +20,12 @@ import scipy.linalg
 
 import glauberlab
 from glauberlab.errors import GlauberLabError, InvalidArgumentError, MemoryGuardError
-from glauberlab.generators import apply_generator, shift_displacement_tables
+from glauberlab.generators import (
+    apply_birth,
+    apply_death,
+    apply_generator,
+    shift_displacement_tables,
+)
 from glauberlab.harness import _fmt
 from glauberlab.hierarchy import (
     MEMORY_GUARD_ENTRIES,
@@ -31,6 +36,24 @@ from glauberlab.hierarchy import (
 from glauberlab.lattice import GridField, displacement_matrix, require_same_grid
 
 FD_STEP = 1e-5
+
+# Valid range of every float key, as (min, max, exclude_min, exclude_max);
+# solver.alpha and solver.alpha0 are bounded by the other's default.
+FLOAT_RANGES = {
+    "grid.length": (0.0, None, True, False),
+    "potential.amplitude": (0.0, None, False, False),
+    "potential.width": (0.0, None, True, False),
+    "model.z": (0.0, None, True, False),
+    "model.epsilon": (0.0, None, False, False),
+    "solver.alpha": (0.0, 1.0, True, True),
+    "solver.alpha0": (0.5, None, True, False),
+    "solver.tol": (0.0, None, True, False),
+    "time.t_final": (0.0, None, False, False),
+    "time.substep_fraction": (0.0, 1.0, True, True),
+    "vlasov.dt": (0.0, None, True, False),
+    "initial.level": (0.0, None, False, False),
+    "initial.cosine_amplitude": (0.0, None, False, False),
+}
 
 
 class PrecisionLossError(GlauberLabError):
@@ -193,6 +216,17 @@ def plain_glauber_generator_oracle(k, params, pot):
     tensors = [params.z * b - n * t for n, (t, b) in enumerate(zip(k.tensors, birth))]
     tensors[0] = np.array(0.0)
     return tensors
+
+
+def apply_generator_formula(k, params, pot, epsilon):
+    """Generator tensors as z * birth - death, one new array per operation.
+
+    The formula apply_generator computed before it worked in place; both
+    must give the same bits, signed zeros included.
+    """
+    death = apply_death(k).tensors
+    birth = apply_birth(k, pot, epsilon).tensors
+    return [np.array(0.0)] + [params.z * b - d for d, b in zip(death[1:], birth[1:])]
 
 
 def birth_gf_term_oracle(k, theta_values, pot, epsilon) -> float:

@@ -19,6 +19,8 @@ from glauberlab.config import (
 )
 from glauberlab.errors import ConfigError
 
+from helpers import FLOAT_RANGES
+
 
 def write(tmp_path, text):
     path = tmp_path / "run.conf"
@@ -136,25 +138,6 @@ def test_missing_files_surface_as_config_errors(tmp_path):
     )
     with pytest.raises(ConfigError):
         build_potential(cfg, build_grid(cfg))
-
-
-# Valid range of every float key, as (min, max, exclude_min, exclude_max);
-# solver.alpha and solver.alpha0 are bounded by the other's default.
-FLOAT_RANGES = {
-    "grid.length": (0.0, None, True, False),
-    "potential.amplitude": (0.0, None, False, False),
-    "potential.width": (0.0, None, True, False),
-    "model.z": (0.0, None, True, False),
-    "model.epsilon": (0.0, None, False, False),
-    "solver.alpha": (0.0, 1.0, True, True),
-    "solver.alpha0": (0.5, None, True, False),
-    "solver.tol": (0.0, None, True, False),
-    "time.t_final": (0.0, None, False, False),
-    "time.substep_fraction": (0.0, 1.0, True, True),
-    "vlasov.dt": (0.0, None, True, False),
-    "initial.level": (0.0, None, False, False),
-    "initial.cosine_amplitude": (0.0, None, False, False),
-}
 
 
 def test_float_ranges_cover_every_float_key():

@@ -704,6 +704,25 @@ def run_default_with(tmp_path, line, command):
         ("grid.length = 1e300\nsolver.alpha0 = 1e308", ["verify-bounds", "--cases", "20"], 4, "",
          "error: nonfinite-state: test-function power ||theta||_1^n_max = 3.24e+299^3"
          " overflows\n"),
+        # found by test_cli_fuzz.py: the level plus the wobble overflowed with a
+        # numpy RuntimeWarning before the field check
+        ("initial.level = 1.7976931348623157e308\ninitial.cosine_amplitude = 1e300", ["evolve"],
+         1, "", "error: invalid-argument: field values must be finite\n"),
+        # phi * rho_0 overflowed with a RuntimeWarning before the coupling cap
+        ("truncation.n_max = 4\ngrid.length = 1e300\ninitial.level = 1e300", ["chaos-check"],
+         1, "", "error: invalid-argument: ||phi * rho_0||_inf = inf exceeds the 0.2 cap"
+         " the check assumes\n"),
+        # a spacing of 0 ran every command on a grid whose integrals all vanish
+        ("grid.length = 5e-324", ["evolve"], 1, "",
+         "error: invalid-argument: spacing 5e-324 / 8 underflows to 0\n"),
+        # functional values past the largest double: inf - inf raised a raw
+        # ValueError in math.fsum; they now overflow as the bounds they meet do
+        ("model.z = 1.7976931348623157e308\ntruncation.n_max = 1\ninitial.level = 0.0",
+         ["verify-bounds", "--cases", "20"], 0, "verify-bounds: violations=0\n", ""),
+        # gap**2 underflowed to a raw ZeroDivisionError in vlasov_gap_bound, and
+        # the birth bound's a'' a' to a false violation
+        ("grid.length = 1e-310\nsolver.alpha = 5e-324\nsolver.alpha0 = 1e-310",
+         ["verify-bounds", "--cases", "20"], 0, "verify-bounds: violations=0\n", ""),
     ],
 )
 def test_cli_extreme_model_values_end_cleanly(tmp_path, capsys, line, command, status, out, err):

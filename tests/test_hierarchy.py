@@ -1,6 +1,8 @@
 import io
 import math
 import pickle
+import struct
+import sys
 import time
 import tracemalloc
 import warnings
@@ -9,6 +11,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import glauberlab as gl
 from glauberlab.errors import (
@@ -399,6 +404,38 @@ def test_max_abs_by_order():
     k, _ = small_random_hierarchy(n_sites=4, n_max=2, seed=22)
     values = max_abs_by_order(k)
     assert values == [float(np.max(np.abs(t))) for t in k.tensors]
+
+
+SPECIAL_ENTRIES = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+    sys.float_info.max, -sys.float_info.max, math.inf, -math.inf, math.nan,
+)
+
+
+@st.composite
+def raw_tensors(draw):
+    """Tensors of orders 0..n_max on 2 or 3 sites, any float64 entries."""
+    n_sites = draw(st.integers(2, 3))
+    entries = st.one_of(st.sampled_from(SPECIAL_ENTRIES), st.floats(width=64))
+    return [
+        draw(arrays(np.float64, (n_sites,) * n, elements=entries))
+        for n in range(draw(st.integers(0, 3)) + 1)
+    ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tensors=raw_tensors())
+@example(tensors=[np.array(-0.0), np.full(2, -0.0), np.full((2, 2), -0.0)])
+@example(tensors=[np.array(-math.nan), np.array([-0.0, 0.0]), np.array([[-math.inf, 1.0], [0.0, -0.0]])])
+def test_max_abs_by_order_is_the_abs_scan_bit_for_bit(tensors):
+    grid = gl.make_grid(tensors[-1].shape[0] if len(tensors) > 1 else 2, 1.0)
+    profile = max_abs_by_order(gl.CorrelationHierarchy._trusted(grid, tensors))
+    for got, t in zip(profile, tensors):
+        want = float(np.max(np.abs(t)))
+        if math.isnan(want):  # which nan's payload survives is numpy's choice
+            assert math.isnan(got) and math.copysign(1.0, got) == 1.0
+        else:
+            assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 def test_grid_and_index_error_paths():

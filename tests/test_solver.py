@@ -287,3 +287,50 @@ def test_evolve_global_rejects_whole_radius_substep():
     for bad in (0.0, 1.0):
         with pytest.raises(InvalidArgumentError, match=r"\(0, 1\)"):
             gl.evolve_global(params, pot, u0, 1.0, substep_fraction=bad)
+
+
+def test_taylor_evolve_leaves_u0_unchanged():
+    # each term is scaled in place; none of that may reach the caller's u0
+    grid, pot, params, u0 = interacting_setup(n_max=3, seed=6)
+    before = [t.tobytes() for t in u0.tensors]
+    radius = gl.step_radius(norm_bound_M(params, pot), params.alpha, params.alpha0)
+    gl.solve_local(params, pot, gl.GLAUBER, u0, 0.5 * radius, 60, 1e-12)
+    assert [t.tobytes() for t in u0.tensors] == before
+    start = gl.exponential_hierarchy(gl.constant_field(grid, 0.25), 3)
+    before = [t.tobytes() for t in start.tensors]
+    report = gl.evolve_global(params, pot, start, 0.2, epsilon=0.25)
+    assert report.restarts > 0
+    assert [t.tobytes() for t in start.tensors] == before
+
+
+def test_taylor_evolve_scales_an_aliasing_apply_into_new_arrays():
+    # lambda h: h returns u0's own arrays as the first term: u(t) = e^t u0
+    grid = gl.make_grid(4, 4.0)
+    u0 = gl.random_ruelle_hierarchy(grid, 2, np.random.default_rng(7))
+    before = [t.tobytes() for t in u0.tensors]
+    report = gl.taylor_evolve(lambda h: h, u0, 0.5, 60, 1e-15)
+    assert [t.tobytes() for t in u0.tensors] == before
+    expected = unflatten(grid, 2, math.exp(0.5) * flatten(u0))
+    assert gl.max_abs_difference(report.solution, expected) <= 1e-14
+    # a read-only result is scaled into a new array too
+    frozen = gl.zero_hierarchy(grid, 2)
+    for t in frozen.tensors:
+        t.flags.writeable = False
+    report = gl.taylor_evolve(lambda h: frozen, u0, 0.5, 60, 1e-15)
+    assert gl.max_abs_difference(report.solution, u0) == 0.0
+
+
+def test_taylor_loop_builds_no_validated_hierarchy(monkeypatch):
+    # u0 and every term were validated or built from validated input; the
+    # only finiteness scans left are the guarded ones on terms and the sum
+    grid, pot, params, u0 = interacting_setup(n_max=3, seed=8)
+    built = []
+    init = hierarchy.CorrelationHierarchy.__init__
+    monkeypatch.setattr(
+        hierarchy.CorrelationHierarchy, "__init__",
+        lambda obj, *args: built.append(1) or init(obj, *args),
+    )
+    radius = gl.step_radius(norm_bound_M(params, pot), params.alpha, params.alpha0)
+    report = gl.solve_local(params, pot, gl.GLAUBER, u0, 0.5 * radius, 60, 1e-12)
+    assert report.terms_used > 1
+    assert built == []
