@@ -30,7 +30,7 @@ from .errors import InvalidArgumentError
 from .hierarchy import (
     CorrelationHierarchy,
     ScaleParams,
-    _contract_trailing,
+    _contract_leading,
     _fsum_or_nan,
     evaluate_gf,  # unused here; kept importable for bench/spans.py
     evaluate_gf_rows,
@@ -48,8 +48,10 @@ VLASOV_LIMIT = 0.0
 def shift_displacement_tables(pot: PairPotential, epsilon):
     """Per-displacement samples (a, b) of the birth shift fields at epsilon.
 
-    expm1 keeps b accurate down to epsilon -> 0; epsilon = 0 is the limit.  A
-    subnormal epsilon*phi has lost bits, so b is -phi there, correctly rounded.
+    expm1 keeps b accurate down to epsilon -> 0; epsilon = 0 is the limit.
+    Where |epsilon*phi| < 2^-53, -phi is the correctly rounded expm1(-e*phi)/e
+    (and a rounds to 1), so b is -phi there: the quotient would round twice,
+    and a subnormal epsilon*phi has lost bits besides.
     """
     if not (epsilon >= 0 and math.isfinite(epsilon)):
         raise InvalidArgumentError(
@@ -60,7 +62,7 @@ def shift_displacement_tables(pot: PairPotential, epsilon):
         return np.ones_like(phi), -phi
     with np.errstate(over="ignore"):
         x = -epsilon * phi
-    b = np.where(np.abs(x) < np.finfo(np.float64).tiny, -phi, np.expm1(x) / epsilon)
+    b = np.where(np.abs(x) < 2.0**-53, -phi, np.expm1(x) / epsilon)
     return np.exp(x), b
 
 
@@ -155,7 +157,7 @@ def birth_gf_term(k, theta: GridField, pot, epsilon) -> float:
     a_rows, b_rows = _shift_matrices(pot, epsilon)
     scaled = a_rows * theta.values
     values = evaluate_gf_rows(k, scaled + b_rows)
-    tops = _contract_trailing(k.tensors[nm], scaled, nm).tolist()
+    tops = _contract_leading(k.tensors[nm], scaled, nm).tolist()
     top_weight = grid.spacing**nm
     top_factorial = math.factorial(nm)
     contributions = [

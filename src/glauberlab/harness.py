@@ -313,7 +313,8 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir, n_cases=100):
     term once per distinct epsilon, and counts checks per distinct epsilon;
     the scale norm and all derivative checks read one max_abs_by_order scan.
     Raises NonfiniteStateError when a case's weight exp(||theta||_1 / a')
-    or its power ||theta||_1^n_max overflows.
+    or its power ||theta||_1^n_max overflows, or when a death, birth or
+    generator value is not finite: no comparison with nan could fail.
     """
     if n_cases < 1:
         raise InvalidArgumentError("n_cases must be at least 1")
@@ -363,6 +364,8 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir, n_cases=100):
             death = death_gf_term(k, theta)
             births = {eps: birth_gf_term(k, theta, pot, eps) for eps in distinct}
         gens = {eps: -death + params.z * birth for eps, birth in births.items()}
+        if not all(map(math.isfinite, [death, *births.values(), *gens.values()])):
+            raise NonfiniteStateError("a death, birth or generator value is not finite")
         tally(
             "death-estimate",
             1,

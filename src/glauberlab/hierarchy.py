@@ -181,23 +181,30 @@ def require_finite(tensors, what):
             raise NonfiniteStateError("%s has non-finite entries" % what)
 
 
-def _contract_last(batched, rows):
-    """Contract the last axis of `batched` (leading axis x) with rows[x].
+def _contract_first(tensor, rows, shared=False):
+    """Contract the first axis after the row axis x of `tensor` with rows[x].
 
-    The one contraction every route goes through: batched and single-field
-    callers therefore agree bit for bit.
+    With shared=True, `tensor` has no row axis and its first axis is
+    contracted with every row.  The one contraction every route goes
+    through: batched and single-field callers therefore agree bit for bit.
+    Each weight rows[x, i] scales one contiguous slice of N^(m-1) entries,
+    so einsum's inner loop runs over that contiguous tail.
     """
-    return np.einsum("x...i,xi->x...", batched, rows)
+    subscripts = "xi,i...->x..." if shared else "xi,xi...->x..."
+    return np.einsum(subscripts, rows, tensor, optimize=False)
 
 
-def _contract_trailing(tensor, rows, count):
-    """Contract `count` trailing axes of `tensor` with each row of `rows`.
+def _contract_leading(tensor, rows, count):
+    """Contract `count` leading axes of `tensor` with each row of `rows`.
 
-    rows has shape (R, N); the result carries a leading axis of length R.
+    rows has shape (R, N); the result carries a leading axis of length R
+    followed by the last tensor.ndim - count axes of `tensor`.
     """
-    out = np.broadcast_to(tensor, rows.shape[:1] + tensor.shape)
-    for _ in range(count):
-        out = _contract_last(out, rows)
+    if count == 0:
+        return np.broadcast_to(tensor, rows.shape[:1] + tensor.shape)
+    out = _contract_first(tensor, rows, shared=True)
+    for _ in range(count - 1):
+        out = _contract_first(out, rows)
     return out
 
 
@@ -222,7 +229,7 @@ def evaluate_gf_rows(k: CorrelationHierarchy, rows):
         if n > 0:
             weight *= dx / n
         per_order.append(
-            [weight * v for v in _contract_trailing(tensor, rows, n).tolist()]
+            [weight * v for v in _contract_leading(tensor, rows, n).tolist()]
         )
     return [_fsum_or_nan(terms) for terms in zip(*per_order)]
 
@@ -241,7 +248,7 @@ def evaluate_gf(k: CorrelationHierarchy, theta: GridField) -> float:
 def variational_derivative_field(k: CorrelationHierarchy, theta: GridField):
     """First variational derivative of B at theta, as an array over sites.
 
-    delta B(theta; x) = sum_{n<=n_max-1} dx^n/n! sum_tuples k_{n+1}(x, ...) prod theta.
+    delta B(theta; x) = sum_{n<=n_max-1} dx^n/n! sum_tuples k_{n+1}(..., x) prod theta.
     """
     require_same_grid(k, theta)
     dx = k.grid.spacing
@@ -251,7 +258,7 @@ def variational_derivative_field(k: CorrelationHierarchy, theta: GridField):
     for order in range(k.n_max):
         if order > 0:
             weight *= dx / order
-        out += weight * _contract_trailing(k.tensors[order + 1], rows, order)[0]
+        out += weight * _contract_leading(k.tensors[order + 1], rows, order)[0]
     return out
 
 
@@ -261,7 +268,7 @@ def substitute_affine_rows(k: CorrelationHierarchy, a_rows, b_rows, top):
     a_rows and b_rows have shape (R, N); order m of the result has shape
     (R,) + (N,)*m and carries, at row x,
 
-        c_m(y_1..y_m) = prod_i a_x(y_i) * sum_{j<=n_max-m} dx^j/j! sum_w k_{m+j}(y, w) prod b_x(w_l).
+        c_m(y_1..y_m) = prod_i a_x(y_i) * sum_{j<=n_max-m} dx^j/j! sum_w k_{m+j}(w, y) prod b_x(w_l).
 
     The inner sum is capped at j <= n_max - m: with orders above n_max
     closed by zero this makes evaluate_gf(c, theta) == evaluate_gf(k, a*theta+b)
@@ -270,18 +277,16 @@ def substitute_affine_rows(k: CorrelationHierarchy, a_rows, b_rows, top):
     nm = k.n_max
     dx = k.grid.spacing
     batch = (b_rows.shape[0],)
-    row = [np.broadcast_to(t, batch + t.shape) for t in k.tensors]
-    acc = [r.copy() for r in row[: top + 1]]
+    acc = [np.broadcast_to(t, batch + t.shape).copy() for t in k.tensors[: top + 1]]
     weight = 1.0
-    nxt = [_contract_last(r, b_rows) for r in row[1:]]
+    nxt = [_contract_first(t, b_rows, shared=True) for t in k.tensors[1:]]
     for j in range(1, nm + 1):
         weight *= dx / j
         # row j+1 is contracted from row j before row j is weighted in place
-        row, nxt = nxt, [_contract_last(r, b_rows) for r in nxt[1:]]
+        row, nxt = nxt, [_contract_first(r, b_rows) for r in nxt[1:]]
         for m in range(min(top, nm - j) + 1):
             row[m] *= weight
             acc[m] += row[m]
-    del row
     for m in range(1, top + 1):
         for axis in range(m):
             shape = list(batch) + [1] * m

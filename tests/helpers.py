@@ -137,10 +137,10 @@ def loglog_slope(xs, ys) -> float:
     )
 
 
-def _contract_trailing_oracle(tensor, weights, count):
+def _contract_leading_oracle(tensor, weights, count):
     out = tensor
     for _ in range(count):
-        out = np.einsum("...i,i->...", out, weights)
+        out = np.einsum("i,i...->...", weights, out)
     return out
 
 
@@ -154,7 +154,7 @@ def substitute_affine_oracle(k, a_values, b_values):
     weight = 1.0
     for j in range(1, nm + 1):
         weight *= dx / j
-        row = [np.einsum("...i,i->...", row[p + 1], b_values) for p in range(nm - j + 1)]
+        row = [np.einsum("i,i...->...", b_values, row[p + 1]) for p in range(nm - j + 1)]
         for m in range(nm - j + 1):
             acc[m] = acc[m] + weight * row[m]
     for m in range(1, nm + 1):
@@ -201,7 +201,7 @@ def evaluate_gf_oracle(k, theta_values) -> float:
     for n, tensor in enumerate(k.tensors):
         if n > 0:
             weight *= dx / n
-        terms.append(weight * float(_contract_trailing_oracle(tensor, theta_values, n)))
+        terms.append(weight * float(_contract_leading_oracle(tensor, theta_values, n)))
     return math.fsum(terms)
 
 
@@ -238,7 +238,7 @@ def birth_gf_term_oracle(k, theta_values, pot, epsilon) -> float:
     for x in range(k.grid.n_sites):
         shifted = a_rows[x] * theta_values + b_rows[x]
         scaled = a_rows[x] * theta_values
-        top = float(_contract_trailing_oracle(k.tensors[nm], scaled, nm))
+        top = float(_contract_leading_oracle(k.tensors[nm], scaled, nm))
         top = top * dx**nm / math.factorial(nm)
         contributions.append(theta_values[x] * (evaluate_gf_oracle(k, shifted) - top))
     return dx * math.fsum(contributions)

@@ -2,9 +2,10 @@
 
 Every input the config parser and the CLI accept must either run to exit 0
 with nothing on stderr, or fail fast with exactly one documented
-`error: <code>: ...` line and that code's exit status.  A raw exception, a
-numpy warning (warnings are errors here) or an example that runs past its
-time limit fails the property.
+`error: <code>: ...` line and that code's exit status.  A verify-bounds run
+that exits 0 must report no violation: the estimates it samples are
+theorems.  A raw exception, a numpy warning (warnings are errors here) or an
+example that runs past its time limit fails the property.
 """
 
 import contextlib
@@ -96,6 +97,8 @@ def test_cli_ends_clean_or_with_one_coded_error(config_text, command):
     if status == 0:
         assert err == ""
         assert out.startswith(command[0] + ":") and out.count("\n") == 1
+        if command[0] == "verify-bounds":
+            assert out == "verify-bounds: violations=0\n"
         return
     assert out == ""
     assert err.count("\n") == 1 and err.endswith("\n")

@@ -504,10 +504,11 @@ def test_blas_scan_flags_each_form():
     assert not blas_calls("y = np.einsum('ij,j->i', k, v, optimize=False) * dx")
 
 
-def test_kinetic_path_calls_no_blas():
+def test_contraction_and_kinetic_paths_call_no_blas():
     # The thread-count tests do not catch a single-threaded BLAS gemv, so the
-    # kinetic path is held to direct sums by its source.
-    for module in (lattice, vlasov):
+    # hierarchy contraction and the kinetic path are held to direct sums by
+    # their source.
+    for module in (hierarchy, generators, lattice, vlasov):
         assert blas_calls(Path(module.__file__).read_text()) == [], module.__name__
 
 
@@ -642,6 +643,9 @@ def test_cli_evolve_shift_matrices_hit_memory_guard(tmp_path, capsys):
     assert not list((tmp_path / "o").glob("*.csv"))
 
 
+NONFINITE_VALUE = "error: nonfinite-state: a death, birth or generator value is not finite\n"
+
+
 def run_default_with(tmp_path, line, command):
     """main() on default.conf plus one line, with warnings as errors."""
     conf = tmp_path / "run.conf"
@@ -716,13 +720,28 @@ def run_default_with(tmp_path, line, command):
         ("grid.length = 5e-324", ["evolve"], 1, "",
          "error: invalid-argument: spacing 5e-324 / 8 underflows to 0\n"),
         # functional values past the largest double: inf - inf raised a raw
-        # ValueError in math.fsum; they now overflow as the bounds they meet do
+        # ValueError in math.fsum, then the nan values passed every check
         ("model.z = 1.7976931348623157e308\ntruncation.n_max = 1\ninitial.level = 0.0",
-         ["verify-bounds", "--cases", "20"], 0, "verify-bounds: violations=0\n", ""),
+         ["verify-bounds", "--cases", "20"], 4, "", NONFINITE_VALUE),
         # gap**2 underflowed to a raw ZeroDivisionError in vlasov_gap_bound, and
         # the birth bound's a'' a' to a false violation
         ("grid.length = 1e-310\nsolver.alpha = 5e-324\nsolver.alpha0 = 1e-310",
          ["verify-bounds", "--cases", "20"], 0, "verify-bounds: violations=0\n", ""),
+        # expm1(-e phi) / e rounded twice at a tiny normal epsilon, so b_x missed
+        # -phi by an ulp and the gap checks failed on that roundoff
+        ("grid.n_sites = 21\ntruncation.n_max = 2\nmodel.epsilon = 8.864906767456875e-192",
+         ["verify-bounds", "--cases", "20"], 0, "verify-bounds: violations=0\n", ""),
+        ("grid.n_sites = 21\ntruncation.n_max = 2\nmodel.epsilon = 1e-150",
+         ["verify-bounds", "--cases", "20"], 0, "verify-bounds: violations=0\n", ""),
+        ("grid.n_sites = 21\ntruncation.n_max = 2\nmodel.epsilon = 1e-300",
+         ["verify-bounds", "--cases", "20"], 0, "verify-bounds: violations=0\n", ""),
+        # death and birth values of nan or inf passed every check.  Both rows once
+        # printed overflow RuntimeWarnings: in c1 / a'' of the birth bound on numpy
+        # scalars, and in the potential's L1 norm and the shift constant ||b||_1
+        ("potential.amplitude = 1e308", ["verify-bounds", "--cases", "20"], 4, "",
+         NONFINITE_VALUE),
+        ("potential.amplitude = 1.7976931348623157e308\npotential.width = 7",
+         ["verify-bounds", "--cases", "20"], 4, "", NONFINITE_VALUE),
     ],
 )
 def test_cli_extreme_model_values_end_cleanly(tmp_path, capsys, line, command, status, out, err):
@@ -733,17 +752,10 @@ def test_cli_extreme_model_values_end_cleanly(tmp_path, capsys, line, command, s
 @pytest.mark.parametrize(
     "line,command,out",
     [
-        # each printed a numpy overflow RuntimeWarning: the first two in
-        # gaussian_potential's square, the last in c1 / a'' of the birth bound
-        # on the numpy scalars _sample_scale_pair returned
+        # each printed a numpy overflow RuntimeWarning in gaussian_potential's square
         ("potential.width = 1e-300", ["verify-bounds", "--cases", "20"],
          "verify-bounds: violations=0\n"),
         ("grid.length = 1e300", ["vlasov"], "vlasov: residual=0.475615 bound=pass\n"),
-        ("potential.amplitude = 1e308", ["verify-bounds", "--cases", "20"],
-         "verify-bounds: violations=0\n"),
-        # overflow in the potential's L1 norm, then in the shift constant ||b||_1
-        ("potential.amplitude = 1.7976931348623157e308\npotential.width = 7",
-         ["verify-bounds", "--cases", "20"], "verify-bounds: violations=0\n"),
         # overflow in 2 pi x of the initial cosine, then in phi * rho of the residual
         ("grid.length = 1.7976931348623157e308\nmodel.z = 1e300", ["vlasov"],
          "vlasov: residual=9.51229e+299 bound=pass\n"),
