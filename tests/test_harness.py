@@ -735,13 +735,11 @@ def run_default_with(tmp_path, line, command):
          ["verify-bounds", "--cases", "20"], 0, "verify-bounds: violations=0\n", ""),
         ("grid.n_sites = 21\ntruncation.n_max = 2\nmodel.epsilon = 1e-300",
          ["verify-bounds", "--cases", "20"], 0, "verify-bounds: violations=0\n", ""),
-        # death and birth values of nan or inf passed every check.  Both rows once
-        # printed overflow RuntimeWarnings: in c1 / a'' of the birth bound on numpy
-        # scalars, and in the potential's L1 norm and the shift constant ||b||_1
+        # death and birth values of nan or inf passed every check.  This row once
+        # printed an overflow RuntimeWarning in c1 / a'' of the birth bound on
+        # numpy scalars
         ("potential.amplitude = 1e308", ["verify-bounds", "--cases", "20"], 4, "",
          NONFINITE_VALUE),
-        ("potential.amplitude = 1.7976931348623157e308\npotential.width = 7",
-         ["verify-bounds", "--cases", "20"], 4, "", NONFINITE_VALUE),
     ],
 )
 def test_cli_extreme_model_values_end_cleanly(tmp_path, capsys, line, command, status, out, err):
@@ -750,18 +748,22 @@ def test_cli_extreme_model_values_end_cleanly(tmp_path, capsys, line, command, s
 
 
 @pytest.mark.parametrize(
-    "line,command,out",
+    "line,command,out,status,err",
     [
         # each printed a numpy overflow RuntimeWarning in gaussian_potential's square
         ("potential.width = 1e-300", ["verify-bounds", "--cases", "20"],
-         "verify-bounds: violations=0\n"),
-        ("grid.length = 1e300", ["vlasov"], "vlasov: residual=0.475615 bound=pass\n"),
+         "verify-bounds: violations=0\n", 0, ""),
+        ("grid.length = 1e300", ["vlasov"], "vlasov: residual=0.475615 bound=pass\n", 0, ""),
+        # overflow in the potential's L1 norm, then in the shift constant ||b||_1;
+        # the death and birth values are not finite, which once passed every check
+        ("potential.amplitude = 1.7976931348623157e308\npotential.width = 7",
+         ["verify-bounds", "--cases", "20"], "", 4, NONFINITE_VALUE),
         # overflow in 2 pi x of the initial cosine, then in phi * rho of the residual
         ("grid.length = 1.7976931348623157e308\nmodel.z = 1e300", ["vlasov"],
-         "vlasov: residual=9.51229e+299 bound=pass\n"),
+         "vlasov: residual=9.51229e+299 bound=pass\n", 0, ""),
     ],
 )
-def test_cli_extreme_potentials_warn_nothing(tmp_path, line, command, out):
+def test_cli_extreme_potentials_warn_nothing(tmp_path, line, command, out, status, err):
     conf = tmp_path / "run.conf"
     conf.write_text((CONFIG_DIR / "default.conf").read_text() + line + "\n")
     proc = subprocess.run(
@@ -771,7 +773,7 @@ def test_cli_extreme_potentials_warn_nothing(tmp_path, line, command, out):
         capture_output=True,
         text=True,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (status, out, err)
 
 
 def test_cli_evolve_huge_horizon_hits_memory_guard_at_once(tmp_path, capsys):
