@@ -123,6 +123,10 @@ def main(argv=None) -> int:
     except GlauberLabError as exc:
         sys.stderr.write("error: %s: %s\n" % (exc.code, exc))
         return EXIT_CODES.get(exc.code, 1)
+    except OSError as exc:  # inputs are read behind their own errors, so this is an output file
+        msg = "cannot write %s: %s" % (exc.filename, exc.strerror)
+        sys.stderr.write("error: invalid-argument: %s\n" % msg)
+        return 1
     return 0
 
 

@@ -23,6 +23,7 @@ from .lattice import (
     tophat_potential,
     zero_potential,
 )
+from .vlasov import VlasovConfig
 
 POTENTIAL_KINDS = ("zero", "gaussian", "tophat", "file")
 SCHEMES = ("rk4", "euler")
@@ -130,17 +131,12 @@ def parse_config(path) -> ExperimentConfig:
                 raise ConfigError("line %d: unknown key '%s'" % (lineno, key))
             attr, typ = _KEYS[key]
             try:
-                if typ is int:
-                    parsed = int(value)
-                elif typ is float:
-                    parsed = float(value)
-                else:
-                    parsed = value
+                parsed = typ(value)
             except ValueError:
                 raise ConfigError(
                     "line %d: cannot parse value %r for key '%s'" % (lineno, value, key)
                 ) from None
-            if typ is float and not math.isfinite(parsed):
+            if isinstance(parsed, float) and not math.isfinite(parsed):
                 raise ConfigError(
                     "line %d: value %r for key '%s' is not finite" % (lineno, value, key)
                 )
@@ -193,6 +189,11 @@ def build_initial_density(cfg: ExperimentConfig, grid: Grid) -> GridField:
 
 def build_scale_params(cfg: ExperimentConfig) -> ScaleParams:
     return ScaleParams(cfg.alpha, cfg.alpha0, cfg.z, cfg.epsilon)
+
+
+def build_vlasov_config(cfg: ExperimentConfig) -> VlasovConfig:
+    """The kinetic settings of every command that integrates the kinetic equation."""
+    return VlasovConfig(cfg.z, cfg.dt, cfg.scheme, cfg.t_final, cfg.sample_stride)
 
 
 def kind_from_epsilon(epsilon) -> float:  # kept importable for bench/workloads.py

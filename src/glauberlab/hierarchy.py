@@ -222,12 +222,9 @@ def evaluate_gf_rows(k: CorrelationHierarchy, rows):
     Each row's order contributions are combined with math.fsum, so every
     value is correctly rounded; a value that overflows is nan.
     """
-    dx = k.grid.spacing
+    weights = _taylor_weights(k.grid.spacing, len(k.tensors))
     per_order = []
-    weight = 1.0
-    for n, tensor in enumerate(k.tensors):
-        if n > 0:
-            weight *= dx / n
+    for n, (weight, tensor) in enumerate(zip(weights, k.tensors)):
         per_order.append(
             [weight * v for v in _contract_leading(tensor, rows, n).tolist()]
         )
@@ -251,13 +248,9 @@ def variational_derivative_field(k: CorrelationHierarchy, theta: GridField):
     delta B(theta; x) = sum_{n<=n_max-1} dx^n/n! sum_tuples k_{n+1}(..., x) prod theta.
     """
     require_same_grid(k, theta)
-    dx = k.grid.spacing
     rows = theta.values[np.newaxis]
     out = np.zeros(k.grid.n_sites)
-    weight = 1.0
-    for order in range(k.n_max):
-        if order > 0:
-            weight *= dx / order
+    for order, weight in enumerate(_taylor_weights(k.grid.spacing, k.n_max)):
         out += weight * _contract_leading(k.tensors[order + 1], rows, order)[0]
     return out
 
@@ -275,13 +268,12 @@ def substitute_affine_rows(k: CorrelationHierarchy, a_rows, b_rows, top):
     an exact polynomial identity, not an approximation.
     """
     nm = k.n_max
-    dx = k.grid.spacing
     batch = (b_rows.shape[0],)
     acc = [np.broadcast_to(t, batch + t.shape).copy() for t in k.tensors[: top + 1]]
-    weight = 1.0
     nxt = [_contract_first(t, b_rows, shared=True) for t in k.tensors[1:]]
-    for j in range(1, nm + 1):
-        weight *= dx / j
+    weights = _taylor_weights(k.grid.spacing, nm + 1)
+    next(weights)  # the j = 0 term is acc itself
+    for j, weight in enumerate(weights, start=1):
         # row j+1 is contracted from row j before row j is weighted in place
         row, nxt = nxt, [_contract_first(r, b_rows) for r in nxt[1:]]
         for m in range(min(top, nm - j) + 1):
@@ -330,8 +322,12 @@ def ruelle_margin(k: CorrelationHierarchy, z) -> float:
     return scale_norm(max_abs_by_order(k), 1.0 / z)
 
 
-def _majorant_weights(r, count):
-    """r^n / n! for n = 0..count-1, accumulated as weight *= r / n."""
+def _taylor_weights(r, count):
+    """r^n / n! for n = 0..count-1, accumulated as weight *= r / n.
+
+    The one source of the Taylor weights: dx^n / n! for the functional and
+    its substitutions, r^n / n! for the majorant.
+    """
     weight = 1.0
     for n in range(count):
         if n > 0:
@@ -348,7 +344,7 @@ def gf_upper_bound(profile, r) -> float:
     if not (0 < r < math.inf):
         raise InvalidArgumentError("r must be finite and positive, got %r" % (r,))
     total = 0.0
-    for weight, m in zip(_majorant_weights(r, len(profile)), profile):
+    for weight, m in zip(_taylor_weights(r, len(profile)), profile):
         if m:
             total += weight * m
     return total
@@ -372,7 +368,7 @@ def cauchy_estimate_check(profile, n, r) -> bool:
     bound = gf_upper_bound(profile, r)
     if not profile[n]:
         return True
-    *_, weight = _majorant_weights(r, n + 1)
+    *_, weight = _taylor_weights(r, n + 1)
     term = weight * profile[n]
     if n == 1:
         return term <= bound

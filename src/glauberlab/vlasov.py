@@ -94,39 +94,34 @@ def integrate(rho0: GridField, cfg: VlasovConfig, pot: PairPotential):
     def rhs(values):
         return _rhs(kernel, values, z, dx)
 
-    def step(values, h):
-        if cfg.scheme == "euler":
-            return values + h * rhs(values)
+    def euler(values, h):
+        return values + h * rhs(values)
+
+    def rk4(values, h):
         k1 = rhs(values)
         k2 = rhs(values + 0.5 * h * k1)
         k3 = rhs(values + 0.5 * h * k2)
         k4 = rhs(values + h * k3)
         return values + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
+    step = euler if cfg.scheme == "euler" else rk4
     n_full = int(math.floor(cfg.t_final / cfg.dt + 1e-9))
     remainder = cfg.t_final - n_full * cfg.dt
     if remainder < 1e-9 * max(cfg.dt, 1.0):
         remainder = 0.0
+    last = n_full + (remainder > 0.0)  # the remainder step, if any, is step n_full + 1
 
     values = rho0.values.copy()
     trajectory = [(0.0, values.copy())]
-    t = 0.0
     # overflow is diagnosed by the isfinite check below, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n_full + 1):
-            values = step(values, cfg.dt)
-            t = i * cfg.dt
+        for i in range(1, last + 1):
+            h, t = (cfg.dt, i * cfg.dt) if i <= n_full else (remainder, cfg.t_final)
+            values = step(values, h)
             if not np.all(np.isfinite(values)):
                 raise NonfiniteStateError("state became non-finite at t=%.9g" % t)
-            if i % cfg.sample_stride == 0:
+            if i % cfg.sample_stride == 0 or i == last:
                 trajectory.append((t, values.copy()))
-        if remainder > 0.0:
-            values = step(values, remainder)
-            t = cfg.t_final
-            if not np.all(np.isfinite(values)):
-                raise NonfiniteStateError("state became non-finite at t=%.9g" % t)
-    if not trajectory or trajectory[-1][0] != t:
-        trajectory.append((t, values.copy()))
     return GridField(grid, values), trajectory
 
 

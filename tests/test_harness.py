@@ -23,6 +23,7 @@ from glauberlab.config import (
     build_initial_density,
     build_potential,
     build_scale_params,
+    build_vlasov_config,
     parse_config,
 )
 from glauberlab.harness import (
@@ -515,9 +516,9 @@ def test_contraction_and_kinetic_paths_call_no_blas():
 POLICY_NAMES = {"solve_local", "evolve_global", "step_radius"}
 
 
-def policy_namers(source):
-    """Top-level functions of source (or "<module>") that name a solver entry point
-    or the step radius outside an import."""
+def policy_namers(source, names=POLICY_NAMES):
+    """Top-level functions of source (or "<module>") that name one of `names`
+    outside an import; by default a solver entry point or the step radius."""
     namers = set()
     for top in ast.parse(source).body:
         if isinstance(top, (ast.Import, ast.ImportFrom)):
@@ -525,7 +526,7 @@ def policy_namers(source):
         owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
         for node in ast.walk(top):
             name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
-            if name in POLICY_NAMES:
+            if name in names:
                 namers.add(owner)
     return namers
 
@@ -535,11 +536,42 @@ def test_policy_scan_flags_each_form():
     assert policy_namers("def cmd_b(p):\n    return solver.evolve_global(p)") == {"cmd_b"}
     assert policy_namers("radius = step_radius(1.0, 0.5, 1.0)") == {"<module>"}
     assert policy_namers("from .solver import solve_local, step_radius") == set()
+    settings = {"VlasovConfig"}
+    assert policy_namers("def build(c) -> VlasovConfig:\n    pass", settings) == {"build"}
+    assert policy_namers("def cmd_c(c):\n    return VlasovConfig(c.z, c.dt)", settings) == {"cmd_c"}
+    assert policy_namers("from .vlasov import VlasovConfig", settings) == set()
 
 
 def test_one_function_chooses_the_evolution():
     # a second caller would be a second auto / local / global policy
     assert policy_namers(Path(harness.__file__).read_text()) == {"_evolve"}
+
+
+def test_one_function_builds_the_kinetic_settings():
+    # a second builder would be a second config -> kinetic settings translation
+    namers = {
+        path.name: policy_namers(path.read_text(), {"VlasovConfig"})
+        for path in Path(harness.__file__).parent.glob("*.py")
+        if path.name not in ("vlasov.py", "__init__.py")
+    }
+    assert {name: found for name, found in namers.items() if found} == {
+        "config.py": {"build_vlasov_config"}
+    }
+
+
+def test_kinetic_commands_integrate_with_the_configured_settings(tmp_path, monkeypatch):
+    # chaos-check used to drop vlasov.sample_stride and keep every step's sample
+    cfg = parse_config(CONFIG_DIR / "chaos.conf")
+    seen = []
+
+    def capture(rho0, vcfg, pot):
+        seen.append(vcfg)
+        return vlasov.integrate(rho0, vcfg, pot)
+
+    monkeypatch.setattr(harness, "integrate", capture)
+    cmd_vlasov(cfg, tmp_path)
+    cmd_chaos_check(cfg, tmp_path)
+    assert seen == [build_vlasov_config(cfg)] * 2
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -820,6 +852,27 @@ def test_cli_out_that_cannot_be_a_directory_ends_cleanly(tmp_path, capsys):
             "error: invalid-argument: cannot create output directory %s: %s\n" % (out, reason)
         )
     assert blocker.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize(
+    "conf,command,first_file",
+    [
+        ("default.conf", ["evolve"], "evolve_state.csv"),
+        ("default.conf", ["vlasov"], "vlasov_trajectory.csv"),
+        ("default.conf", ["scaling-study", "--epsilons", "0.4,0.2"], "scaling_gaps.csv"),
+        ("chaos.conf", ["chaos-check"], "chaos_profile.csv"),
+        ("default.conf", ["verify-bounds", "--cases", "2"], "verify_bounds.csv"),
+    ],
+)
+def test_cli_output_file_that_cannot_be_written_ends_cleanly(
+    tmp_path, capsys, conf, command, first_file
+):
+    # a directory in the way of an output file used to raise a raw IsADirectoryError
+    (tmp_path / first_file).mkdir()
+    assert main(["--config", str(CONFIG_DIR / conf), "--out", str(tmp_path)] + command) == 1
+    assert capsys.readouterr() == (
+        "", "error: invalid-argument: cannot write %s: Is a directory\n" % (tmp_path / first_file)
+    )
 
 
 @pytest.mark.parametrize(

@@ -213,3 +213,22 @@ def test_integrate_step_count_guard_fails_before_stepping():
         gl.zero_potential(big),
     )
     assert trajectory[-1][0] == 2.0
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk4"])
+@pytest.mark.parametrize(
+    "t_final,times",
+    [
+        (0.875, [0.0, 0.5, 0.875]),  # remainder step 4 is a multiple of the stride
+        (0.625, [0.0, 0.5, 0.625]),  # remainder step 3 is not
+        (1.0, [0.0, 0.5, 1.0]),  # last full step 4 is a multiple of the stride
+        (0.75, [0.0, 0.5, 0.75]),  # last full step 3 is not
+        (0.0, [0.0]),  # no step: the initial sample is the final one
+    ],
+)
+def test_integrate_samples_every_stride_and_the_final_time_once(scheme, t_final, times):
+    grid = gl.make_grid(4, 4.0)
+    cfg = gl.VlasovConfig(z=0.5, dt=0.25, scheme=scheme, t_final=t_final, sample_stride=2)
+    final, trajectory = gl.integrate(gl.constant_field(grid, 0.2), cfg, gl.zero_potential(grid))
+    assert [t for t, _ in trajectory] == times
+    assert np.array_equal(trajectory[-1][1], final.values)
