@@ -54,7 +54,6 @@ from .generators import (
     GLAUBER,
     VLASOV_LIMIT,
     apply_birth,
-    apply_death,
     apply_generator,
     evaluate_generator_gf,
     norm_bound_M,

@@ -66,23 +66,17 @@ def shift_displacement_tables(pot: PairPotential, epsilon):
     return np.exp(x), b
 
 
-def _shift_matrices(pot, epsilon):
+def shift_rows(pot, epsilons):
+    """Shift rows (a, b) of E epsilons stacked to (E*N, N); row e*N + x is site x at epsilons[e]."""
     disp = displacement_matrix(pot.grid)
-    a_disp, b_disp = shift_displacement_tables(pot, epsilon)
-    return a_disp[disp], b_disp[disp]
+    tables = [shift_displacement_tables(pot, eps) for eps in epsilons]
+    return tuple(np.concatenate([table[i][disp] for table in tables]) for i in (0, 1))
 
 
 def shift_bound_constants(pot, epsilon):
     """(c0, c1) with c0 = max_y a_x(y) and c1 = ||b_x||_1, both x-independent."""
     a_disp, b_disp = shift_displacement_tables(pot, epsilon)
     return float(np.max(a_disp)), l1_norm(b_disp, pot.grid.spacing)
-
-
-def apply_death(k: CorrelationHierarchy) -> CorrelationHierarchy:
-    """Death part: order n is scaled by n (each of n particles dies at rate 1)."""
-    tensors = [n * t for n, t in enumerate(k.tensors)]
-    tensors[0] = np.array(0.0)
-    return CorrelationHierarchy._trusted(k.grid, tensors)
 
 
 def apply_birth(k, pot: PairPotential, epsilon) -> CorrelationHierarchy:
@@ -104,7 +98,7 @@ def apply_birth(k, pot: PairPotential, epsilon) -> CorrelationHierarchy:
     grid = k.grid
     if k.n_max == 0:
         return zero_hierarchy(grid, 0)
-    a_rows, b_rows = _shift_matrices(pot, epsilon)
+    a_rows, b_rows = shift_rows(pot, [epsilon])
     subs = substitute_affine_rows(k, a_rows, b_rows, k.n_max - 1)
     tensors = [np.array(0.0)]
     for n in range(1, k.n_max + 1):
@@ -120,11 +114,11 @@ def apply_birth(k, pot: PairPotential, epsilon) -> CorrelationHierarchy:
 def apply_generator(k, params: ScaleParams, pot, epsilon) -> CorrelationHierarchy:
     """Full generator -death + z * birth on the truncated hierarchy.
 
-    Order n is z * b_n - n * k_n, the arithmetic of apply_death and
-    apply_birth, computed inside the birth tensors: n * k_n goes into one
-    scratch buffer of the top size, reused for every order.  The buffer is
-    taken after apply_birth's peak, so the working set stays that of
-    apply_birth.  k is left unchanged.
+    Order n is z * b_n - n * k_n: apply_birth's tensors less the death part
+    (each of n particles dies at rate 1), computed inside the birth tensors:
+    n * k_n goes into one scratch buffer of the top size, reused for every
+    order.  The buffer is taken after apply_birth's peak, so the working set
+    stays that of apply_birth.  k is left unchanged.
     """
     birth = apply_birth(k, pot, epsilon)
     scratch = np.empty(k.tensors[-1].size)
@@ -142,29 +136,37 @@ def death_gf_term(k, theta: GridField) -> float:
     return float(np.sum(theta.values * vd) * k.grid.spacing)
 
 
+def birth_gf_terms(k, theta: GridField, a_rows, b_rows):
+    """birth_gf_term at each of the E epsilons whose rows shift_rows stacked, as a list.
+
+    One evaluate_gf_rows call and one top-order contraction serve all E*N rows;
+    each block of N site contributions is summed alone, so it keeps its bits.
+    """
+    require_same_grid(k, theta)
+    nm = k.n_max
+    dx = k.grid.spacing
+    scaled = a_rows * theta.values
+    values = evaluate_gf_rows(k, scaled + b_rows)
+    tops = _contract_leading(k.tensors[nm], scaled, nm).tolist()
+    top_weight, top_factorial = dx**nm, math.factorial(nm)
+    terms = [value - top * top_weight / top_factorial for value, top in zip(values, tops)]
+    thetas = theta.values.tolist()
+    return [
+        dx * _fsum_or_nan([t * term for t, term in zip(thetas, terms[i : i + len(thetas)])])
+        for i in range(0, len(terms), len(thetas))
+    ]
+
+
 def birth_gf_term(k, theta: GridField, pot, epsilon) -> float:
     """sum_x dx theta(x) [B(a_x theta + b_x) - top-order term of B(a_x theta)].
 
     The subtracted term is the order-n_max product contribution that
     closure by zero removes from the tensor route; with it the pairing
-    against the birth tensors is an exact identity.  All sites x are
-    evaluated at once as the rows of the shifted arguments.
+    against the birth tensors is an exact identity.  The one-epsilon case of
+    birth_gf_terms, which evaluates all sites x at once as rows.
     """
-    require_same_grid(k, theta)
     require_same_grid(k, pot)
-    grid = k.grid
-    nm = k.n_max
-    a_rows, b_rows = _shift_matrices(pot, epsilon)
-    scaled = a_rows * theta.values
-    values = evaluate_gf_rows(k, scaled + b_rows)
-    tops = _contract_leading(k.tensors[nm], scaled, nm).tolist()
-    top_weight = grid.spacing**nm
-    top_factorial = math.factorial(nm)
-    contributions = [
-        t * (value - top * top_weight / top_factorial)
-        for t, value, top in zip(theta.values.tolist(), values, tops)
-    ]
-    return grid.spacing * _fsum_or_nan(contributions)
+    return birth_gf_terms(k, theta, *shift_rows(pot, [epsilon]))[0]
 
 
 def evaluate_generator_gf(k, theta, params: ScaleParams, pot, epsilon) -> float:

@@ -11,7 +11,7 @@ discretize the sum-over-configurations measure.  Orders above n_max are
 closed by zero, which keeps every operation in this package exactly linear
 on the truncated space.
 
-The scale norm, gf_upper_bound and cauchy_estimate_check read only the profile
+The scale norm, gf_upper_bound and cauchy_estimate_checks read only the profile
 [max|k_0|, .., max|k_{n_max}|] that max_abs_by_order returns, so one scan of a
 hierarchy serves them all.  The scale norm is the computable surrogate
 
@@ -162,16 +162,17 @@ def random_ruelle_hierarchy(grid, n_max, rng, envelope=1.0) -> CorrelationHierar
     sampled states grow no faster than a prescribed geometric rate.  Each
     uniform draw is averaged over its axis permutations by the coset
     recursion, with the rng stream and law of the n!-term average and its
-    entries up to roundoff.  An overflowing envelope^n_max is NonfiniteStateError.
+    entries up to roundoff.  An overflowing or nan envelope^n_max is NonfiniteStateError;
+    past it every entry is finite (|average| <= 1), so none is validated again.
     """
     require_within_memory_guard(grid.n_sites, n_max)
-    if _pow_or_inf(envelope, n_max) == math.inf:
+    if not _pow_or_inf(envelope, n_max) < math.inf:
         raise NonfiniteStateError("activity envelope %r overflows at order %d" % (envelope, n_max))
     tensors = [np.array(rng.uniform(0.5, 1.5))]
     for order in range(1, n_max + 1):
-        raw = rng.uniform(-1.0, 1.0, size=(grid.n_sites,) * order)
-        tensors.append(_symmetrize_tensor(raw) * envelope**order)
-    return CorrelationHierarchy(grid, tensors)
+        tensors.append(_symmetrize_tensor(rng.uniform(-1.0, 1.0, size=(grid.n_sites,) * order)))
+        tensors[-1] *= envelope**order
+    return CorrelationHierarchy._trusted(grid, tensors)
 
 
 def require_finite(tensors, what):
@@ -350,8 +351,8 @@ def gf_upper_bound(profile, r) -> float:
     return total
 
 
-def cauchy_estimate_check(profile, n, r) -> bool:
-    """Check the derivative growth estimate at order n on a profile.
+def cauchy_estimate_checks(profile, r):
+    """Verdicts of the derivative growth estimate at orders 1..n_max, from one majorant.
 
     With w_n = r^n / n!, the very weight gf_upper_bound accumulates, and
     bound = gf_upper_bound(profile, r), the check is w_1 max|k_1| <= bound
@@ -363,16 +364,18 @@ def cauchy_estimate_check(profile, n, r) -> bool:
     identically, also on sampled hierarchies, whose coset average is
     symmetric to roundoff.
     """
+    bound = gf_upper_bound(profile, r)
+    weights = list(_taylor_weights(r, len(profile)))
+    caps = [bound] + [_pow_or_inf(math.e, n) * bound if bound else 0.0  # inf * 0 is nan
+                      for n in range(2, len(profile))]
+    return [not m or w * m <= cap for w, m, cap in zip(weights[1:], profile[1:], caps)]
+
+
+def cauchy_estimate_check(profile, n, r) -> bool:
+    """The verdict of cauchy_estimate_checks(profile, r) at order n."""
     if not (1 <= n < len(profile)):
         raise InvalidArgumentError("order %r outside 1..n_max" % (n,))
-    bound = gf_upper_bound(profile, r)
-    if not profile[n]:
-        return True
-    *_, weight = _taylor_weights(r, n + 1)
-    term = weight * profile[n]
-    if n == 1:
-        return term <= bound
-    return term <= (_pow_or_inf(math.e, n) * bound if bound else 0.0)  # inf * 0 is nan
+    return cauchy_estimate_checks(profile, r)[n - 1]
 
 
 def flat_dimension(grid, n_max) -> int:  # kept importable for bench/ladder.py

@@ -22,7 +22,6 @@ import glauberlab
 from glauberlab.errors import GlauberLabError, InvalidArgumentError, MemoryGuardError
 from glauberlab.generators import (
     apply_birth,
-    apply_death,
     apply_generator,
     shift_displacement_tables,
 )
@@ -218,6 +217,16 @@ def plain_glauber_generator_oracle(k, params, pot):
     return tensors
 
 
+def apply_death(k):
+    """Death part of the generator: order n is scaled by n (each of n particles dies at rate 1).
+
+    The oracle of the death arithmetic apply_generator computes in place.
+    """
+    tensors = [n * t for n, t in enumerate(k.tensors)]
+    tensors[0] = np.array(0.0)
+    return CorrelationHierarchy._trusted(k.grid, tensors)
+
+
 def apply_generator_formula(k, params, pot, epsilon):
     """Generator tensors as z * birth - death, one new array per operation.
 
@@ -242,6 +251,32 @@ def birth_gf_term_oracle(k, theta_values, pot, epsilon) -> float:
         top = top * dx**nm / math.factorial(nm)
         contributions.append(theta_values[x] * (evaluate_gf_oracle(k, shifted) - top))
     return dx * math.fsum(contributions)
+
+
+def cauchy_check_oracle(profile, n, r) -> bool:
+    """The derivative growth check at order n alone, each weight accumulated as r/1 * r/2 * ...
+
+    The bound sums w_j max|k_j| over the nonzero orders, and the verdict is
+    w_1 max|k_1| <= bound at n = 1 and w_n max|k_n| <= e^n bound above it,
+    an overflowing e^n reading as inf and a zero bound as a zero cap; a zero
+    order passes.
+    """
+    weights = [1.0]
+    for j in range(1, len(profile)):
+        weights.append(weights[-1] * (r / j))
+    bound = 0.0
+    for w, m in zip(weights, profile):
+        if m:
+            bound += w * m
+    if not profile[n]:
+        return True
+    if n == 1:
+        return weights[1] * profile[1] <= bound
+    try:
+        e_n = math.e**n
+    except OverflowError:
+        e_n = math.inf
+    return weights[n] * profile[n] <= (e_n * bound if bound else 0.0)
 
 
 def save_hierarchy_oracle(k, path):

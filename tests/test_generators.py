@@ -9,14 +9,17 @@ import glauberlab as gl
 from glauberlab.errors import InvalidArgumentError, MemoryGuardError
 from glauberlab.generators import (
     birth_gf_term,
+    birth_gf_terms,
     death_gf_term,
     shift_bound_constants,
     shift_displacement_tables,
+    shift_rows,
 )
 from glauberlab.hierarchy import flat_dimension
 
 from helpers import (
     apply_birth_oracle,
+    apply_death,
     apply_generator_formula,
     assemble_matrix,
     assert_all_symmetric,
@@ -122,15 +125,15 @@ def test_shift_bound_constants():
 def test_apply_death():
     grid, pot, params, rng = standard_setup()
     only_scalar = gl.exponential_hierarchy(gl.constant_field(grid, 0.4), 0)
-    out0 = gl.apply_death(only_scalar)
+    out0 = apply_death(only_scalar)
     assert float(out0.tensors[0]) == 0.0
 
     k = gl.exponential_hierarchy(gl.constant_field(grid, 0.4), 3)
-    out = gl.apply_death(k)
+    out = apply_death(k)
     assert np.allclose(out.tensors[2], 2 * 0.4**2, rtol=1e-14)
 
     rand = gl.random_ruelle_hierarchy(grid, 3, rng, envelope=0.5)
-    dead = gl.apply_death(rand)
+    dead = apply_death(rand)
     for _ in range(10):
         theta = gl.GridField(grid, rng.uniform(-0.6, 0.6, 8))
         assert rel_err(gl.evaluate_gf(dead, theta), death_gf_term(rand, theta)) <= 1e-10
@@ -369,6 +372,29 @@ def test_birth_gf_term_matches_per_site_oracle_bitwise(n_sites, n_max):
             theta = rng.uniform(-0.6, 0.6, n_sites)
             value = birth_gf_term(k, gl.GridField(grid, theta), pot, kind)
             assert value == birth_gf_term_oracle(k, theta, pot, kind)
+
+
+@pytest.mark.parametrize("epsilons", [[1.0, 0.25, 0.0], [1.0, 0.0]])
+@pytest.mark.parametrize("shape", ["gaussian", "tophat", "zero"])
+@pytest.mark.parametrize("n_sites,n_max", ORACLE_SHAPES)
+def test_batched_birth_terms_are_the_per_epsilon_terms_bitwise(n_sites, n_max, shape, epsilons):
+    # one stacked pass over every epsilon's shift rows must keep each value's bits
+    grid = gl.make_grid(n_sites, 5.0)
+    pot = {
+        "gaussian": gl.gaussian_potential(grid, 0.7, 1.3),
+        "tophat": gl.tophat_potential(grid, 0.4, 1.5),
+        "zero": gl.zero_potential(grid),
+    }[shape]
+    rng = np.random.default_rng(400 + n_max)
+    k = gl.random_ruelle_hierarchy(grid, n_max, rng, envelope=0.8)
+    a_rows, b_rows = shift_rows(pot, epsilons)
+    assert a_rows.shape == b_rows.shape == (len(epsilons) * n_sites, n_sites)
+    for _ in range(2):
+        theta = rng.uniform(-0.6, 0.6, n_sites)
+        field = gl.GridField(grid, theta)
+        values = birth_gf_terms(k, field, a_rows, b_rows)
+        assert values == [birth_gf_term(k, field, pot, eps) for eps in epsilons]
+        assert values == [birth_gf_term_oracle(k, theta, pot, eps) for eps in epsilons]
 
 
 @pytest.mark.parametrize("n_sites,n_max", ORACLE_SHAPES)

@@ -308,14 +308,17 @@ def _count_calls(monkeypatch, name, module=generators):
 def test_cmd_verify_bounds_evaluates_each_term_once(
     tmp_path, monkeypatch, epsilon, births_per_case
 ):
-    # per case: one death term; per distinct epsilon of [1, eps_gap, 0], one
-    # birth term, one birth check and one generator check
-    births = _count_calls(monkeypatch, "birth_gf_term")
+    # per case: one death term and one batched birth call, which carries one
+    # block of shift rows per distinct epsilon of [1, eps_gap, 0]; each block
+    # gives one birth check and one generator check
+    births = _count_calls(monkeypatch, "birth_gf_terms")
     deaths = _count_calls(monkeypatch, "death_gf_term")
     cases = 3
     cfg = replace(ExperimentConfig(), epsilon=epsilon)
     assert set(cmd_verify_bounds(cfg, tmp_path, n_cases=cases).values()) == {0}
-    assert len(births) == births_per_case * cases
+    assert len(births) == cases
+    for _, _, a_rows, b_rows in births:
+        assert a_rows.shape == b_rows.shape == (births_per_case * cfg.n_sites, cfg.n_sites)
     assert len(deaths) == cases
     rows = (tmp_path / "verify_bounds.csv").read_text().split("\n")
     checks = births_per_case * cases
@@ -873,6 +876,31 @@ def test_cli_output_file_that_cannot_be_written_ends_cleanly(
     assert capsys.readouterr() == (
         "", "error: invalid-argument: cannot write %s: Is a directory\n" % (tmp_path / first_file)
     )
+
+
+STRONG_COUPLING = (
+    "grid.n_sites = 6\ngrid.length = 6.0\npotential.kind = gaussian\n"
+    "potential.amplitude = 4.0\npotential.width = 1.0\nmodel.z = 0.5\n"
+    "model.epsilon = 0.0\ntime.t_final = 6.0\ntruncation.n_max = %d\n"
+)
+
+
+@pytest.mark.parametrize("n_max,margin", [(3, "1.00203588"), (5, "1.00404986")])
+def test_strong_coupling_limit_overshoots_the_activity_envelope(tmp_path, capsys, n_max, margin):
+    # z ||phi||_1 = 3.5: closing orders above n_max by zero lets the truncated
+    # limit hierarchy leave |k_n| <= z^n in its first substep, although the
+    # untruncated limit keeps rho_t <= z.  Pinned so no change can hide it.
+    conf = tmp_path / "strong.conf"
+    conf.write_text(STRONG_COUPLING % n_max)
+    out = tmp_path / "o"
+    status = main(["--config", str(conf), "--out", str(out), "evolve", "--mode", "global"])
+    assert status == EXIT_CODES["ruelle-violated"] == 3
+    assert capsys.readouterr() == (
+        "",
+        "error: ruelle-violated: activity-envelope margin %s exceeded tolerance"
+        " at t=0.000374160877\n" % margin,
+    )
+    assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize(

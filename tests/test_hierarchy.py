@@ -23,6 +23,7 @@ from glauberlab.errors import (
 )
 from glauberlab.hierarchy import (
     _symmetrize_tensor,
+    cauchy_estimate_checks,
     flat_dimension,
     max_abs_by_order,
     variational_derivative_field,
@@ -32,6 +33,7 @@ from helpers import (
     PrecisionLossError,
     assert_all_symmetric,
     brute_force_gf,
+    cauchy_check_oracle,
     evaluate_gf_oracle,
     flatten,
     lagrange_eval,
@@ -360,6 +362,63 @@ def test_cauchy_estimate_check_random_sweep():
         for n in range(1, 4):
             for r in (0.5, 1.0, 2.0, 1e-110):  # (e/1e-110)^3 overflows to inf
                 assert gl.cauchy_estimate_check(gl.max_abs_by_order(k), n, r)
+
+
+def _assert_all_orders_cauchy_check_agrees(profile, r):
+    orders = range(1, len(profile))
+    verdicts = cauchy_estimate_checks(profile, r)
+    assert verdicts == [gl.cauchy_estimate_check(profile, n, r) for n in orders]
+    assert verdicts == [cauchy_check_oracle(profile, n, r) for n in orders]
+    return verdicts
+
+
+def test_all_orders_cauchy_check_on_the_edge_profiles():
+    gapped, _ = small_random_hierarchy(n_sites=4, n_max=2, seed=25)
+    gapped.tensors[2] = np.zeros((4, 4))
+    passing = [
+        ([1.0, 0.0, 0.0, 0.0], 0.5),  # all-zero orders
+        ([0.0, 0.0, 0.0], 1e-110),  # (e/r)^n overflows over a zero majorant
+        (gl.max_abs_by_order(gapped), 1e300),  # r^2/2 overflows at a zero order
+        ([0.0, 0.0, 1.0], 1e-170),  # r^2/2 underflows: a zero majorant
+        ([0.0] * 800 + [1.0], 1e-3),  # e^800 overflows
+        ([0.7, 0.3, 0.2, 0.1], 1.0),
+    ]
+    for profile, r in passing:
+        assert _assert_all_orders_cauchy_check_agrees(profile, r) == [True] * (len(profile) - 1)
+    # a nan order makes the majorant nan, and no comparison with it holds
+    assert _assert_all_orders_cauchy_check_agrees([1.0, math.nan, 1.0], 1.0) == [False, False]
+    assert cauchy_estimate_checks([1.0], 1.0) == []
+    with pytest.raises(InvalidArgumentError):
+        cauchy_estimate_checks([1.0, 1.0], math.inf)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    profile=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e308)), min_size=1, max_size=9),
+    r=st.floats(0.0, 1e300, exclude_min=True),
+)
+def test_all_orders_cauchy_check_agrees_with_every_single_order(profile, r):
+    _assert_all_orders_cauchy_check_agrees(profile, r)
+
+
+def test_random_ruelle_hierarchy_is_its_symmetrized_draws_bit_for_bit():
+    # the tensors are scaled in place and wrapped unvalidated: same stream, law and bits
+    grid = gl.make_grid(5, 5.0)
+    for n_max, envelope in ((0, 0.5), (4, 0.5), (3, 2.5)):
+        rng = np.random.default_rng(31)
+        k = gl.random_ruelle_hierarchy(grid, n_max, rng, envelope=envelope)
+        replay = np.random.default_rng(31)
+        want = [np.array(replay.uniform(0.5, 1.5))]
+        for order in range(1, n_max + 1):
+            raw = replay.uniform(-1.0, 1.0, size=(grid.n_sites,) * order)
+            want.append(_symmetrize_tensor(raw) * envelope**order)
+        assert [(t.dtype, t.shape, t.tobytes()) for t in k.tensors] == [
+            (w.dtype, w.shape, w.tobytes()) for w in want
+        ]
+        assert rng.uniform() == replay.uniform()  # both streams stop at the same draw
+    # a nan envelope would give nan entries, which nothing validates any more
+    with pytest.raises(NonfiniteStateError):
+        gl.random_ruelle_hierarchy(grid, 2, np.random.default_rng(0), envelope=math.nan)
 
 
 def test_flatten_unflatten_and_max_abs_difference():
