@@ -30,13 +30,11 @@ from .lattice import (
     make_grid,
     potential_from_samples,
     tophat_potential,
-    zero_field,
     zero_potential,
 )
 from .hierarchy import (
     CorrelationHierarchy,
     ScaleParams,
-    cauchy_estimate_check,
     evaluate_gf,
     exponential_hierarchy,
     gf_upper_bound,

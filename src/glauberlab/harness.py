@@ -45,14 +45,14 @@ from .generators import (
 from .hierarchy import (
     _pow_or_inf,
     cauchy_estimate_checks,
-    evaluate_gf,
+    evaluate_gf_rows,
     exponential_hierarchy,
     max_abs_by_order,
     random_ruelle_hierarchy,
     save_hierarchy,
     scale_norm,
 )
-from .lattice import GridField, convolution_kernel, convolve_values, field_l1_norm
+from .lattice import GridField, convolution_kernel, convolve_values, field_l1_norm, l1_norm
 from .solver import SolveReport, evolve_global, solve_local, step_radius, step_record
 from .vlasov import integrate, linf_bound_check, stationary_residual
 
@@ -196,11 +196,12 @@ def cmd_scaling_study(cfg: ExperimentConfig, out_dir, epsilons) -> ScalingStudyR
     * exp(-||theta_j||_1/alpha), and the fitted order is the log-log slope
     of gap against eps.
     """
-    eps_list = sorted(set(float(e) for e in epsilons), reverse=True)
+    given = [float(e) for e in epsilons]
+    if not all(0 < e < math.inf for e in given):  # nan fails too, before any run
+        raise InvalidArgumentError("epsilons must be finite and positive, got %r" % given)
+    eps_list = sorted(set(given), reverse=True)
     if len(eps_list) < 2:
         raise InvalidArgumentError("need at least two distinct epsilons")
-    if any(e <= 0 for e in eps_list):
-        raise InvalidArgumentError("epsilons must be positive")
     grid = build_grid(cfg)
     pot = build_potential(cfg, grid)
     params = build_scale_params(cfg)
@@ -208,19 +209,16 @@ def cmd_scaling_study(cfg: ExperimentConfig, out_dir, epsilons) -> ScalingStudyR
     limit_run = _evolve(cfg, params, pot, VLASOV_LIMIT, u0, "local").solution
 
     rng = np.random.default_rng(cfg.seed)
-    thetas = [
-        GridField(grid, rng.uniform(-0.5, 0.5, size=grid.n_sites))
-        for _ in range(SCALING_THETA_COUNT)
-    ]
-    limit_values = [evaluate_gf(limit_run, theta) for theta in thetas]
-    weights = [math.exp(-field_l1_norm(theta) / cfg.alpha) for theta in thetas]
+    thetas = rng.uniform(-0.5, 0.5, size=(SCALING_THETA_COUNT, grid.n_sites))
+    limit_values = evaluate_gf_rows(limit_run, thetas)
+    weights = [math.exp(-l1_norm(theta, grid.spacing) / cfg.alpha) for theta in thetas]
 
     gaps = []
     for eps in eps_list:
         run = _evolve(cfg, params, pot, eps, u0, "local").solution
         gap = max(
-            abs(evaluate_gf(run, theta) - ref) * w
-            for theta, ref, w in zip(thetas, limit_values, weights)
+            abs(value - ref) * w
+            for value, ref, w in zip(evaluate_gf_rows(run, thetas), limit_values, weights)
         )
         if gap == 0:
             raise InvalidArgumentError(

@@ -119,9 +119,6 @@ class CorrelationHierarchy:
     def n_max(self) -> int:
         return len(self.tensors) - 1
 
-    def copy(self):
-        return CorrelationHierarchy(self.grid, [t.copy() for t in self.tensors])
-
     def __repr__(self):
         return "CorrelationHierarchy(n_sites=%d, n_max=%d)" % (
             self.grid.n_sites,
@@ -369,13 +366,6 @@ def cauchy_estimate_checks(profile, r):
     caps = [bound] + [_pow_or_inf(math.e, n) * bound if bound else 0.0  # inf * 0 is nan
                       for n in range(2, len(profile))]
     return [not m or w * m <= cap for w, m, cap in zip(weights[1:], profile[1:], caps)]
-
-
-def cauchy_estimate_check(profile, n, r) -> bool:
-    """The verdict of cauchy_estimate_checks(profile, r) at order n."""
-    if not (1 <= n < len(profile)):
-        raise InvalidArgumentError("order %r outside 1..n_max" % (n,))
-    return cauchy_estimate_checks(profile, r)[n - 1]
 
 
 def flat_dimension(grid, n_max) -> int:  # kept importable for bench/ladder.py

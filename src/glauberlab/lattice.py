@@ -79,10 +79,6 @@ def constant_field(grid, value) -> GridField:
     return GridField(grid, np.full(grid.n_sites, float(value)))
 
 
-def zero_field(grid) -> GridField:
-    return GridField(grid, np.zeros(grid.n_sites))
-
-
 def l1_norm(values, dx) -> float:
     """sum |values| dx, inf where that overflows: an inf norm still bounds."""
     with np.errstate(over="ignore"):

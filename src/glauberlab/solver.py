@@ -174,7 +174,8 @@ def evolve_global(
 
     The scale is pinned to alpha0 = 1/z and alpha = alpha0/2, each substep
     advances substep_fraction of the step radius, and the envelope margin
-    is re-checked before every restart, read from the last step record.
+    of every accepted substep, the last one included, is checked as soon as
+    its step record is made.
     Tolerances: the initial state must satisfy margin <= 1 + RUELLE_TOL;
     during the run drift up to 1 + RUELLE_DRIFT_TOL is accepted as
     truncation noise, beyond that the run aborts with RuelleViolationError.
@@ -206,13 +207,13 @@ def evolve_global(
     now = 0.0
     records = []
     while t_final - now > 1e-12 * max(1.0, t_final):
-        if records and records[-1].ruelle_margin > 1.0 + RUELLE_DRIFT_TOL:
-            raise RuelleViolationError(records[-1].ruelle_margin, now)
         dt_step = min(step, t_final - now)
         local = solve_local(gparams, pot, epsilon, u, dt_step, m_max, tol)
         u = local.solution
         now += dt_step
         records.append(replace(local.steps[0], time=now))
+        if records[-1].ruelle_margin > 1.0 + RUELLE_DRIFT_TOL:
+            raise RuelleViolationError(records[-1].ruelle_margin, now)
     return SolveReport(
         solution=u,
         terms_used=max((r.terms_used for r in records), default=0),

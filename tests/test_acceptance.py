@@ -138,7 +138,7 @@ def test_criterion_06_vlasov_closed_form():
         grid = gl.make_grid(8, 8.0)
         pot = gl.zero_potential(grid)
         cfg = VlasovConfig(z=1.0, dt=1e-3, scheme="rk4", t_final=1.0)
-        final, _ = integrate(gl.zero_field(grid), cfg, pot)
+        final, _ = integrate(gl.constant_field(grid, 0.0), cfg, pot)
         target = 1.0 - math.exp(-1.0)
         assert abs(target - 0.6321205588) <= 1e-9
         assert np.max(np.abs(final.values - target)) <= 1e-8

@@ -240,7 +240,8 @@ def test_duality_identity_sweep():
 def test_evaluate_generator_gf_zero_theta_and_equilibrium():
     grid, pot, params, rng = standard_setup()
     k = gl.random_ruelle_hierarchy(grid, 3, rng, envelope=0.5)
-    assert gl.evaluate_generator_gf(k, gl.zero_field(grid), params, pot, gl.GLAUBER) == 0.0
+    zero = gl.constant_field(grid, 0.0)
+    assert gl.evaluate_generator_gf(k, zero, params, pot, gl.GLAUBER) == 0.0
 
     free_pot = gl.zero_potential(grid)
     z = 0.8

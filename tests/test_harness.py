@@ -333,6 +333,15 @@ def test_cmd_verify_bounds_scans_each_hierarchy_once(tmp_path, monkeypatch):
     assert len(scans) == cases
 
 
+# --epsilons refused by value before any run -> the list the message names
+REFUSED_EPSILONS = {
+    "0.2,nan": "[0.2, nan]",
+    "0.2,inf": "[0.2, inf]",
+    "nan,nan": "[nan, nan]",
+    "0.2,-0.1": "[0.2, -0.1]",
+}
+
+
 @pytest.mark.parametrize(
     "line,epsilons",
     [
@@ -340,6 +349,12 @@ def test_cmd_verify_bounds_scans_each_hierarchy_once(tmp_path, monkeypatch):
         ("", "0.1,0.1"),  # one distinct epsilon, same fault
         ("potential.kind = zero", "0.4,0.2"),  # zero gaps: math domain error
         ("", "abc"),  # raw ValueError from float()
+        # nan and inf evolved the limit run, then failed in the shift tables;
+        # nan,nan passed the distinct check, as nan != nan
+        ("", "0.2,nan"),
+        ("", "0.2,inf"),
+        ("", "nan,nan"),
+        ("", "0.2,-0.1"),
     ],
 )
 def test_cli_scaling_study_rejects_unfittable_sweeps(tmp_path, capsys, line, epsilons):
@@ -353,6 +368,11 @@ def test_cli_scaling_study_rejects_unfittable_sweeps(tmp_path, capsys, line, eps
     assert err.startswith("error: invalid-argument:")
     assert err.count("\n") == 1
     assert os.listdir(out) == []
+    if epsilons in REFUSED_EPSILONS:
+        assert err == (
+            "error: invalid-argument: epsilons must be finite and positive, got %s\n"
+            % REFUSED_EPSILONS[epsilons]
+        )
 
 
 # (config, subcommand) -> error code of every shipped-config run that fails
@@ -592,6 +612,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     )
     assert capsys.readouterr().err.startswith("error: radius-exceeded:")
 
+    samples = tmp_path / "phi.txt"
+    samples.write_text("0.5\nabc\n")
+    from_file = tmp_path / "from_file.conf"
+    from_file.write_text("potential.kind = file\npotential.path = %s\n" % samples)
+    assert main(["--config", str(from_file), "--out", str(tmp_path / "o5"), "evolve"]) == 5
+    assert capsys.readouterr().err == (
+        "error: parse-error: potential file %s holds non-numeric lines\n" % samples
+    )
+
     envelope = tmp_path / "envelope.conf"
     envelope.write_text("initial.level = 1.0\n")  # margin 2^n vs z = 0.5
     assert (
@@ -724,6 +753,12 @@ def run_default_with(tmp_path, line, command):
          "error: parse-error: rng.seed must be non-negative\n"),
         ("", ["--seed", "-1", "verify-bounds", "--cases", "2"], 1, "",
          "error: invalid-argument: --seed must be non-negative, got -1\n"),
+        ("initial.level = -1", ["evolve"], 5, "",
+         "error: parse-error: initial.level must be non-negative\n"),
+        ("", ["verify-bounds", "--cases", "0"], 1, "",
+         "error: invalid-argument: n_cases must be at least 1\n"),
+        ("", ["verify-bounds", "--cases", "-3"], 1, "",
+         "error: invalid-argument: n_cases must be at least 1\n"),
         # a substep of one whole radius ended in radius-exceeded on its first solve
         ("time.substep_fraction = 1.0\ntime.t_final = 1.0", ["evolve", "--mode", "global"], 5,
          "", "error: parse-error: time.substep_fraction must lie in (0, 1)\n"),
@@ -881,24 +916,34 @@ def test_cli_output_file_that_cannot_be_written_ends_cleanly(
 STRONG_COUPLING = (
     "grid.n_sites = 6\ngrid.length = 6.0\npotential.kind = gaussian\n"
     "potential.amplitude = 4.0\npotential.width = 1.0\nmodel.z = 0.5\n"
-    "model.epsilon = 0.0\ntime.t_final = 6.0\ntruncation.n_max = %d\n"
+    "model.epsilon = 0.0\ntime.t_final = %r\ntruncation.n_max = %d\n"
 )
 
 
-@pytest.mark.parametrize("n_max,margin", [(3, "1.00203588"), (5, "1.00404986")])
-def test_strong_coupling_limit_overshoots_the_activity_envelope(tmp_path, capsys, n_max, margin):
+@pytest.mark.parametrize(
+    "n_max,t_final,margin,at",
+    [
+        pytest.param(3, 6.0, "1.00203588", "0.000374160877", id="3-1.00203588"),
+        pytest.param(5, 6.0, "1.00404986", "0.000374160877", id="5-1.00404986"),
+        # one substep, the last: its margin went unchecked and the run exited 0
+        pytest.param(3, 0.0003, "1.00163449", "0.0003", id="3-1.00163449-last-substep"),
+    ],
+)
+def test_strong_coupling_limit_overshoots_the_activity_envelope(
+    tmp_path, capsys, n_max, t_final, margin, at
+):
     # z ||phi||_1 = 3.5: closing orders above n_max by zero lets the truncated
     # limit hierarchy leave |k_n| <= z^n in its first substep, although the
     # untruncated limit keeps rho_t <= z.  Pinned so no change can hide it.
     conf = tmp_path / "strong.conf"
-    conf.write_text(STRONG_COUPLING % n_max)
+    conf.write_text(STRONG_COUPLING % (t_final, n_max))
     out = tmp_path / "o"
     status = main(["--config", str(conf), "--out", str(out), "evolve", "--mode", "global"])
     assert status == EXIT_CODES["ruelle-violated"] == 3
     assert capsys.readouterr() == (
         "",
         "error: ruelle-violated: activity-envelope margin %s exceeded tolerance"
-        " at t=0.000374160877\n" % margin,
+        " at t=%s\n" % (margin, at),
     )
     assert os.listdir(out) == []
 

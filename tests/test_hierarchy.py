@@ -64,7 +64,7 @@ def test_scale_params_validation():
 
 def test_exponential_hierarchy_zero_density():
     grid = gl.make_grid(8, 8.0)
-    k = gl.exponential_hierarchy(gl.zero_field(grid), 3)
+    k = gl.exponential_hierarchy(gl.constant_field(grid, 0.0), 3)
     assert float(k.tensors[0]) == 1.0
     for n in range(1, 4):
         assert np.all(k.tensors[n] == 0.0)
@@ -122,7 +122,7 @@ def test_memory_guard_is_one_check_made_before_allocation(tmp_path):
 
 def test_evaluate_gf_constant_term():
     k, rng = small_random_hierarchy(seed=2)
-    theta = gl.zero_field(k.grid)
+    theta = gl.constant_field(k.grid, 0.0)
     assert gl.evaluate_gf(k, theta) == float(k.tensors[0])
 
 
@@ -156,7 +156,7 @@ def test_evaluate_gf_is_degree_nmax_polynomial():
 
 def test_variational_derivative_at_zero_is_first_tensor():
     k, _ = small_random_hierarchy(n_sites=6, n_max=3, seed=5)
-    field = variational_derivative_field(k, gl.zero_field(k.grid))
+    field = variational_derivative_field(k, gl.constant_field(k.grid, 0.0))
     for x in range(6):
         assert field[x] == k.tensors[1][x]
 
@@ -197,7 +197,7 @@ def test_variational_derivative_exponential_tail():
 
 def test_substitute_affine_identity():
     k, _ = small_random_hierarchy(n_sites=4, n_max=3, seed=8)
-    out = gl.substitute_affine(k, gl.constant_field(k.grid, 1.0), gl.zero_field(k.grid))
+    out = gl.substitute_affine(k, gl.constant_field(k.grid, 1.0), gl.constant_field(k.grid, 0.0))
     for a, b in zip(out.tensors, k.tensors):
         assert np.array_equal(a, b)
 
@@ -205,7 +205,7 @@ def test_substitute_affine_identity():
 def test_substitute_affine_zero_scale():
     k, rng = small_random_hierarchy(n_sites=4, n_max=2, seed=9)
     b = gl.GridField(k.grid, rng.uniform(-0.5, 0.5, 4))
-    out = gl.substitute_affine(k, gl.zero_field(k.grid), b)
+    out = gl.substitute_affine(k, gl.constant_field(k.grid, 0.0), b)
     assert rel_err(float(out.tensors[0]), gl.evaluate_gf(k, b)) <= 1e-12
     for n in range(1, 3):
         assert np.all(out.tensors[n] == 0.0)
@@ -321,34 +321,34 @@ def test_cauchy_estimate_check_worked_example():
     k.tensors[0] = np.array(1.0)
     k.tensors[1] = np.ones(8)
     # gf_upper_bound(k, 1) = 1 + 1 = 2 and max|k_1| = 1 <= 2/1
-    assert gl.cauchy_estimate_check(gl.max_abs_by_order(k), 1, 1.0)
+    assert cauchy_estimate_checks(gl.max_abs_by_order(k), 1.0)[0]
 
 
 def test_cauchy_estimate_check_zero_hierarchy():
     k = gl.zero_hierarchy(gl.make_grid(8, 8.0), 2)
-    assert gl.cauchy_estimate_check(gl.max_abs_by_order(k), 1, 0.5)
-    assert gl.cauchy_estimate_check(gl.max_abs_by_order(k), 2, 2.0)
+    assert cauchy_estimate_checks(gl.max_abs_by_order(k), 0.5)[0]
+    assert cauchy_estimate_checks(gl.max_abs_by_order(k), 2.0)[1]
     # (e/r)^n overflows to inf, and inf * 0 must not turn a zero order into a violation
-    assert gl.cauchy_estimate_check(gl.max_abs_by_order(k), 2, 1e-110)
+    assert cauchy_estimate_checks(gl.max_abs_by_order(k), 1e-110)[1]
     # r^2/2 overflows to inf; the zero order 2 adds 0 to the majorant, not inf * 0 = nan,
     # and at order 1 a rounded bound / r fell just below max|k_1| on this hierarchy
     gapped, _ = small_random_hierarchy(n_sites=4, n_max=2, seed=25)
     gapped.tensors[2] = np.zeros((4, 4))
     profile = gl.max_abs_by_order(gapped)
     assert not math.isnan(gl.gf_upper_bound(profile, 1e300))
-    assert gl.cauchy_estimate_check(profile, 1, 1e300)
-    assert gl.cauchy_estimate_check(profile, 2, 1e300)
+    assert cauchy_estimate_checks(profile, 1e300)[0]
+    assert cauchy_estimate_checks(profile, 1e300)[1]
 
 
 def test_cauchy_estimate_check_extreme_radii_are_no_violations():
     # r^2/2 underflows to 0, so the majorant is 0 and (e/r)^2 is inf: inf * 0
     # was nan.  The weighted term (r^2/2) * 1 is that same 0.
-    assert gl.cauchy_estimate_check([0.0, 0.0, 1.0], 2, 1e-170)
+    assert cauchy_estimate_checks([0.0, 0.0, 1.0], 1e-170)[1]
     # e^n overflows where the majorant is 0 as well
-    assert gl.cauchy_estimate_check([0.0] * 800 + [1.0], 800, 1e-3)
+    assert cauchy_estimate_checks([0.0] * 800 + [1.0], 1e-3)[799]
     # (e/inf)^2 * inf was 0 * inf = nan; an infinite radius is now refused
     with pytest.raises(InvalidArgumentError):
-        gl.cauchy_estimate_check([1.0, 1.0, 1.0], 2, math.inf)
+        cauchy_estimate_checks([1.0, 1.0, 1.0], math.inf)
     for r in (math.inf, -math.inf, math.nan, 0.0, -1.0):
         with pytest.raises(InvalidArgumentError):
             gl.gf_upper_bound([1.0, 1.0], r)
@@ -361,13 +361,12 @@ def test_cauchy_estimate_check_random_sweep():
         k = gl.random_ruelle_hierarchy(grid, 3, rng, envelope=rng.uniform(0.2, 2.0))
         for n in range(1, 4):
             for r in (0.5, 1.0, 2.0, 1e-110):  # (e/1e-110)^3 overflows to inf
-                assert gl.cauchy_estimate_check(gl.max_abs_by_order(k), n, r)
+                assert cauchy_estimate_checks(gl.max_abs_by_order(k), r)[n - 1]
 
 
 def _assert_all_orders_cauchy_check_agrees(profile, r):
     orders = range(1, len(profile))
     verdicts = cauchy_estimate_checks(profile, r)
-    assert verdicts == [gl.cauchy_estimate_check(profile, n, r) for n in orders]
     assert verdicts == [cauchy_check_oracle(profile, n, r) for n in orders]
     return verdicts
 

@@ -329,7 +329,7 @@ def test_convolution_kernel_allocates_order_n_at_the_guard():
 
 def test_field_norms_examples():
     grid = gl.make_grid(8, 4.0)  # dx = 0.5
-    zero = gl.zero_field(grid)
+    zero = gl.constant_field(grid, 0.0)
     assert gl.field_l1_norm(zero) == 0.0
     assert gl.field_linf_norm(zero) == 0.0
     ones = gl.constant_field(grid, 1.0)

@@ -1,5 +1,6 @@
-"""The package surface: what `import glauberlab` loads and the README example."""
+"""The package surface: what `import glauberlab` loads, what it exports, and the README example."""
 
+import ast
 import re
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 from helpers import child_env
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = README.parent / "src" / "glauberlab"
 
 
 def test_import_does_not_load_scipy():
@@ -32,3 +34,47 @@ def test_readme_library_example_runs(capsys):
     margin, restarts = printed[0].split()
     assert float(margin) <= 1.0 + 1e-3 and int(restarts) >= 1
     assert 0.0 <= float(printed[1]) < 0.1  # relaxing towards the fixed point
+
+
+def unreferenced_exports(init_source, module_sources, readme):
+    """Names imported by init_source that no module source names and README never mentions.
+
+    A module names an export as an ast.Name id or an ast.Attribute attr, so
+    its import statements do not count; README mentions it as a whole word.
+    """
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(init_source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    named = set()
+    for source in module_sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return {
+        name for name in exported
+        if name not in named and not re.search(r"\b%s\b" % re.escape(name), readme)
+    }
+
+
+def test_export_scan_flags_each_form():
+    init = "from .a import called, attr, documented, imported_only\nfrom .b import x as aliased"
+    modules = ["from .a import imported_only\ny = called(1)", "z = a.attr\nw = aliased"]
+    assert unreferenced_exports(init, modules, "") == {"documented", "imported_only"}
+    assert unreferenced_exports(init, modules, "`documented` is public") == {"imported_only"}
+    # a whole word only: a longer name that contains it is no mention
+    assert unreferenced_exports(init, modules, "documented_rows, imported_only_x") == {
+        "documented", "imported_only"
+    }
+
+
+def test_every_export_has_a_caller_or_a_readme_line():
+    # bench/ is left out on purpose: a benchmark change that drops an import
+    # must not fail this test unless it also edits src/
+    modules = [p.read_text() for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    init = (PACKAGE / "__init__.py").read_text()
+    assert unreferenced_exports(init, modules, README.read_text()) == set()

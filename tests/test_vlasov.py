@@ -15,7 +15,7 @@ def test_vlasov_rhs_fixed_point_and_empty():
     z = 0.9
     rhs = gl.vlasov_rhs(gl.constant_field(grid, z), z, pot)
     assert np.all(rhs.values == 0.0)
-    from_empty = gl.vlasov_rhs(gl.zero_field(grid), z, pot)
+    from_empty = gl.vlasov_rhs(gl.constant_field(grid, 0.0), z, pot)
     assert np.allclose(from_empty.values, z, rtol=0, atol=0)
 
 
@@ -36,7 +36,7 @@ def test_integrate_closed_form():
     grid = gl.make_grid(8, 8.0)
     pot = gl.zero_potential(grid)
     cfg = gl.VlasovConfig(z=1.0, dt=1e-3, scheme="rk4", t_final=1.0)
-    final, trajectory = gl.integrate(gl.zero_field(grid), cfg, pot)
+    final, trajectory = gl.integrate(gl.constant_field(grid, 0.0), cfg, pot)
     target = 1.0 - math.exp(-1.0)
     assert abs(target - 0.6321205588) <= 1e-9
     assert np.max(np.abs(final.values - target)) <= 1e-8
@@ -98,7 +98,7 @@ def test_integrate_flags_nonfinite_state():
     pot = gl.zero_potential(grid)
     cfg = gl.VlasovConfig(z=1e308, dt=1.0, t_final=2.0)
     with np.errstate(over="ignore"), pytest.raises(NonfiniteStateError):
-        gl.integrate(gl.zero_field(grid), cfg, pot)
+        gl.integrate(gl.constant_field(grid, 0.0), cfg, pot)
 
 
 def test_vlasov_config_validation():
@@ -128,7 +128,7 @@ def test_stationary_residual_examples():
     grid = gl.make_grid(8, 8.0)
     pot = gl.zero_potential(grid)
     assert gl.stationary_residual(gl.constant_field(grid, 0.6), 0.6, pot) == 0.0
-    assert gl.stationary_residual(gl.zero_field(grid), 1.0, pot) == 1.0
+    assert gl.stationary_residual(gl.constant_field(grid, 0.0), 1.0, pot) == 1.0
 
 
 def test_long_time_contraction_fixed_point():
@@ -146,7 +146,7 @@ def test_long_time_contraction_fixed_point():
 def test_exponential_gf_eval():
     grid = gl.make_grid(8, 8.0)
     rho = gl.constant_field(grid, 0.3)
-    assert exponential_gf_eval(rho, gl.zero_field(grid)) == 1.0
+    assert exponential_gf_eval(rho, gl.constant_field(grid, 0.0)) == 1.0
     theta = gl.constant_field(grid, 0.2)
     assert math.isclose(
         exponential_gf_eval(rho, theta), math.exp(0.3 * 0.2 * 8.0), rel_tol=1e-14
