@@ -23,10 +23,9 @@ from .lattice import (
     tophat_potential,
     zero_potential,
 )
-from .vlasov import VlasovConfig
+from .vlasov import SCHEMES, VlasovConfig
 
 POTENTIAL_KINDS = ("zero", "gaussian", "tophat", "file")
-SCHEMES = ("rk4", "euler")
 
 
 @dataclass(frozen=True)

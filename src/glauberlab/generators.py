@@ -16,10 +16,12 @@ generator is
 with unit death rate and birth activity z.  The tensor-level action is
 obtained by collecting theta-monomial coefficients: the death part scales
 order n by n, the birth part symmetrizes the per-site substituted
-hierarchies.  Orders above n_max are closed by zero, so pairing the tensor
-route with the direct functional evaluation (minus the top-order product
-term the closure discards, see evaluate_generator_gf) is an exact identity
-and serves as the module's master self-check.
+hierarchies.  The same rule gives the functional death term: by Euler's
+identity, sum_x dx theta(x) deltaB(theta;x) = sum_n n B_n(theta), with B_n
+the order-n term of B.  Orders above n_max are closed by zero, so pairing
+the tensor route with the direct functional evaluation (minus the top-order
+product term the closure discards, see evaluate_generator_gf) is an exact
+identity and serves as the module's master self-check.
 """
 
 import math
@@ -32,11 +34,11 @@ from .hierarchy import (
     ScaleParams,
     _contract_leading,
     _fsum_or_nan,
+    _order_terms,
     evaluate_gf,  # unused here; kept importable for bench/spans.py
     evaluate_gf_rows,
     substitute_affine,  # unused here; kept importable for bench/spans.py
     substitute_affine_rows,
-    variational_derivative_field,
     zero_hierarchy,
 )
 from .lattice import GridField, PairPotential, displacement_matrix, l1_norm, require_same_grid
@@ -131,9 +133,10 @@ def apply_generator(k, params: ScaleParams, pot, epsilon) -> CorrelationHierarch
 
 
 def death_gf_term(k, theta: GridField) -> float:
-    """sum_x dx theta(x) deltaB(theta; x), evaluated without tensor transforms."""
-    vd = variational_derivative_field(k, theta)
-    return float(np.sum(theta.values * vd) * k.grid.spacing)
+    """sum_n n B_n(theta), the death pairing; correctly rounded, and nan where it overflows."""
+    require_same_grid(k, theta)
+    (terms,) = _order_terms(k, theta.values[np.newaxis])
+    return _fsum_or_nan([n * term for n, term in enumerate(terms)])
 
 
 def birth_gf_terms(k, theta: GridField, a_rows, b_rows):
@@ -204,7 +207,7 @@ def vlasov_gap_bound(eps, params, pot, alpha_prime, alpha_dprime) -> float:
     eps z ||phi||_inf e^{||phi||_1/alpha} ( ||phi||_1 alpha0 / gap + 4 alpha0^3 / (gap^2 e) ),
     gap = alpha_dprime - alpha_prime, valid for alpha <= alpha_prime < alpha_dprime <= alpha0.
     """
-    if eps < 0:
+    if not (eps >= 0):
         raise InvalidArgumentError("eps must be non-negative")
     if not (
         params.alpha <= alpha_prime < alpha_dprime <= params.alpha0

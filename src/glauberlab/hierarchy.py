@@ -69,7 +69,7 @@ class ScaleParams:
             )
         if not (self.z > 0):
             raise InvalidArgumentError("activity z must be positive")
-        if self.epsilon < 0:
+        if not (self.epsilon >= 0):
             raise InvalidArgumentError("epsilon must be non-negative")
 
 
@@ -214,19 +214,24 @@ def _fsum_or_nan(terms) -> float:
         return math.nan
 
 
-def evaluate_gf_rows(k: CorrelationHierarchy, rows):
-    """B(theta) for every row theta of `rows` (shape (R, N)), as a list of floats.
-
-    Each row's order contributions are combined with math.fsum, so every
-    value is correctly rounded; a value that overflows is nan.
-    """
+def _order_terms(k: CorrelationHierarchy, rows):
+    """Per row theta of `rows` (shape (R, N)), the order terms dx^n/n! sum_tuples k_n prod theta."""
     weights = _taylor_weights(k.grid.spacing, len(k.tensors))
     per_order = []
     for n, (weight, tensor) in enumerate(zip(weights, k.tensors)):
         per_order.append(
             [weight * v for v in _contract_leading(tensor, rows, n).tolist()]
         )
-    return [_fsum_or_nan(terms) for terms in zip(*per_order)]
+    return zip(*per_order)
+
+
+def evaluate_gf_rows(k: CorrelationHierarchy, rows):
+    """B(theta) for every row theta of `rows` (shape (R, N)), as a list of floats.
+
+    Each row's order terms are combined with math.fsum, so every value is
+    correctly rounded; a value that overflows is nan.
+    """
+    return [_fsum_or_nan(terms) for terms in _order_terms(k, rows)]
 
 
 def evaluate_gf(k: CorrelationHierarchy, theta: GridField) -> float:
@@ -238,19 +243,6 @@ def evaluate_gf(k: CorrelationHierarchy, theta: GridField) -> float:
     """
     require_same_grid(k, theta)
     return evaluate_gf_rows(k, theta.values[np.newaxis])[0]
-
-
-def variational_derivative_field(k: CorrelationHierarchy, theta: GridField):
-    """First variational derivative of B at theta, as an array over sites.
-
-    delta B(theta; x) = sum_{n<=n_max-1} dx^n/n! sum_tuples k_{n+1}(..., x) prod theta.
-    """
-    require_same_grid(k, theta)
-    rows = theta.values[np.newaxis]
-    out = np.zeros(k.grid.n_sites)
-    for order, weight in enumerate(_taylor_weights(k.grid.spacing, k.n_max)):
-        out += weight * _contract_leading(k.tensors[order + 1], rows, order)[0]
-    return out
 
 
 def substitute_affine_rows(k: CorrelationHierarchy, a_rows, b_rows, top):
@@ -307,10 +299,11 @@ def _pow_or_inf(base, n) -> float:
 
 
 def scale_norm(profile, alpha) -> float:
-    """Scale norm sup_n alpha^n max|k_n| of a profile; zero orders add 0, overflows inf."""
+    """Scale norm sup_n alpha^n max|k_n| of a profile: zero orders add 0, overflows inf, a nan order nan."""
     if not (alpha > 0):
         raise InvalidArgumentError("alpha must be positive")
-    return max(_pow_or_inf(alpha, n) * m if m else 0.0 for n, m in enumerate(profile))
+    terms = [_pow_or_inf(alpha, n) * m if m else 0.0 for n, m in enumerate(profile)]
+    return math.nan if any(map(math.isnan, terms)) else max(terms)  # max skips a nan not first
 
 
 def ruelle_margin(k: CorrelationHierarchy, z) -> float:

@@ -30,6 +30,8 @@ from .lattice import (
     require_same_grid,
 )
 
+SCHEMES = ("rk4", "euler")
+
 
 @dataclass(frozen=True)
 class VlasovConfig:
@@ -46,13 +48,13 @@ class VlasovConfig:
             raise InvalidArgumentError("z must be positive")
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise InvalidArgumentError("dt must be finite and positive")
-        if self.scheme not in ("rk4", "euler"):
+        if self.scheme not in SCHEMES:
             raise InvalidArgumentError("scheme must be rk4 or euler")
         if not (self.t_final >= 0 and math.isfinite(self.t_final)):
             raise InvalidArgumentError("t_final must be finite and non-negative")
         if self.t_final > 0 and self.dt > self.t_final:
             raise InvalidArgumentError("dt must not exceed t_final")
-        if self.sample_stride < 1:
+        if not (self.sample_stride >= 1):
             raise InvalidArgumentError("sample_stride must be at least 1")
 
 

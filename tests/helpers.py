@@ -204,6 +204,23 @@ def evaluate_gf_oracle(k, theta_values) -> float:
     return math.fsum(terms)
 
 
+def variational_derivative_oracle(k, theta):
+    """First variational derivative of B at theta, as an array over sites.
+
+    deltaB(theta; x) = sum_{n<n_max} dx^n/n! sum_tuples k_{n+1}(x, ...) prod theta,
+    each order's trailing axes contracted by matmul, its weight a plain power
+    over math.factorial.
+    """
+    dx = k.grid.spacing
+    out = np.zeros(k.grid.n_sites)
+    for n in range(k.n_max):
+        field = k.tensors[n + 1]
+        for _ in range(n):
+            field = field @ theta.values
+        out += dx**n / math.factorial(n) * field
+    return out
+
+
 def plain_glauber_generator_oracle(k, params, pot):
     """Tensors of the plain Glauber generator, a_x = exp(-phi), b_x = a_x - 1.
 

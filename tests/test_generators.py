@@ -29,6 +29,7 @@ from helpers import (
     plain_glauber_generator_oracle,
     rel_err,
     unflatten,
+    variational_derivative_oracle,
 )
 
 ORACLE_KINDS = (gl.GLAUBER, 0.25, gl.VLASOV_LIMIT)
@@ -312,6 +313,9 @@ def test_vlasov_gap_bound_values():
     assert math.isclose(one, expected, rel_tol=1e-12)
     with pytest.raises(InvalidArgumentError):
         gl.vlasov_gap_bound(1.0, params, pot, 0.9, 0.6)
+    for bad in (-1.0, math.nan):  # a nan eps gave a nan bound, which no comparison fails
+        with pytest.raises(InvalidArgumentError, match="eps must be non-negative"):
+            gl.vlasov_gap_bound(bad, params, pot, 0.5, 1.0)
 
 
 def test_operator_level_vlasov_convergence():
@@ -414,6 +418,50 @@ def test_generator_value_is_death_and_birth_terms_bitwise(n_sites, n_max):
         for kind in ORACLE_KINDS:
             value = -death + params.z * birth_gf_term(k, theta, pot, kind)
             assert value == gl.evaluate_generator_gf(k, theta, params, pot, kind)
+
+
+@pytest.mark.parametrize("n_sites,n_max", ORACLE_SHAPES)
+def test_death_term_is_the_variational_derivative_pairing(n_sites, n_max):
+    # Euler's identity: sum_x dx theta(x) deltaB(theta; x) = sum_n n B_n(theta)
+    grid = gl.make_grid(n_sites, 5.0)
+    rng = np.random.default_rng(500 + n_max)
+    k = gl.random_ruelle_hierarchy(grid, n_max, rng, envelope=0.8)
+    for _ in range(4):
+        theta = gl.GridField(grid, rng.uniform(-0.6, 0.6, n_sites))
+        field = variational_derivative_oracle(k, theta)
+        pairing = grid.spacing * math.fsum(theta.values * field)
+        assert rel_err(death_gf_term(k, theta), pairing) <= 1e-12
+
+
+@pytest.mark.parametrize("n_sites,n_max", ORACLE_SHAPES)
+def test_death_term_is_the_radial_derivative(n_sites, n_max):
+    # d/ds B(s theta) at s = 1 is sum_n n B_n(theta), by a central difference
+    grid = gl.make_grid(n_sites, 5.0)
+    rng = np.random.default_rng(600 + n_max)
+    k = gl.random_ruelle_hierarchy(grid, n_max, rng, envelope=0.8)
+    h = 1e-5
+    for _ in range(4):
+        theta = rng.uniform(-0.6, 0.6, n_sites)
+        fd = (
+            gl.evaluate_gf(k, gl.GridField(grid, (1 + h) * theta))
+            - gl.evaluate_gf(k, gl.GridField(grid, (1 - h) * theta))
+        ) / (2 * h)
+        assert rel_err(death_gf_term(k, gl.GridField(grid, theta)), fd) <= 1e-8
+
+
+@pytest.mark.parametrize("n_max", range(6))
+def test_death_term_of_a_product_state(n_max):
+    # B_n(theta) = u^n / n! with u = dx sum rho theta, so the death term is
+    # u * sum_{n < n_max} u^n / n!
+    grid = gl.make_grid(8, 6.0)
+    rng = np.random.default_rng(700 + n_max)
+    rho = gl.GridField(grid, rng.uniform(0.1, 0.9, 8))
+    k = gl.exponential_hierarchy(rho, n_max)
+    for _ in range(4):
+        theta = gl.GridField(grid, rng.uniform(-0.8, 0.8, 8))
+        u = grid.spacing * math.fsum(rho.values * theta.values)
+        closed = u * math.fsum(u**n / math.factorial(n) for n in range(n_max))
+        assert rel_err(death_gf_term(k, theta), closed) <= 1e-12
 
 
 def test_apply_generator_working_set_is_a_few_top_tensors():

@@ -773,8 +773,8 @@ def run_default_with(tmp_path, line, command):
          "error: radius-exceeded: t=0.05 outside the guaranteed interval [0, 0)\n"),
         ("grid.length = 1.7976931348623157e308\nmodel.z = 1e300", ["evolve"], 4, "",
          "error: nonfinite-state: product state of order 3 has non-finite entries\n"),
-        # a huge a' kept the weight finite; theta dx overflowed in the variational
-        # derivative, warned in death_gf_term and died on inf - inf in fsum
+        # a huge a' kept the weight finite; the death term overflowed with a
+        # RuntimeWarning and died on inf - inf in fsum
         ("grid.length = 1e300\nsolver.alpha0 = 1e308", ["verify-bounds", "--cases", "20"], 4, "",
          "error: nonfinite-state: test-function power ||theta||_1^n_max = 3.24e+299^3"
          " overflows\n"),

@@ -26,7 +26,6 @@ from glauberlab.hierarchy import (
     cauchy_estimate_checks,
     flat_dimension,
     max_abs_by_order,
-    variational_derivative_field,
 )
 
 from helpers import (
@@ -43,6 +42,7 @@ from helpers import (
     symmetrize_oracle,
     taylor_coefficient_fd,
     unflatten,
+    variational_derivative_oracle,
 )
 
 
@@ -58,8 +58,9 @@ def test_scale_params_validation():
         gl.ScaleParams(1.0, 0.5, 1.0)
     with pytest.raises(InvalidArgumentError):
         gl.ScaleParams(0.5, 1.0, 0.0)
-    with pytest.raises(InvalidArgumentError):
-        gl.ScaleParams(0.5, 1.0, 1.0, epsilon=-0.1)
+    for bad in (-0.1, math.nan):  # nan failed no `epsilon < 0` test
+        with pytest.raises(InvalidArgumentError, match="epsilon must be non-negative"):
+            gl.ScaleParams(0.5, 1.0, 1.0, epsilon=bad)
 
 
 def test_exponential_hierarchy_zero_density():
@@ -156,7 +157,7 @@ def test_evaluate_gf_is_degree_nmax_polynomial():
 
 def test_variational_derivative_at_zero_is_first_tensor():
     k, _ = small_random_hierarchy(n_sites=6, n_max=3, seed=5)
-    field = variational_derivative_field(k, gl.constant_field(k.grid, 0.0))
+    field = variational_derivative_oracle(k, gl.constant_field(k.grid, 0.0))
     for x in range(6):
         assert field[x] == k.tensors[1][x]
 
@@ -165,7 +166,7 @@ def test_variational_derivative_matches_finite_difference():
     k, rng = small_random_hierarchy(n_sites=4, n_max=2, seed=6)
     theta = gl.GridField(k.grid, rng.uniform(-0.5, 0.5, 4))
     h = 1e-5
-    field = variational_derivative_field(k, theta)
+    field = variational_derivative_oracle(k, theta)
     for x in range(4):
         bumped = theta.values.copy()
         bumped[x] += h
@@ -188,7 +189,7 @@ def test_variational_derivative_exponential_tail():
     theta = gl.GridField(grid, rng.uniform(-0.05, 0.05, 8))
     u = float(np.sum(rho.values * theta.values)) * grid.spacing
     b_val = gl.evaluate_gf(k, theta)
-    field = variational_derivative_field(k, theta)
+    field = variational_derivative_oracle(k, theta)
     for x in range(8):
         tail = abs(rho.values[x]) * abs(u) ** 6 / math.factorial(6)
         diff = abs(field[x] - b_val * rho.values[x])
@@ -274,6 +275,25 @@ def test_scale_norm_examples_and_oracle():
     # alpha^n overflows: inf bounds the non-zero orders, zero orders add 0, not nan
     assert gl.scale_norm(gl.max_abs_by_order(unit), 1e300) == 1.0
     assert gl.scale_norm(gl.max_abs_by_order(k), 1e300) == math.inf
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [[math.nan, 0.0, 1.0], [0.0, math.nan, 1.0], [0.0, 1.0, math.nan], [1.0, 0.0, math.nan]],
+)
+def test_scale_norm_propagates_a_nan_order(profile):
+    # Python's max skips a nan unless it comes first, so a generator term
+    # (order 0 always 0.0) hid a nan at any higher order
+    for alpha in (0.5, 1.0, 1e300):
+        assert math.isnan(gl.scale_norm(profile, alpha))
+
+
+def test_ruelle_margin_of_a_nan_entry_is_nan():
+    grid = gl.make_grid(3, 3.0)
+    second = np.full((3, 3), 0.25)
+    second[1, 2] = math.nan
+    k = gl.CorrelationHierarchy._trusted(grid, [np.array(0.0), np.ones(3), second])
+    assert math.isnan(gl.ruelle_margin(k, 0.5))
 
 
 def test_scale_norm_monotone_in_alpha():

@@ -36,18 +36,15 @@ def test_readme_library_example_runs(capsys):
     assert 0.0 <= float(printed[1]) < 0.1  # relaxing towards the fixed point
 
 
-def unreferenced_exports(init_source, module_sources, readme):
-    """Names imported by init_source that no module source names and README never mentions.
+BENCH_MARKER = "kept importable for bench/"
 
-    A module names an export as an ast.Name id or an ast.Attribute attr, so
-    its import statements do not count; README mentions it as a whole word.
+
+def unnamed(candidates, module_sources, readme):
+    """Candidates that no module source names and README never mentions.
+
+    A module names one as an ast.Name id or an ast.Attribute attr, so import
+    statements and def lines do not count; README mentions it as a whole word.
     """
-    exported = {
-        alias.asname or alias.name
-        for node in ast.walk(ast.parse(init_source))
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
     named = set()
     for source in module_sources:
         for node in ast.walk(ast.parse(source)):
@@ -56,9 +53,39 @@ def unreferenced_exports(init_source, module_sources, readme):
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
     return {
-        name for name in exported
+        name for name in candidates
         if name not in named and not re.search(r"\b%s\b" % re.escape(name), readme)
     }
+
+
+def unreferenced_exports(init_source, module_sources, readme):
+    """Names imported by init_source that no module source names and README never mentions."""
+    exported = {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(init_source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    return unnamed(exported, module_sources, readme)
+
+
+def unreferenced_defs(module_sources, readme):
+    """Public top-level defs and classes that no module source names and README never mentions.
+
+    A def whose def line carries BENCH_MARKER is exempt: bench/ imports it,
+    and bench/ is not scanned.
+    """
+    public = set()
+    for source in module_sources:
+        lines = source.splitlines()
+        for node in ast.parse(source).body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")
+                and BENCH_MARKER not in lines[node.lineno - 1]
+            ):
+                public.add(node.name)
+    return unnamed(public, module_sources, readme)
 
 
 def test_export_scan_flags_each_form():
@@ -78,3 +105,21 @@ def test_every_export_has_a_caller_or_a_readme_line():
     modules = [p.read_text() for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     init = (PACKAGE / "__init__.py").read_text()
     assert unreferenced_exports(init, modules, README.read_text()) == set()
+
+
+def test_def_scan_flags_each_form():
+    modules = [
+        "def called():\n    def nested():\n        pass\n\n\nclass Documented:\n    pass",
+        "def orphan():\n    return called()\n\n\ndef _private():\n    pass",
+        "def benched(x):  # %s spans.py\n    return x" % BENCH_MARKER,
+    ]
+    # an unreferenced def is flagged; a private, nested or marked one is not
+    assert unreferenced_defs(modules, "") == {"orphan", "Documented"}
+    assert unreferenced_defs(modules, "`Documented` is public") == {"orphan"}
+    assert unreferenced_defs([modules[2].replace(BENCH_MARKER, "kept")], "") == {"benched"}
+
+
+def test_every_public_def_has_a_caller_a_readme_line_or_a_bench_marker():
+    # no test-only function in src/: tests/helpers.py is where oracles live
+    modules = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert unreferenced_defs(modules, README.read_text()) == set()

@@ -106,6 +106,10 @@ def test_vlasov_config_validation():
         gl.VlasovConfig(z=1.0, dt=0.5, t_final=0.1)
     with pytest.raises(InvalidArgumentError):
         gl.VlasovConfig(z=1.0, dt=0.1, scheme="rk9", t_final=1.0)
+    # a nan stride was accepted, and integrate then kept only t = 0 and t_final
+    for bad in (0, math.nan):
+        with pytest.raises(InvalidArgumentError, match="sample_stride must be at least 1"):
+            gl.VlasovConfig(z=1.0, dt=0.25, t_final=1.0, sample_stride=bad)
 
 
 def test_linf_bound_check():
