@@ -35,6 +35,7 @@ from .hierarchy import (
     _contract_leading,
     _fsum_or_nan,
     _order_terms,
+    _pow_or_inf,
     evaluate_gf,  # unused here; kept importable for bench/spans.py
     evaluate_gf_rows,
     substitute_affine,  # unused here; kept importable for bench/spans.py
@@ -144,14 +145,16 @@ def birth_gf_terms(k, theta: GridField, a_rows, b_rows):
 
     One evaluate_gf_rows call and one top-order contraction serve all E*N rows;
     each block of N site contributions is summed alone, so it keeps its bits.
+    A sum that overflows reads inf or nan, as evaluate_gf does, and warns nothing.
     """
     require_same_grid(k, theta)
     nm = k.n_max
     dx = k.grid.spacing
     scaled = a_rows * theta.values
-    values = evaluate_gf_rows(k, scaled + b_rows)
+    with np.errstate(over="ignore"):
+        values = evaluate_gf_rows(k, scaled + b_rows)
     tops = _contract_leading(k.tensors[nm], scaled, nm).tolist()
-    top_weight, top_factorial = dx**nm, math.factorial(nm)
+    top_weight, top_factorial = _pow_or_inf(dx, nm), math.factorial(nm)
     terms = [value - top * top_weight / top_factorial for value, top in zip(values, tops)]
     thetas = theta.values.tolist()
     return [

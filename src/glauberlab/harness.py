@@ -43,7 +43,6 @@ from .generators import (
     vlasov_gap_bound,
 )
 from .hierarchy import (
-    _pow_or_inf,
     cauchy_estimate_checks,
     evaluate_gf_rows,
     exponential_hierarchy,
@@ -62,7 +61,7 @@ SCALING_THETA_COUNT = 20
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
@@ -302,8 +301,8 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir, n_cases=100):
     each case evaluates the death term once and the birth term in one pass over
     them, and reads one max_abs_by_order scan and one majorant per radius.
     Raises NonfiniteStateError when a case's weight exp(||theta||_1 / a')
-    or its power ||theta||_1^n_max overflows, or when a death, birth or
-    generator value is not finite: no comparison with nan could fail.
+    overflows, or when a death, birth or generator value is not finite
+    (an overflowing sum reads inf or nan): no comparison with nan could fail.
     """
     if n_cases < 1:
         raise InvalidArgumentError("n_cases must be at least 1")
@@ -336,21 +335,16 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir, n_cases=100):
         theta = GridField(grid, rng.uniform(-0.6, 0.6, size=grid.n_sites))
         profile = max_abs_by_order(k)
         big_k = scale_norm(profile, a_dprime)
-        l1 = field_l1_norm(theta)
-        exponent = l1 / a_prime
+        exponent = field_l1_norm(theta) / a_prime
         weight = exp_or_inf(exponent)
         if weight == math.inf:  # the functional values it scales overflow too
             raise NonfiniteStateError(
                 "test-function weight exp(||theta||_1 / a') = exp(%.3g) overflows" % exponent
             )
-        if _pow_or_inf(l1, cfg.n_max) == math.inf:  # scales B's top order, which overflows too
-            raise NonfiniteStateError("test-function power ||theta||_1^n_max = %.3g^%d overflows"
-                                      % (l1, cfg.n_max))
 
         # the generator value as evaluate_generator_gf assembles it, bit for bit
-        with np.errstate(over="ignore", invalid="ignore"):
-            death = death_gf_term(k, theta)
-            births = dict(zip(distinct, birth_gf_terms(k, theta, a_rows, b_rows)))
+        death = death_gf_term(k, theta)
+        births = dict(zip(distinct, birth_gf_terms(k, theta, a_rows, b_rows)))
         gens = {eps: -death + params.z * birth for eps, birth in births.items()}
         if not all(map(math.isfinite, [death, *births.values(), *gens.values()])):
             raise NonfiniteStateError("a death, birth or generator value is not finite")

@@ -162,6 +162,8 @@ def random_ruelle_hierarchy(grid, n_max, rng, envelope=1.0) -> CorrelationHierar
     entries up to roundoff.  An overflowing or nan envelope^n_max is NonfiniteStateError;
     past it every entry is finite (|average| <= 1), so none is validated again.
     """
+    if n_max < 0:
+        raise InvalidArgumentError("n_max must be non-negative")
     require_within_memory_guard(grid.n_sites, n_max)
     if not _pow_or_inf(envelope, n_max) < math.inf:
         raise NonfiniteStateError("activity envelope %r overflows at order %d" % (envelope, n_max))

@@ -14,8 +14,7 @@ used, and only exact zeros of phi are skipped, whose products add nothing.
 The sum is einsum's sum of products over each (N, B) window row
 (optimize=False: no BLAS call and no N x N array or temporary), so its
 reduction order is fixed for a given numpy build and results are
-reproducible bit for bit.  The kernel is still held to the same N^2 entry
-guard as the hierarchy tensors so the site limits stay where they were.
+reproducible bit for bit.
 Gaussian samples below GAUSSIAN_FLOOR are stored as zero, so a gaussian's
 convolution never multiplies by a subnormal number, which takes the
 processor's slow path, and its band narrows to the samples above the floor.
@@ -44,14 +43,16 @@ class Grid:
 def make_grid(n_sites, length) -> Grid:
     """Build a grid with spacing length/n_sites.
 
-    Requires n_sites >= 2 and a finite length > 0 whose spacing does not
-    underflow to 0.
+    Requires an integer n_sites >= 2 and a finite length > 0 whose spacing
+    does not underflow to 0.  Every operator on the lattice is N x N, so
+    N^2 is held to the memory guard here, once: at most 3162 sites.
     """
-    if int(n_sites) != n_sites or n_sites < 2:
+    if not 2 <= n_sites < np.inf or int(n_sites) != n_sites:
         raise InvalidArgumentError("n_sites must be an integer >= 2, got %r" % (n_sites,))
+    n = int(n_sites)
+    require_within_memory_guard(n, 2)
     if not (0 < length < np.inf):
         raise InvalidArgumentError("length must be finite and positive, got %r" % (length,))
-    n = int(n_sites)
     if float(length) / n == 0:
         raise InvalidArgumentError("spacing %r / %d underflows to 0" % (length, n))
     return Grid(n, float(length), float(length) / n)
@@ -191,8 +192,7 @@ def require_same_grid(a, b):
 
 
 def displacement_matrix(grid):
-    """Matrix D with D[x, y] = (x - y) mod n_sites, held to the N^2 entry guard."""
-    require_within_memory_guard(grid.n_sites, 2)
+    """Matrix D with D[x, y] = (x - y) mod n_sites."""
     idx = np.arange(grid.n_sites)
     return (idx[:, None] - idx[None, :]) % grid.n_sites
 
@@ -206,12 +206,9 @@ def convolution_kernel(pot: PairPotential):
     displacement exactly once.  Without support B = 0.  The index is
     j - s for j = 0..N+B-2 and weight j is phi(s - j), so window row x of
     the gathered values pairs phi(d) with v(x - d).  O(N) memory, no N x N
-    array.  The N^2 entry guard is kept, so the site limits of the commands
-    that convolve do not depend on the layout.  Raises MemoryGuardError
-    before allocating when N^2 exceeds the guard.
+    array.
     """
     n = pot.grid.n_sites
-    require_within_memory_guard(n, 2)
     phi = pot.values_by_displacement
     support = np.flatnonzero(phi)
     if support.size:

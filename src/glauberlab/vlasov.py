@@ -54,8 +54,8 @@ class VlasovConfig:
             raise InvalidArgumentError("t_final must be finite and non-negative")
         if self.t_final > 0 and self.dt > self.t_final:
             raise InvalidArgumentError("dt must not exceed t_final")
-        if not (self.sample_stride >= 1):
-            raise InvalidArgumentError("sample_stride must be at least 1")
+        if not 1 <= self.sample_stride < math.inf or int(self.sample_stride) != self.sample_stride:
+            raise InvalidArgumentError("sample_stride must be an integer >= 1")
 
 
 def _rhs(kernel, values, z, dx):

@@ -25,7 +25,6 @@ from glauberlab.generators import (
     apply_generator,
     shift_displacement_tables,
 )
-from glauberlab.harness import _fmt
 from glauberlab.hierarchy import (
     MEMORY_GUARD_ENTRIES,
     CorrelationHierarchy,
@@ -316,11 +315,22 @@ def save_hierarchy_oracle(k, path):
                 fh.write(header.getvalue() + value.tobytes(order="C"))
 
 
+def _csv_cell_oracle(cell):
+    """One cell by its own per-type rules, independent of harness._fmt."""
+    if isinstance(cell, (bool, np.bool_)):
+        return "true" if cell else "false"
+    if isinstance(cell, (float, np.floating)):
+        return repr(float(cell))
+    if isinstance(cell, (int, np.integer)):
+        return str(int(cell))
+    return cell  # a str, as it is
+
+
 def write_csv_oracle(rows, path):
-    """CSV writer that formats every cell with harness._fmt, one call per cell."""
+    """CSV writer that formats every cell by _csv_cell_oracle's per-type rules."""
     with open(path, "w", newline="\n") as fh:
         for row in rows:
-            fh.write(",".join(_fmt(cell) for cell in row) + "\n")
+            fh.write(",".join([_csv_cell_oracle(cell) for cell in row]) + "\n")
 
 
 def flatten(k):

@@ -16,7 +16,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from glauberlab import errors
@@ -38,7 +38,11 @@ COMMANDS = (
     ["chaos-check"],
     ["verify-bounds", "--cases", "3"],
 )
-SIZE_LIMIT = 2000  # largest n_sites ** n_max drawn
+SIZE_LIMIT = 2000  # largest n_sites ** n_max drawn, apart from OVER_SITE_LIMIT
+# Site counts past the 3162-site limit: just over it, and 10^18 (6.9 EiB of
+# doubles), which no 64-bit machine can allocate.  Draw none in between: it
+# could really be allocated.
+OVER_SITE_LIMIT = (3163, 10**18)
 TIME_LIMIT_S = 20.0
 
 
@@ -53,7 +57,10 @@ def float_value(key):
 def small_config(draw):
     """Config text: small sizes, up to four float keys and a potential."""
     n_max = draw(st.integers(0, 4))
-    n_sites = draw(st.integers(2, 64 if n_max == 0 else min(64, int(SIZE_LIMIT ** (1 / n_max)))))
+    n_sites = draw(st.one_of(
+        st.integers(2, 64 if n_max == 0 else min(64, int(SIZE_LIMIT ** (1 / n_max)))),
+        st.sampled_from(OVER_SITE_LIMIT),
+    ))
     lines = ["grid.n_sites = %d" % n_sites, "truncation.n_max = %d" % n_max]
     for key in draw(st.lists(st.sampled_from(sorted(FLOAT_RANGES)), max_size=4, unique=True)):
         lines.append("%s = %r" % (key, draw(float_value(key))))
@@ -92,6 +99,8 @@ def run_cli(config_text, command):
 @settings(max_examples=200, deadline=5000, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(config_text=small_config(), command=st.sampled_from(COMMANDS))
+# the potential was built before any N^2 check: a raw _ArrayMemoryError
+@example(config_text="grid.n_sites = %d\ntruncation.n_max = 1\n" % 10**18, command=["vlasov"])
 def test_cli_ends_clean_or_with_one_coded_error(config_text, command):
     status, out, err = run_cli(config_text, command)
     if status == 0:

@@ -254,6 +254,34 @@ def test_evaluate_generator_gf_zero_theta_and_equilibrium():
         assert abs(val) <= 1e-12
 
 
+def test_generator_value_on_a_huge_spacing_overflows_to_a_nonfinite_float():
+    # the birth term's top weight dx**n_max raised a raw OverflowError, while
+    # evaluate_gf on the same hierarchy returned inf
+    grid = gl.make_grid(4, 4e300)
+    pot = gl.gaussian_potential(grid, 0.5, 1.0)
+    k = gl.random_ruelle_hierarchy(grid, 3, np.random.default_rng(4), envelope=0.5)
+    theta = gl.constant_field(grid, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = gl.evaluate_generator_gf(k, theta, gl.ScaleParams(0.5, 1.0, 0.5), pot, gl.GLAUBER)
+    assert isinstance(value, float) and not math.isfinite(value)
+    assert not math.isfinite(gl.evaluate_gf(k, theta))
+
+
+def test_birth_term_that_overflows_warns_nothing():
+    # a_x theta + b_x = -1e308 - 1e308 printed a numpy overflow RuntimeWarning;
+    # the death term gave nan quietly on the same input
+    grid = gl.make_grid(4, 4.0)
+    pot = gl.gaussian_potential(grid, 1e308, 1.0)
+    k = gl.random_ruelle_hierarchy(grid, 2, np.random.default_rng(5))
+    theta = gl.constant_field(grid, -1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        birth = birth_gf_term(k, theta, pot, gl.VLASOV_LIMIT)
+        death = death_gf_term(k, theta)
+    assert not math.isfinite(birth) and not math.isfinite(death)
+
+
 def test_assemble_matrix():
     grid = gl.make_grid(4, 4.0)
     pot = gl.gaussian_potential(grid, 0.5, 1.0)

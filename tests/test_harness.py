@@ -671,7 +671,8 @@ def test_cli_help_still_exits_zero(capsys):
 )
 def test_cli_convolution_kernel_hits_memory_guard(tmp_path, capsys, lines, command):
     # 3163^2 entries is just over the 1e7 guard; both commands used to
-    # build two 80 MB N x N matrices here.
+    # build two 80 MB N x N matrices here.  make_grid refuses the grid now,
+    # before any potential or kernel is built.
     conf = tmp_path / "big.conf"
     conf.write_text("\n".join(["grid.n_sites = 3163", "grid.length = 3163.0"] + lines) + "\n")
     tracemalloc.start()
@@ -689,8 +690,9 @@ def test_cli_convolution_kernel_hits_memory_guard(tmp_path, capsys, lines, comma
 
 
 def test_cli_evolve_shift_matrices_hit_memory_guard(tmp_path, capsys):
-    # at order 1 the hierarchy guard lets 3163 sites through; the birth
-    # operator's displacement matrix and shift rows would take about 240 MB
+    # at order 1 the hierarchy guard would let 3163 sites through, and the
+    # birth operator's displacement matrix and shift rows would take about
+    # 240 MB; make_grid refuses the grid first
     conf = tmp_path / "big.conf"
     conf.write_text("grid.n_sites = 3163\ngrid.length = 3163.0\ntruncation.n_max = 1\n")
     tracemalloc.start()
@@ -705,6 +707,26 @@ def test_cli_evolve_shift_matrices_hit_memory_guard(tmp_path, capsys):
     )
     assert peak < 1_000_000
     assert not list((tmp_path / "o").glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "n_sites,n_max,command",
+    [(10**18, 4, command) for command in (["evolve"], ["vlasov"], ["scaling-study"],
+                                           ["chaos-check"], ["verify-bounds", "--cases", "2"])]
+    # order 0 builds no N x N array, so 3163 sites once ran to exit 0
+    + [(3163, 0, ["evolve"])],
+)
+def test_cli_grid_over_the_site_limit_hits_memory_guard(tmp_path, capsys, n_sites, n_max, command):
+    # every command built its potential before any N^2 check ran, so 10^18
+    # sites ended in numpy's raw _ArrayMemoryError (raised before allocating)
+    conf = tmp_path / "big.conf"
+    conf.write_text("grid.n_sites = %d\ntruncation.n_max = %d\n" % (n_sites, n_max))
+    status = main(["--config", str(conf), "--out", str(tmp_path / "o")] + command)
+    assert status == 1
+    assert capsys.readouterr() == (
+        "", "error: memory-guard: top tensor would hold %d entries (guard 10000000)\n" % n_sites**2
+    )
+    assert not list((tmp_path / "o").iterdir())
 
 
 NONFINITE_VALUE = "error: nonfinite-state: a death, birth or generator value is not finite\n"
@@ -774,10 +796,10 @@ def run_default_with(tmp_path, line, command):
         ("grid.length = 1.7976931348623157e308\nmodel.z = 1e300", ["evolve"], 4, "",
          "error: nonfinite-state: product state of order 3 has non-finite entries\n"),
         # a huge a' kept the weight finite; the death term overflowed with a
-        # RuntimeWarning and died on inf - inf in fsum
+        # RuntimeWarning and died on inf - inf in fsum.  The birth term's top
+        # weight dx**n_max raised a raw OverflowError; it reads inf now
         ("grid.length = 1e300\nsolver.alpha0 = 1e308", ["verify-bounds", "--cases", "20"], 4, "",
-         "error: nonfinite-state: test-function power ||theta||_1^n_max = 3.24e+299^3"
-         " overflows\n"),
+         NONFINITE_VALUE),
         # found by test_cli_fuzz.py: the level plus the wobble overflowed with a
         # numpy RuntimeWarning before the field check
         ("initial.level = 1.7976931348623157e308\ninitial.cosine_amplitude = 1e300", ["evolve"],

@@ -95,30 +95,48 @@ def test_memory_guard():
 
 
 def test_memory_guard_is_one_check_made_before_allocation(tmp_path):
-    # 3163^2 entries is just over the 1e7 guard; every builder must refuse it
-    # with the same message before allocating the 80 MB top tensor.
-    grid = gl.make_grid(3163, 3163.0)
-    snapshot = tmp_path / "big.npz"
-    # the header says (3163, 2); the tensors behind it are never read
-    write_archive(snapshot, archive_entries(3163, 3163.0, [np.array(1.0)] * 3))
+    # Every builder must refuse a top tensor over the 1e7 guard with the same
+    # message before allocating it: make_grid and the snapshot loader refuse
+    # 3163 sites (3163^2 = 10004569 entries) at any order, the hierarchy
+    # builders order 3 on 216 sites (216^3 = 10077696 entries).
+    grid = gl.make_grid(216, 216.0)
+    order1, order2 = tmp_path / "big1.npz", tmp_path / "big2.npz"
+    # the headers say (3163, 1) and (3163, 2); the tensors behind them are never read
+    write_archive(order1, archive_entries(3163, 3163.0, [np.array(1.0)] * 2))
+    write_archive(order2, archive_entries(3163, 3163.0, [np.array(1.0)] * 3))
     builders = [
-        lambda: gl.zero_hierarchy(grid, 2),
-        lambda: gl.exponential_hierarchy(gl.constant_field(grid, 0.5), 2),
-        lambda: gl.random_ruelle_hierarchy(grid, 2, np.random.default_rng(0)),
-        lambda: gl.load_hierarchy(snapshot),
+        (lambda: gl.make_grid(3163, 3163.0), 10004569),
+        (lambda: gl.zero_hierarchy(grid, 3), 10077696),
+        (lambda: gl.exponential_hierarchy(gl.constant_field(grid, 0.5), 3), 10077696),
+        (lambda: gl.random_ruelle_hierarchy(grid, 3, np.random.default_rng(0)), 10077696),
+        (lambda: gl.load_hierarchy(order1), 10004569),
+        (lambda: gl.load_hierarchy(order2), 10004569),
     ]
-    for build in builders:
+    for build, entries in builders:
         tracemalloc.start()
         try:
             with pytest.raises(
                 MemoryGuardError,
-                match=r"^top tensor would hold 10004569 entries \(guard 10000000\)$",
+                match=r"^top tensor would hold %d entries \(guard 10000000\)$" % entries,
             ):
                 build()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+def test_builders_refuse_a_negative_order():
+    # random_ruelle_hierarchy returned an order-0 hierarchy at n_max = -2
+    grid = gl.make_grid(4, 4.0)
+    builders = [
+        lambda: gl.zero_hierarchy(grid, -2),
+        lambda: gl.exponential_hierarchy(gl.constant_field(grid, 0.5), -2),
+        lambda: gl.random_ruelle_hierarchy(grid, -2, np.random.default_rng(0)),
+    ]
+    for build in builders:
+        with pytest.raises(InvalidArgumentError, match="^n_max must be non-negative$"):
+            build()
 
 
 def test_evaluate_gf_constant_term():

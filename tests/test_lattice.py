@@ -26,6 +26,10 @@ def test_make_grid_spacing():
 def test_make_grid_rejects_bad_arguments():
     with pytest.raises(InvalidArgumentError):
         gl.make_grid(1, 1.0)
+    # nan raised a raw ValueError and inf a raw OverflowError from int()
+    for n_sites in (math.nan, math.inf):
+        with pytest.raises(InvalidArgumentError, match="^n_sites must be an integer >= 2, got "):
+            gl.make_grid(n_sites, 1.0)
     with pytest.raises(InvalidArgumentError):
         gl.make_grid(8, 0.0)
     with pytest.raises(InvalidArgumentError):
