@@ -118,18 +118,13 @@ def apply_generator(k, params: ScaleParams, pot, epsilon) -> CorrelationHierarch
     """Full generator -death + z * birth on the truncated hierarchy.
 
     Order n is z * b_n - n * k_n: apply_birth's tensors less the death part
-    (each of n particles dies at rate 1), computed inside the birth tensors:
-    n * k_n goes into one scratch buffer of the top size, reused for every
-    order.  The buffer is taken after apply_birth's peak, so the working set
-    stays that of apply_birth.  k is left unchanged.
+    (each of n particles dies at rate 1), computed inside the birth tensors.
+    k is left unchanged.
     """
     birth = apply_birth(k, pot, epsilon)
-    scratch = np.empty(k.tensors[-1].size)
     for n in range(1, k.n_max + 1):
-        b, k_n = birth.tensors[n], k.tensors[n]
-        death = np.multiply(k_n, n, out=scratch[: k_n.size].reshape(k_n.shape))
-        b *= params.z
-        b -= death
+        birth.tensors[n] *= params.z
+        birth.tensors[n] -= n * k.tensors[n]
     return birth
 
 

@@ -107,8 +107,8 @@ class CorrelationHierarchy:
     def _trusted(cls, grid, tensors):
         """Wrap float64 tensors of the right shapes without re-validating them.
 
-        For the generator and Taylor-loop intermediates, whose inputs were
-        already validated; callers check finiteness once per accepted result.
+        For the builders' tensors and the generator and Taylor-loop intermediates,
+        made from validated inputs; callers check finiteness once per accepted result.
         """
         obj = cls.__new__(cls)
         obj.grid = grid
@@ -126,12 +126,17 @@ class CorrelationHierarchy:
         )
 
 
-def zero_hierarchy(grid, n_max) -> CorrelationHierarchy:
+def _require_order(grid, n_max):
+    """The builders' gate, checked before they allocate: n_max >= 0 and the guard."""
     if n_max < 0:
         raise InvalidArgumentError("n_max must be non-negative")
     require_within_memory_guard(grid.n_sites, n_max)
+
+
+def zero_hierarchy(grid, n_max) -> CorrelationHierarchy:
+    _require_order(grid, n_max)
     tensors = [np.zeros((grid.n_sites,) * n) for n in range(n_max + 1)]
-    return CorrelationHierarchy(grid, tensors)
+    return CorrelationHierarchy._trusted(grid, tensors)
 
 
 def exponential_hierarchy(rho: GridField, n_max) -> CorrelationHierarchy:
@@ -139,16 +144,13 @@ def exponential_hierarchy(rho: GridField, n_max) -> CorrelationHierarchy:
 
     The finite analogue of a Poisson-type state with density rho.
     """
-    if n_max < 0:
-        raise InvalidArgumentError("n_max must be non-negative")
-    grid = rho.grid
-    require_within_memory_guard(grid.n_sites, n_max)
+    _require_order(rho.grid, n_max)
     tensors = [np.array(1.0)]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_max):
             tensors.append(np.multiply.outer(tensors[-1], rho.values))
     require_finite(tensors, "product state of order %d" % n_max)
-    return CorrelationHierarchy(grid, tensors)
+    return CorrelationHierarchy._trusted(rho.grid, tensors)
 
 
 def random_ruelle_hierarchy(grid, n_max, rng, envelope=1.0) -> CorrelationHierarchy:
@@ -159,12 +161,13 @@ def random_ruelle_hierarchy(grid, n_max, rng, envelope=1.0) -> CorrelationHierar
     sampled states grow no faster than a prescribed geometric rate.  Each
     uniform draw is averaged over its axis permutations by the coset
     recursion, with the rng stream and law of the n!-term average and its
-    entries up to roundoff.  An overflowing or nan envelope^n_max is NonfiniteStateError;
-    past it every entry is finite (|average| <= 1), so none is validated again.
+    entries up to roundoff.  A negative envelope is InvalidArgumentError, an
+    overflowing or nan envelope^n_max NonfiniteStateError; past them every entry
+    is finite (|average| <= 1), so none is validated again.
     """
-    if n_max < 0:
-        raise InvalidArgumentError("n_max must be non-negative")
-    require_within_memory_guard(grid.n_sites, n_max)
+    _require_order(grid, n_max)
+    if envelope < 0:
+        raise InvalidArgumentError("envelope must be non-negative")
     if not _pow_or_inf(envelope, n_max) < math.inf:
         raise NonfiniteStateError("activity envelope %r overflows at order %d" % (envelope, n_max))
     tensors = [np.array(rng.uniform(0.5, 1.5))]

@@ -240,7 +240,8 @@ def convolve_values(kernel, values, dx):
 
 
 def convolve(pot: PairPotential, f: GridField) -> GridField:
-    """Periodic convolution (phi * f)(x) = sum_y phi(x-y) f(y) dx."""
+    """Periodic convolution (phi * f)(x) = sum_y phi(x-y) f(y) dx; overflow fails as non-finite."""
     require_same_grid(pot, f)
-    out = convolve_values(convolution_kernel(pot), f.values, pot.grid.spacing)
+    with np.errstate(over="ignore"):
+        out = convolve_values(convolution_kernel(pot), f.values, pot.grid.spacing)
     return GridField(pot.grid, out)

@@ -46,6 +46,15 @@ OVER_SITE_LIMIT = (3163, 10**18)
 TIME_LIMIT_S = 20.0
 
 
+# the int keys, each in range and at one value far past it, and the other scheme
+OTHER_KEYS = {
+    "solver.m_max": st.integers(1, 80),
+    "vlasov.sample_stride": st.one_of(st.integers(1, 50), st.just(10**9)),
+    "rng.seed": st.one_of(st.integers(0, 2**32), st.just(2**64)),
+    "vlasov.scheme": st.sampled_from(["rk4", "euler"]),
+}
+
+
 def float_value(key):
     low, high, exclude_low, exclude_high = FLOAT_RANGES[key]
     in_range = st.floats(low, high, allow_nan=False, allow_infinity=False,
@@ -55,7 +64,7 @@ def float_value(key):
 
 @st.composite
 def small_config(draw):
-    """Config text: small sizes, up to four float keys and a potential."""
+    """Config text: small sizes, up to four float keys, any of OTHER_KEYS and a potential."""
     n_max = draw(st.integers(0, 4))
     n_sites = draw(st.one_of(
         st.integers(2, 64 if n_max == 0 else min(64, int(SIZE_LIMIT ** (1 / n_max)))),
@@ -64,6 +73,8 @@ def small_config(draw):
     lines = ["grid.n_sites = %d" % n_sites, "truncation.n_max = %d" % n_max]
     for key in draw(st.lists(st.sampled_from(sorted(FLOAT_RANGES)), max_size=4, unique=True)):
         lines.append("%s = %r" % (key, draw(float_value(key))))
+    for key in draw(st.lists(st.sampled_from(sorted(OTHER_KEYS)), unique=True)):
+        lines.append("%s = %s" % (key, draw(OTHER_KEYS[key])))
     lines.append("potential.kind = %s" % draw(st.sampled_from(["zero", "gaussian", "tophat"])))
     return "\n".join(lines) + "\n"
 

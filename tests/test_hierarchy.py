@@ -1,3 +1,4 @@
+import inspect
 import io
 import math
 import pickle
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import glauberlab as gl
+from glauberlab import hierarchy
 from glauberlab.errors import (
     InvalidArgumentError,
     MemoryGuardError,
@@ -137,6 +139,32 @@ def test_builders_refuse_a_negative_order():
     for build in builders:
         with pytest.raises(InvalidArgumentError, match="^n_max must be non-negative$"):
             build()
+
+
+def test_builders_share_one_order_gate():
+    # zero, exponential and random_ruelle each restated the gate, and one drifted
+    refusal = '"n_max must be non-negative"'
+    assert inspect.getsource(hierarchy).count(refusal) == 1
+    assert refusal in inspect.getsource(hierarchy._require_order)
+
+
+def test_builders_trust_what_they_build(monkeypatch):
+    # the constructor's shape and finiteness scan is for tensors from outside
+    grid = gl.make_grid(4, 4.0)
+    rho = gl.GridField(grid, np.array([0.5, 0.25, 1.5, 2.0]))
+    built = []
+    init = hierarchy.CorrelationHierarchy.__init__
+    monkeypatch.setattr(
+        hierarchy.CorrelationHierarchy, "__init__",
+        lambda obj, *args: built.append(1) or init(obj, *args),
+    )
+    builds = [gl.zero_hierarchy(grid, 3), gl.exponential_hierarchy(rho, 3)]
+    assert built == []
+    for k in builds:
+        checked = gl.CorrelationHierarchy(grid, k.tensors)
+        assert [(t.dtype, t.shape, t.tobytes()) for t in k.tensors] == [
+            (t.dtype, t.shape, t.tobytes()) for t in checked.tensors
+        ]
 
 
 def test_evaluate_gf_constant_term():
