@@ -96,6 +96,12 @@ def apply_birth(k, pot: PairPotential, epsilon) -> CorrelationHierarchy:
     n_max - 1, the highest the output reads.  The working set peaks at
     about 2.1-2.2 times the top tensor at (16, 4), (24, 4) and (64, 3):
     the stacked c_x, one order of contracted rows, and then the output.
+
+    substitute_affine_rows skips the shift's exact identities: with phi = 0
+    (b = 0) it runs no contraction, and at epsilon = 0 or phi = 0 (a = 1) no
+    a-product.  Both keep every bit: a contraction with zeros adds +0, and
+    a product with 1.0 is exact.  The sum starts from stack + 0.0, which is
+    0 + stack by commutativity.
     """
     require_same_grid(k, pot)
     grid = k.grid
@@ -107,8 +113,8 @@ def apply_birth(k, pot: PairPotential, epsilon) -> CorrelationHierarchy:
     for n in range(1, k.n_max + 1):
         stack = subs[n - 1]
         subs[n - 1] = None  # free each order once it is summed
-        acc = np.zeros(stack.shape)
-        for i in range(n):
+        acc = stack + 0.0
+        for i in range(1, n):
             acc += np.moveaxis(stack, 0, i)
         tensors.append(acc)
     return CorrelationHierarchy._trusted(grid, tensors)

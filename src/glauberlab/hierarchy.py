@@ -261,19 +261,37 @@ def substitute_affine_rows(k: CorrelationHierarchy, a_rows, b_rows, top):
     The inner sum is capped at j <= n_max - m: with orders above n_max
     closed by zero this makes evaluate_gf(c, theta) == evaluate_gf(k, a*theta+b)
     an exact polynomial identity, not an approximation.
+
+    Two exact identities of the birth shift are skipped, with the same bits
+    as the full sum.  Where b is all zeros (phi = 0) and every weight is
+    finite, each b-contraction is +0 (einsum sums from +0), so the j >= 1
+    terms add +0 and order m < n_max is k_m + 0.0; with an infinite weight
+    the full sum's 0 * inf is nan, so it runs.  Where a is all ones
+    (epsilon = 0, or phi = 0), the a-products multiply by exact ones.
     """
     nm = k.n_max
     batch = (b_rows.shape[0],)
-    acc = [np.broadcast_to(t, batch + t.shape).copy() for t in k.tensors[: top + 1]]
-    nxt = [_contract_first(t, b_rows, shared=True) for t in k.tensors[1:]]
-    weights = _taylor_weights(k.grid.spacing, nm + 1)
-    next(weights)  # the j = 0 term is acc itself
-    for j, weight in enumerate(weights, start=1):
-        # row j+1 is contracted from row j before row j is weighted in place
-        row, nxt = nxt, [_contract_first(r, b_rows) for r in nxt[1:]]
-        for m in range(min(top, nm - j) + 1):
-            row[m] *= weight
-            acc[m] += row[m]
+    k_rows = [np.broadcast_to(t, batch + t.shape) for t in k.tensors[: top + 1]]
+    weights = list(_taylor_weights(k.grid.spacing, nm + 1))
+    reach = min(top, nm - 1)  # the orders a j >= 1 term adds to
+    if not b_rows.any() and math.isfinite(weights[-1]):
+        acc = [t + 0.0 for t in k_rows[: reach + 1]]
+    else:
+        acc = []
+        nxt = [_contract_first(t, b_rows, shared=True) for t in k.tensors[1:]]
+        for j, weight in enumerate(weights[1:], start=1):
+            # row j+1 is contracted from row j before row j is weighted in place
+            row, nxt = nxt, [_contract_first(r, b_rows) for r in nxt[1:]]
+            for m in range(min(top, nm - j) + 1):
+                row[m] *= weight
+                if j == 1:  # the j = 0 term is k_m itself
+                    row[m] += k.tensors[m]
+                    acc.append(row[m])
+                else:
+                    acc[m] += row[m]
+    acc += [t.copy() for t in k_rows[reach + 1 :]]
+    if np.all(a_rows == 1.0):
+        return acc
     for m in range(1, top + 1):
         for axis in range(m):
             shape = list(batch) + [1] * m

@@ -191,6 +191,49 @@ def apply_birth_oracle(k, pot, epsilon, tables=None):
     return tensors
 
 
+def substitute_affine_rows_full(k, a_rows, b_rows, top):
+    """Orders 0..top of the batched substitution with every operation run.
+
+    The arithmetic order the tensor route's shortcuts must keep bit for bit:
+    each order starts as a broadcast copy of k_m, every weighted row
+    j = 1..n_max is added, and the a-rows multiply every axis, even where
+    b is zero or a is one.
+    """
+    nm = k.n_max
+    batch = (b_rows.shape[0],)
+    acc = [np.broadcast_to(t, batch + t.shape).copy() for t in k.tensors[: top + 1]]
+    nxt = [np.einsum("xi,i...->x...", b_rows, t, optimize=False) for t in k.tensors[1:]]
+    weight = 1.0
+    for j in range(1, nm + 1):
+        weight *= k.grid.spacing / j
+        row = nxt
+        nxt = [np.einsum("xi,xi...->x...", b_rows, r, optimize=False) for r in row[1:]]
+        for m in range(min(top, nm - j) + 1):
+            row[m] *= weight
+            acc[m] += row[m]
+    for m in range(1, top + 1):
+        for axis in range(m):
+            shape = list(batch) + [1] * m
+            shape[axis + 1] = -1
+            acc[m] *= a_rows.reshape(shape)
+    return acc
+
+
+def apply_birth_full(k, pot, epsilon):
+    """Birth tensors from substitute_affine_rows_full and a zeros-started moveaxis sum."""
+    if k.n_max == 0:
+        return [np.array(0.0)]
+    a_rows, b_rows = shift_rows_oracle(pot, epsilon)
+    subs = substitute_affine_rows_full(k, a_rows, b_rows, k.n_max - 1)
+    tensors = [np.array(0.0)]
+    for n in range(1, k.n_max + 1):
+        acc = np.zeros(subs[n - 1].shape)
+        for i in range(n):
+            acc += np.moveaxis(subs[n - 1], 0, i)
+        tensors.append(acc)
+    return tensors
+
+
 def evaluate_gf_oracle(k, theta_values) -> float:
     """B(theta) from one contraction per order, combined with math.fsum."""
     dx = k.grid.spacing

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import glauberlab as gl
+from glauberlab import hierarchy
 from glauberlab.errors import InvalidArgumentError, MemoryGuardError
 from glauberlab.generators import (
     birth_gf_term,
@@ -18,6 +19,7 @@ from glauberlab.generators import (
 from glauberlab.hierarchy import flat_dimension
 
 from helpers import (
+    apply_birth_full,
     apply_birth_oracle,
     apply_death,
     apply_generator_formula,
@@ -28,6 +30,7 @@ from helpers import (
     loglog_slope,
     plain_glauber_generator_oracle,
     rel_err,
+    substitute_affine_rows_full,
     unflatten,
     variational_derivative_oracle,
 )
@@ -527,15 +530,137 @@ def test_apply_generator_is_the_formula_byte_for_byte(shape):
         assert [t.tobytes() for t in k.tensors] == before
 
 
-def test_apply_generator_working_set_at_the_evolve_size():
-    # 2.22x the top tensor at (16, 4): the birth route's inputs, outputs and
-    # one order of contracted rows; 4.21x when each operation made a new array
-    grid, pot, params, rng = standard_setup(n_sites=16, n_max=4)
+SHORTCUT_EPSILONS = (1.0, 0.25, 0.0, 1e-300)
+
+
+def shape_potential(shape, grid):
+    if shape == "zero":
+        return gl.zero_potential(grid)
+    if shape == "gaussian":
+        return gl.gaussian_potential(grid, 0.5, 1.0)
+    return gl.tophat_potential(grid, 0.4, 1.5)
+
+
+def planted_hierarchy(grid, n_max, seed):
+    """A random hierarchy with +0.0 and -0.0 planted in every order, -0.0 in k_0 for odd seeds."""
+    rng = np.random.default_rng(seed)
+    tensors = [t.copy() for t in gl.random_ruelle_hierarchy(grid, n_max, rng, envelope=0.8).tensors]
+    if seed % 2:
+        tensors[0] = np.array(-0.0)
+    for t in tensors[1:]:
+        flat = t.reshape(-1)
+        picks = rng.choice(flat.size, size=max(2, flat.size // 4), replace=False)
+        flat[picks[0::2]] = 0.0
+        flat[picks[1::2]] = -0.0
+    return gl.CorrelationHierarchy(grid, tensors)
+
+
+def bits(tensors):
+    return [(t.shape, t.tobytes()) for t in tensors]
+
+
+@pytest.mark.parametrize("shape,epsilon", [("gaussian", 1.0), ("gaussian", 0.0), ("zero", 1.0)])
+def test_apply_generator_working_set_at_the_evolve_size(shape, epsilon):
+    # 2.2x the top tensor at (16, 4): the birth route's inputs, outputs and
+    # one order of contracted rows; 4.21x when each operation made a new array.
+    # The a = 1 and b = 0 shortcuts must not raise it.
+    grid, _, params, rng = standard_setup(n_sites=16, n_max=4)
+    pot = shape_potential(shape, grid)
     k = gl.random_ruelle_hierarchy(grid, 4, rng, envelope=0.5)
     tracemalloc.start()
     try:
-        gl.apply_generator(k, params, pot, gl.GLAUBER)
+        gl.apply_generator(k, params, pot, epsilon)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * k.tensors[4].nbytes
+
+
+@pytest.mark.parametrize("n_sites", [2, 5, 16])
+@pytest.mark.parametrize("shape", ["zero", "gaussian", "tophat"])
+def test_birth_shortcuts_keep_the_full_sums_bits(shape, n_sites):
+    # skipping b = 0 contractions, a = 1 products and the zeros-started sum
+    # must give what running them gives, signed zeros included
+    grid = gl.make_grid(n_sites, float(n_sites))
+    pot = shape_potential(shape, grid)
+    params = gl.ScaleParams(0.5, 1.0, 0.75)
+    for n_max in range(5):
+        k = planted_hierarchy(grid, n_max, seed=n_max)
+        for epsilon in SHORTCUT_EPSILONS:
+            birth = apply_birth_full(k, pot, epsilon)
+            assert bits(gl.apply_birth(k, pot, epsilon).tensors) == bits(birth)
+            generator = [np.array(0.0)]
+            for n in range(1, n_max + 1):
+                birth[n] *= params.z
+                birth[n] -= n * k.tensors[n]
+                generator.append(birth[n])
+            assert bits(gl.apply_generator(k, params, pot, epsilon).tensors) == bits(generator)
+
+
+@pytest.mark.parametrize("n_sites", [2, 5, 16])
+def test_substitute_affine_shortcuts_keep_the_full_sums_bits(n_sites):
+    grid = gl.make_grid(n_sites, float(n_sites))
+    rng = np.random.default_rng(n_sites)
+    for n_max in range(5):
+        k = planted_hierarchy(grid, n_max, seed=n_max + 1)
+        for a in (rng.uniform(0.5, 1.5, n_sites), np.ones(n_sites)):
+            for b in (rng.uniform(-1.0, 1.0, n_sites), np.full(n_sites, -0.0)):
+                out = gl.substitute_affine(k, gl.GridField(grid, a), gl.GridField(grid, b))
+                full = substitute_affine_rows_full(k, a[np.newaxis], b[np.newaxis], n_max)
+                assert bits(out.tensors) == bits([t[0] for t in full])
+
+
+def test_extreme_spacings_keep_the_full_sums_bits():
+    # dx^j/j! overflows on the first grid: the full sum's 0 * inf is nan, so
+    # the b = 0 shortcut must not fire
+    grid = gl.make_grid(2, 1e300)
+    k = gl.exponential_hierarchy(gl.GridField(grid, np.full(2, 1e-200)), 3)
+    with np.errstate(invalid="ignore"):
+        out = gl.apply_birth(k, gl.zero_potential(grid), gl.GLAUBER).tensors
+        full = apply_birth_full(k, gl.zero_potential(grid), gl.GLAUBER)
+    assert np.isnan(out[1]).all()
+    assert bits(out) == bits(full)
+    # on the second every weighted row underflows to -0.0, so each order-0
+    # row is -0.0 + -0.0, and only a sum started from +0 makes order 1 +0.0
+    grid = gl.make_grid(2, 2e-200)
+    pot = shape_potential("gaussian", grid)
+    k = gl.CorrelationHierarchy(grid, [np.array(-0.0), np.full(2, 1e-150)])
+    out = gl.apply_birth(k, pot, gl.VLASOV_LIMIT).tensors
+    assert bits(out) == bits(apply_birth_full(k, pot, gl.VLASOV_LIMIT))
+    assert out[1].tobytes() == np.zeros(2).tobytes()
+
+
+def test_zero_potential_birth_runs_no_contraction(monkeypatch):
+    calls = []
+    contract = hierarchy._contract_first
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return contract(*args, **kwargs)
+
+    monkeypatch.setattr(hierarchy, "_contract_first", counted)
+    grid = gl.make_grid(6, 6.0)
+    k = gl.random_ruelle_hierarchy(grid, 4, np.random.default_rng(0), envelope=0.8)
+    for epsilon in SHORTCUT_EPSILONS:
+        gl.apply_birth(k, gl.zero_potential(grid), epsilon)
+    assert calls == []
+    gl.apply_birth(k, shape_potential("gaussian", grid), gl.GLAUBER)
+    assert len(calls) == 4 + 3 + 2 + 1  # the counter sees the full sum's contractions
+
+
+@pytest.mark.parametrize("shape", ["gaussian", "tophat"])
+def test_limit_shift_has_unit_a(shape):
+    # the a = 1 shortcut's precondition at epsilon = 0
+    grid = gl.make_grid(16, 16.0)
+    a_rows, b_rows = shift_rows(shape_potential(shape, grid), [gl.VLASOV_LIMIT])
+    assert np.all(a_rows == 1.0)
+    assert b_rows.any()
+
+
+def test_zero_potential_shift_is_the_identity():
+    # the a = 1 and b = 0 shortcuts' precondition on a zero potential
+    grid = gl.make_grid(16, 16.0)
+    for epsilon in (1.0, 0.25, 0.0):
+        a_rows, b_rows = shift_rows(gl.zero_potential(grid), [epsilon])
+        assert np.all(a_rows == 1.0)
+        assert not b_rows.any()

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import glauberlab as gl
-from glauberlab import generators, harness, hierarchy, lattice, vlasov
+from glauberlab import generators, harness, hierarchy, vlasov
 from glauberlab.cli import EXIT_CODES, main
 from glauberlab.config import (
     ExperimentConfig,
@@ -529,11 +529,14 @@ def test_blas_scan_flags_each_form():
 
 
 def test_contraction_and_kinetic_paths_call_no_blas():
-    # The thread-count tests do not catch a single-threaded BLAS gemv, so the
-    # hierarchy contraction and the kinetic path are held to direct sums by
-    # their source.
-    for module in (hierarchy, generators, lattice, vlasov):
-        assert blas_calls(Path(module.__file__).read_text()) == [], module.__name__
+    # The thread-count tests do not catch a single-threaded BLAS gemv, so every
+    # module of the package, the hierarchy contraction and the kinetic path
+    # among them, is held to direct sums by its source.
+    sources = sorted(Path(gl.__file__).parent.glob("*.py"))
+    names = {path.stem for path in sources}
+    assert names >= set("cli config errors generators harness hierarchy lattice solver vlasov".split())
+    for path in sources:
+        assert blas_calls(path.read_text()) == [], path.name
 
 
 POLICY_NAMES = {"solve_local", "evolve_global", "step_radius"}
