@@ -82,7 +82,9 @@ def shift_bound_constants(pot, epsilon):
     return float(np.max(a_disp)), l1_norm(b_disp, pot.grid.spacing)
 
 
-def apply_birth(k, pot: PairPotential, epsilon) -> CorrelationHierarchy:
+def apply_birth(
+    k, pot: PairPotential, epsilon, out=None, rows=None, freed=None
+) -> CorrelationHierarchy:
     """Birth part: symmetrized per-site substituted hierarchies.
 
     With c_x the hierarchy of theta -> B(a_x theta + b_x),
@@ -102,35 +104,48 @@ def apply_birth(k, pot: PairPotential, epsilon) -> CorrelationHierarchy:
     a-product.  Both keep every bit: a contraction with zeros adds +0, and
     a product with 1.0 is exact.  The sum starts from stack + 0.0, which is
     0 + stack by commutativity.
+
+    out, when given, is a hierarchy of k's shape, sharing no memory with
+    k, whose orders 1..n_max receive the sums; rows is
+    shift_rows(pot, [epsilon]) when the caller already built it; freed, a
+    list, receives each order's stack of c_x once it is summed (order n's
+    stack has order n's shape).
     """
     require_same_grid(k, pot)
     grid = k.grid
     if k.n_max == 0:
         return zero_hierarchy(grid, 0)
-    a_rows, b_rows = shift_rows(pot, [epsilon])
+    a_rows, b_rows = shift_rows(pot, [epsilon]) if rows is None else rows
     subs = substitute_affine_rows(k, a_rows, b_rows, k.n_max - 1)
     tensors = [np.array(0.0)]
     for n in range(1, k.n_max + 1):
         stack = subs[n - 1]
         subs[n - 1] = None  # free each order once it is summed
-        acc = stack + 0.0
+        acc = np.add(stack, 0.0, out=None if out is None else out.tensors[n])
         for i in range(1, n):
             acc += np.moveaxis(stack, 0, i)
         tensors.append(acc)
+        if freed is not None:
+            freed.append(stack)
     return CorrelationHierarchy._trusted(grid, tensors)
 
 
-def apply_generator(k, params: ScaleParams, pot, epsilon) -> CorrelationHierarchy:
+def apply_generator(
+    k, params: ScaleParams, pot, epsilon, out=None, rows=None
+) -> CorrelationHierarchy:
     """Full generator -death + z * birth on the truncated hierarchy.
 
     Order n is z * b_n - n * k_n: apply_birth's tensors less the death part
-    (each of n particles dies at rate 1), computed inside the birth tensors.
-    k is left unchanged.
+    (each of n particles dies at rate 1), computed inside the birth tensors;
+    n * k_n goes into the stack of c_x that order n was summed from.
+    k is left unchanged.  out and rows are apply_birth's: with out the
+    result's orders 1..n_max are out's arrays.
     """
-    birth = apply_birth(k, pot, epsilon)
-    for n in range(1, k.n_max + 1):
+    stacks = []
+    birth = apply_birth(k, pot, epsilon, out=out, rows=rows, freed=stacks)
+    for n, stack in enumerate(stacks, start=1):
         birth.tensors[n] *= params.z
-        birth.tensors[n] -= n * k.tensors[n]
+        birth.tensors[n] -= np.multiply(k.tensors[n], n, out=stack)
     return birth
 
 

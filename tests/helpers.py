@@ -23,14 +23,19 @@ from glauberlab.errors import GlauberLabError, InvalidArgumentError, MemoryGuard
 from glauberlab.generators import (
     apply_birth,
     apply_generator,
+    norm_bound_M,
     shift_displacement_tables,
 )
 from glauberlab.hierarchy import (
     MEMORY_GUARD_ENTRIES,
     CorrelationHierarchy,
+    ScaleParams,
     evaluate_gf,
     flat_dimension,
+    max_abs_by_order,
+    scale_norm,
 )
+from glauberlab.solver import step_radius, step_record
 from glauberlab.lattice import GridField, displacement_matrix, require_same_grid
 
 FD_STEP = 1e-5
@@ -295,6 +300,49 @@ def apply_generator_formula(k, params, pot, epsilon):
     death = apply_death(k).tensors
     birth = apply_birth(k, pot, epsilon).tensors
     return [np.array(0.0)] + [params.z * b - d for d, b in zip(death[1:], birth[1:])]
+
+
+def taylor_evolve_fresh(apply, u0, t, m_max, tol, norm_alpha):
+    """The Taylor loop with new arrays for every term and every sum, apply(term) of one argument.
+
+    The arithmetic taylor_evolve must keep while it recycles arrays: each
+    term is apply(term) times t/m, added to the sum, until its scale norm
+    drops below tol.  Returns (sum tensors, terms used, tail).
+    """
+    u = [x.copy() for x in u0.tensors]
+    if t == 0.0:
+        return u, 0, 0.0
+    term = u0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, m_max + 1):
+            term = CorrelationHierarchy._trusted(u0.grid, [x * (t / m) for x in apply(term).tensors])
+            u = [acc + x for acc, x in zip(u, term.tensors)]
+            tail = scale_norm(max_abs_by_order(term), norm_alpha)
+            if tail < tol:
+                return u, m, tail
+    raise AssertionError("no convergence in %d terms" % m_max)
+
+
+def evolve_global_fresh(params, pot, u0, t_final, epsilon, m_max=60, tol=1e-12):
+    """evolve_global's substeps over taylor_evolve_fresh and the four-argument apply_generator.
+
+    Same scale (alpha0 = 1/z, alpha = alpha0/2), substeps of 0.9 step
+    radii and step records; no envelope check.  Returns (solution, records).
+    """
+    z = params.z
+    alpha0 = 1.0 / z
+    gparams = ScaleParams(alpha0 / 2.0, alpha0, z, params.epsilon)
+    step = 0.9 * step_radius(norm_bound_M(gparams, pot), gparams.alpha, gparams.alpha0)
+    u, now, records = u0, 0.0, []
+    while t_final - now > 1e-12 * max(1.0, t_final):
+        dt_step = min(step, t_final - now)
+        tensors, terms, tail = taylor_evolve_fresh(
+            lambda h: apply_generator(h, gparams, pot, epsilon), u, dt_step, m_max, tol, gparams.alpha
+        )
+        u = CorrelationHierarchy._trusted(u0.grid, tensors)
+        now += dt_step
+        records.append(step_record(now, u, z, gparams.alpha, terms, tail))
+    return u, records
 
 
 def birth_gf_term_oracle(k, theta_values, pot, epsilon) -> float:

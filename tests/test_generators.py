@@ -561,19 +561,45 @@ def bits(tensors):
 
 @pytest.mark.parametrize("shape,epsilon", [("gaussian", 1.0), ("gaussian", 0.0), ("zero", 1.0)])
 def test_apply_generator_working_set_at_the_evolve_size(shape, epsilon):
-    # 2.2x the top tensor at (16, 4): the birth route's inputs, outputs and
-    # one order of contracted rows; 4.21x when each operation made a new array.
-    # The a = 1 and b = 0 shortcuts must not raise it.
+    # 2.27x the top tensor at (16, 4): the birth route's inputs, outputs and
+    # one order of contracted rows, the summed stacks kept for the death part;
+    # 4.21x when each operation made a new array.  The a = 1 and b = 0
+    # shortcuts must not raise it, nor an out made beforehand.
     grid, _, params, rng = standard_setup(n_sites=16, n_max=4)
     pot = shape_potential(shape, grid)
     k = gl.random_ruelle_hierarchy(grid, 4, rng, envelope=0.5)
-    tracemalloc.start()
-    try:
-        gl.apply_generator(k, params, pot, epsilon)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * k.tensors[4].nbytes
+    for out in (None, gl.zero_hierarchy(grid, 4)):
+        tracemalloc.start()
+        try:
+            gl.apply_generator(k, params, pot, epsilon, out=out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * k.tensors[4].nbytes
+
+
+@pytest.mark.parametrize("shape", ["zero", "gaussian", "tophat"])
+def test_apply_generator_into_out_keeps_the_bits(shape):
+    # with out and prebuilt shift rows the result is out's arrays, holding
+    # what a fresh call gives bit for bit, whatever out held before
+    grid = gl.make_grid(5, 5.0)
+    pot = shape_potential(shape, grid)
+    params = gl.ScaleParams(0.5, 1.0, 0.75)
+    for n_max in range(5):
+        k = planted_hierarchy(grid, n_max, seed=n_max)
+        before = bits(k.tensors)
+        for epsilon in SHORTCUT_EPSILONS:
+            fresh = gl.apply_generator(k, params, pot, epsilon)
+            out = gl.CorrelationHierarchy._trusted(
+                grid, [np.full(t.shape, np.nan) for t in k.tensors]
+            )
+            rows = shift_rows(pot, [epsilon])
+            got = gl.apply_generator(k, params, pot, epsilon, out=out, rows=rows)
+            assert bits(got.tensors) == bits(fresh.tensors)
+            assert all(x is y for x, y in zip(got.tensors[1:], out.tensors[1:]))
+            birth = gl.apply_birth(k, pot, epsilon, out=out, rows=rows)
+            assert bits(birth.tensors) == bits(gl.apply_birth(k, pot, epsilon).tensors)
+        assert bits(k.tensors) == before
 
 
 @pytest.mark.parametrize("n_sites", [2, 5, 16])

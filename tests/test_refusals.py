@@ -49,9 +49,9 @@ REFUSALS = {
                          GridMismatchError, "hierarchies live on different grids"),
     "step-radius-alpha": (lambda: gl.step_radius(1.0, 1.0, 0.5),
                           InvalidArgumentError, "need 0 < alpha <= alpha0"),
-    "taylor-time": (lambda: gl.taylor_evolve(lambda h: h, _hierarchy(), -1.0, 10, 1e-12),
+    "taylor-time": (lambda: gl.taylor_evolve(lambda h, out: h, _hierarchy(), -1.0, 10, 1e-12),
                     InvalidArgumentError, "t must be non-negative"),
-    "taylor-terms": (lambda: gl.taylor_evolve(lambda h: h, _hierarchy(), 0.1, 0, 1e-12),
+    "taylor-terms": (lambda: gl.taylor_evolve(lambda h, out: h, _hierarchy(), 0.1, 0, 1e-12),
                      InvalidArgumentError, "m_max must be at least 1"),
     "vlasov-z": (lambda: gl.VlasovConfig(z=0.0, dt=0.1),
                  InvalidArgumentError, "z must be positive"),

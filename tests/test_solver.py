@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import glauberlab as gl
-from glauberlab import hierarchy, solver
+from glauberlab import generators, hierarchy, solver
 from glauberlab.errors import (
     ConvergenceError,
     InvalidArgumentError,
@@ -18,8 +20,10 @@ from glauberlab.generators import apply_generator, norm_bound_M
 from helpers import (
     assemble_matrix,
     assert_all_symmetric,
+    evolve_global_fresh,
     flatten,
     matrix_exp_oracle,
+    taylor_evolve_fresh,
     unflatten,
 )
 
@@ -47,7 +51,7 @@ def test_taylor_evolve_zero_operator():
     grid = gl.make_grid(6, 6.0)
     u0 = gl.random_ruelle_hierarchy(grid, 2, np.random.default_rng(0))
     report = gl.taylor_evolve(
-        lambda k: gl.zero_hierarchy(grid, 2), u0, 3.0, 20, 1e-12
+        lambda k, out: gl.zero_hierarchy(grid, 2), u0, 3.0, 20, 1e-12
     )
     assert gl.max_abs_difference(report.solution, u0) == 0.0
     assert report.tail_estimate == 0.0
@@ -58,7 +62,7 @@ def test_taylor_evolve_scalar_exponential():
     grid = gl.make_grid(6, 6.0)
     u0 = gl.random_ruelle_hierarchy(grid, 2, np.random.default_rng(1))
     report = gl.taylor_evolve(
-        lambda k: unflatten(grid, 2, -flatten(k)), u0, 1.0, 40, 1e-15
+        lambda k, out: unflatten(grid, 2, -flatten(k)), u0, 1.0, 40, 1e-15
     )
     expected = unflatten(grid, 2, math.exp(-1.0) * flatten(u0))
     assert gl.max_abs_difference(report.solution, expected) <= 1e-12
@@ -68,7 +72,7 @@ def test_taylor_evolve_no_convergence():
     grid = gl.make_grid(4, 4.0)
     u0 = gl.random_ruelle_hierarchy(grid, 1, np.random.default_rng(2))
     with pytest.raises(ConvergenceError):
-        gl.taylor_evolve(lambda k: unflatten(grid, 1, -flatten(k)), u0, 30.0, 3, 1e-12)
+        gl.taylor_evolve(lambda k, out: unflatten(grid, 1, -flatten(k)), u0, 30.0, 3, 1e-12)
 
 
 def test_taylor_evolve_matches_matrix_exponential():
@@ -76,7 +80,7 @@ def test_taylor_evolve_matches_matrix_exponential():
     radius = gl.step_radius(norm_bound_M(params, pot), params.alpha, params.alpha0)
     t = 0.5 * radius
     report = gl.taylor_evolve(
-        lambda k: apply_generator(k, params, pot, gl.GLAUBER),
+        lambda k, out: apply_generator(k, params, pot, gl.GLAUBER),
         u0, t, 60, 1e-14, norm_alpha=params.alpha,
     )
     mat = assemble_matrix(grid, 2, params, pot, gl.GLAUBER)
@@ -97,7 +101,7 @@ def test_taylor_evolve_oracle_agreement_across_dimensions(n_sites, n_max):
     radius = gl.step_radius(norm_bound_M(params, pot), 0.5, 1.0)
     t = 0.7 * radius
     report = gl.taylor_evolve(
-        lambda k: apply_generator(k, params, pot, gl.GLAUBER),
+        lambda k, out: apply_generator(k, params, pot, gl.GLAUBER),
         u0, t, 60, 1e-13, norm_alpha=0.5,
     )
     mat = assemble_matrix(grid, n_max, params, pot, gl.GLAUBER)
@@ -110,7 +114,7 @@ def test_taylor_evolve_oracle_agreement_across_dimensions(n_sites, n_max):
 def test_taylor_evolve_semigroup_property():
     grid, pot, params, u0 = interacting_setup(seed=4)
     radius = gl.step_radius(norm_bound_M(params, pot), params.alpha, params.alpha0)
-    apply = lambda k: apply_generator(k, params, pot, gl.GLAUBER)
+    apply = lambda k, out: apply_generator(k, params, pot, gl.GLAUBER)
     t1, t2 = 0.3 * radius, 0.45 * radius
     once = gl.taylor_evolve(apply, u0, t1 + t2, 60, 1e-14, norm_alpha=0.5).solution
     stage = gl.taylor_evolve(apply, u0, t1, 60, 1e-14, norm_alpha=0.5).solution
@@ -267,7 +271,7 @@ def test_taylor_overflow_is_nonfinite_state_without_warning():
         warnings.simplefilter("error")
         with pytest.raises(NonfiniteStateError):
             gl.taylor_evolve(
-                lambda k: apply_generator(k, params, pot, gl.GLAUBER), u0, 0.01, 10, 1e-12
+                lambda k, out: apply_generator(k, params, pot, gl.GLAUBER), u0, 0.01, 10, 1e-12
             )
 
 
@@ -304,11 +308,11 @@ def test_taylor_evolve_leaves_u0_unchanged():
 
 
 def test_taylor_evolve_scales_an_aliasing_apply_into_new_arrays():
-    # lambda h: h returns u0's own arrays as the first term: u(t) = e^t u0
+    # lambda h, out: h returns u0's own arrays as the first term: u(t) = e^t u0
     grid = gl.make_grid(4, 4.0)
     u0 = gl.random_ruelle_hierarchy(grid, 2, np.random.default_rng(7))
     before = [t.tobytes() for t in u0.tensors]
-    report = gl.taylor_evolve(lambda h: h, u0, 0.5, 60, 1e-15)
+    report = gl.taylor_evolve(lambda h, out: h, u0, 0.5, 60, 1e-15)
     assert [t.tobytes() for t in u0.tensors] == before
     expected = unflatten(grid, 2, math.exp(0.5) * flatten(u0))
     assert gl.max_abs_difference(report.solution, expected) <= 1e-14
@@ -316,7 +320,7 @@ def test_taylor_evolve_scales_an_aliasing_apply_into_new_arrays():
     frozen = gl.zero_hierarchy(grid, 2)
     for t in frozen.tensors:
         t.flags.writeable = False
-    report = gl.taylor_evolve(lambda h: frozen, u0, 0.5, 60, 1e-15)
+    report = gl.taylor_evolve(lambda h, out: frozen, u0, 0.5, 60, 1e-15)
     assert gl.max_abs_difference(report.solution, u0) == 0.0
 
 
@@ -334,3 +338,177 @@ def test_taylor_loop_builds_no_validated_hierarchy(monkeypatch):
     report = gl.solve_local(params, pot, gl.GLAUBER, u0, 0.5 * radius, 60, 1e-12)
     assert report.terms_used > 1
     assert built == []
+
+
+def shape_potential(shape, grid):
+    if shape == "zero":
+        return gl.zero_potential(grid)
+    if shape == "gaussian":
+        return gl.gaussian_potential(grid, 0.5, 1.0)
+    return gl.tophat_potential(grid, 0.4, 1.5)
+
+
+def envelope_start(grid, n_max, z, seed):
+    """A state with margin 1/2 at activity z, +0.0 and -0.0 planted in every order."""
+    rng = np.random.default_rng(seed)
+    sampled = gl.random_ruelle_hierarchy(grid, n_max, rng, envelope=0.5 * z)
+    tensors = [np.array(0.5)] + [t.copy() for t in sampled.tensors[1:]]
+    for t in tensors[1:]:
+        flat = t.reshape(-1)
+        picks = rng.choice(flat.size, size=max(2, flat.size // 4), replace=False)
+        flat[picks[0::2]] = 0.0
+        flat[picks[1::2]] = -0.0
+    return gl.CorrelationHierarchy(grid, tensors)
+
+
+def global_step(z, pot):
+    """The substep evolve_global takes at activity z: 0.9 of the radius at alpha0 = 1/z."""
+    inner = gl.ScaleParams(0.5 / z, 1.0 / z, z)
+    return inner, 0.9 * gl.step_radius(norm_bound_M(inner, pot), inner.alpha, inner.alpha0)
+
+
+def tensor_bits(tensors):
+    return [(np.shape(t), np.asarray(t).tobytes()) for t in tensors]
+
+
+def record_bits(records):
+    return [[np.asarray(value).tobytes() for value in astuple(r)] for r in records]
+
+
+@pytest.mark.parametrize("n_sites", [2, 5, 16])
+@pytest.mark.parametrize("shape", ["zero", "gaussian", "tophat"])
+def test_recycled_arrays_keep_the_fresh_loops_bits(shape, n_sites):
+    # evolve_global and solve_local recycle terms, sums and replaced
+    # solutions; an out that aliased term, u0 or the running sum would
+    # change these bits, and a recycled u0 would change u0
+    grid = gl.make_grid(n_sites, float(n_sites))
+    pot = shape_potential(shape, grid)
+    params = gl.ScaleParams(0.5, 1.0, 0.5)
+    inner, step = global_step(params.z, pot)
+    for n_max in range(5):
+        u0 = envelope_start(grid, n_max, params.z, seed=n_max)
+        before = tensor_bits(u0.tensors)
+        for epsilon in (1.0, 0.25, 0.0):
+            solution, records = evolve_global_fresh(params, pot, u0, 2.5 * step, epsilon)
+            report = gl.evolve_global(params, pot, u0, 2.5 * step, epsilon=epsilon)
+            assert len(report.steps) == 3
+            assert tensor_bits(report.solution.tensors) == tensor_bits(solution.tensors)
+            assert record_bits(report.steps) == record_bits(records)
+
+            fresh = lambda h: apply_generator(h, inner, pot, epsilon)
+            tensors, terms, tail = taylor_evolve_fresh(fresh, u0, step, 60, 1e-12, inner.alpha)
+            local = gl.solve_local(inner, pot, epsilon, u0, step, 60, 1e-12)
+            assert tensor_bits(local.solution.tensors) == tensor_bits(tensors)
+            state = gl.CorrelationHierarchy._trusted(grid, tensors)
+            record = solver.step_record(step, state, params.z, inner.alpha, terms, tail)
+            assert record_bits(local.steps) == record_bits([record])
+        assert tensor_bits(u0.tensors) == before
+
+
+def test_taylor_evolve_hands_out_only_freed_arrays():
+    grid, pot, params, u0 = interacting_setup(n_max=3, seed=9)
+    before = [t.tobytes() for t in u0.tensors]
+    calls = []
+
+    def apply(term, out):
+        calls.append((term, out))
+        return apply_generator(term, params, pot, gl.GLAUBER, out=out)
+
+    radius = gl.step_radius(norm_bound_M(params, pot), params.alpha, params.alpha0)
+    report = gl.taylor_evolve(apply, u0, 0.5 * radius, 60, 1e-12, norm_alpha=params.alpha)
+    assert report.terms_used == len(calls) > 3
+    # term 1 is freed once term 2 exists, so out first comes with term 3
+    assert [out is None for _, out in calls] == [True, True] + [False] * (len(calls) - 2)
+    for term, out in calls[2:]:
+        taken = term.tensors + u0.tensors + report.solution.tensors
+        assert not any(np.may_share_memory(x, y) for x in out.tensors for y in taken)
+    assert [t.tobytes() for t in u0.tensors] == before
+
+
+def test_taylor_evolve_never_hands_out_arrays_it_does_not_own():
+    # the identity, returned in turn as term itself, as a read-only copy and
+    # in out: neither of the first two kinds of array may come back as out
+    grid = gl.make_grid(4, 4.0)
+    u0 = gl.random_ruelle_hierarchy(grid, 2, np.random.default_rng(7))
+    before = [t.tobytes() for t in u0.tensors]
+    outs, kept = [], []
+
+    def apply(term, out):
+        outs.append(out)
+        if len(outs) % 3 == 1:
+            result = term
+        elif len(outs) % 3 == 2:
+            result = gl.CorrelationHierarchy._trusted(grid, [x.copy() for x in term.tensors])
+            for x in result.tensors:
+                x.flags.writeable = False
+        else:
+            if out is None:
+                return gl.CorrelationHierarchy._trusted(grid, [x.copy() for x in term.tensors])
+            for x, y in zip(out.tensors, term.tensors):
+                np.copyto(x, y)
+            return out
+        kept.extend(result.tensors)
+        return result
+
+    report = gl.taylor_evolve(apply, u0, 0.5, 60, 1e-15)
+    handed = [x for out in outs if out is not None for x in out.tensors]
+    assert handed  # the loop did recycle
+    assert not any(np.may_share_memory(x, y) for x in handed for y in kept + u0.tensors)
+    assert [t.tobytes() for t in u0.tensors] == before
+    expected = unflatten(grid, 2, math.exp(0.5) * flatten(u0))
+    assert gl.max_abs_difference(report.solution, expected) <= 1e-14
+    # u0's arrays returned as a later term are scaled into new arrays too
+    # (they were scaled in place, and u0 with them); tol stops after term 2
+    tol = 0.4 * gl.scale_norm(gl.max_abs_by_order(u0), 1.0)
+    report = gl.taylor_evolve(lambda h, out: u0, u0, 0.5, 60, tol)
+    assert report.terms_used == 2
+    assert [t.tobytes() for t in u0.tensors] == before
+    expected = unflatten(grid, 2, 1.75 * flatten(u0))
+    assert gl.max_abs_difference(report.solution, expected) <= 1e-15
+
+
+def test_evolve_global_builds_its_shift_rows_once(monkeypatch):
+    calls = []
+    build = generators.shift_rows
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(solver, "shift_rows", counted)
+    monkeypatch.setattr(generators, "shift_rows", counted)
+    grid, pot, params, _ = interacting_setup()
+    u0 = gl.exponential_hierarchy(gl.constant_field(grid, params.z), 2)
+    _, step = global_step(params.z, pot)
+    report = gl.evolve_global(params, pot, u0, 4.5 * step, epsilon=0.25)
+    assert len(report.steps) == 5
+    assert len(calls) == 1
+    calls.clear()
+    radius = gl.step_radius(norm_bound_M(params, pot), params.alpha, params.alpha0)
+    local = gl.solve_local(params, pot, gl.GLAUBER, u0, 0.5 * radius, 40, 1e-12)
+    assert local.terms_used > 1
+    assert len(calls) == 1
+    # a run that applies nothing builds none, so it reads no epsilon
+    calls.clear()
+    gl.evolve_global(params, pot, u0, 0.0, epsilon=-1.0)
+    gl.solve_local(params, pot, math.nan, u0, 0.0, 40, 1e-12)
+    assert calls == []
+
+
+def test_evolve_global_working_set_at_the_evolve_size():
+    # besides the caller's u0: the previous solution, the sum, the term, out
+    # and one application's stacked rows, 5.5-5.6x the top tensor (5.45x
+    # when every term made new arrays)
+    grid = gl.make_grid(16, 16.0)
+    pot = shape_potential("gaussian", grid)
+    params = gl.ScaleParams(0.5, 1.0, 0.5)
+    u0 = envelope_start(grid, 4, params.z, seed=0)
+    _, step = global_step(params.z, pot)
+    tracemalloc.start()
+    try:
+        report = gl.evolve_global(params, pot, u0, 3.5 * step)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.steps) == 4
+    assert peak < 6 * u0.tensors[4].nbytes
