@@ -417,9 +417,9 @@ def test_taylor_evolve_hands_out_only_freed_arrays():
     radius = gl.step_radius(norm_bound_M(params, pot), params.alpha, params.alpha0)
     report = gl.taylor_evolve(apply, u0, 0.5 * radius, 60, 1e-12, norm_alpha=params.alpha)
     assert report.terms_used == len(calls) > 3
-    # term 1 is freed once term 2 exists, so out first comes with term 3
-    assert [out is None for _, out in calls] == [True, True] + [False] * (len(calls) - 2)
-    for term, out in calls[2:]:
+    # every term gets an out: new arrays for terms 1 and 2, then freed terms
+    assert all(out is not None for _, out in calls)
+    for term, out in calls:
         taken = term.tensors + u0.tensors + report.solution.tensors
         assert not any(np.may_share_memory(x, y) for x in out.tensors for y in taken)
     assert [t.tobytes() for t in u0.tensors] == before
@@ -427,7 +427,7 @@ def test_taylor_evolve_hands_out_only_freed_arrays():
 
 def test_taylor_evolve_never_hands_out_arrays_it_does_not_own():
     # the identity, returned in turn as term itself, as a read-only copy and
-    # in out: neither of the first two kinds of array may come back as out
+    # in out: neither the copies apply made nor u0 may come back as out
     grid = gl.make_grid(4, 4.0)
     u0 = gl.random_ruelle_hierarchy(grid, 2, np.random.default_rng(7))
     before = [t.tobytes() for t in u0.tensors]
@@ -436,29 +436,27 @@ def test_taylor_evolve_never_hands_out_arrays_it_does_not_own():
     def apply(term, out):
         outs.append(out)
         if len(outs) % 3 == 1:
-            result = term
-        elif len(outs) % 3 == 2:
+            return term  # the loop's own term, or u0
+        if len(outs) % 3 == 2:
             result = gl.CorrelationHierarchy._trusted(grid, [x.copy() for x in term.tensors])
             for x in result.tensors:
                 x.flags.writeable = False
-        else:
-            if out is None:
-                return gl.CorrelationHierarchy._trusted(grid, [x.copy() for x in term.tensors])
-            for x, y in zip(out.tensors, term.tensors):
-                np.copyto(x, y)
-            return out
-        kept.extend(result.tensors)
-        return result
+            kept.extend(result.tensors)
+            return result
+        for x, y in zip(out.tensors, term.tensors):
+            np.copyto(x, y)
+        return out
 
     report = gl.taylor_evolve(apply, u0, 0.5, 60, 1e-15)
-    handed = [x for out in outs if out is not None for x in out.tensors]
-    assert handed  # the loop did recycle
+    assert all(out is not None for out in outs)
+    handed = [x for out in outs for x in out.tensors]
+    assert len({id(x) for x in handed}) < len(handed)  # the loop did recycle
     assert not any(np.may_share_memory(x, y) for x in handed for y in kept + u0.tensors)
     assert [t.tobytes() for t in u0.tensors] == before
     expected = unflatten(grid, 2, math.exp(0.5) * flatten(u0))
     assert gl.max_abs_difference(report.solution, expected) <= 1e-14
-    # u0's arrays returned as a later term are scaled into new arrays too
-    # (they were scaled in place, and u0 with them); tol stops after term 2
+    # u0's arrays returned as a later term are read, never scaled in place
+    # (u0 would change with them); tol stops after term 2
     tol = 0.4 * gl.scale_norm(gl.max_abs_by_order(u0), 1.0)
     report = gl.taylor_evolve(lambda h, out: u0, u0, 0.5, 60, tol)
     assert report.terms_used == 2
@@ -488,11 +486,12 @@ def test_evolve_global_builds_its_shift_rows_once(monkeypatch):
     local = gl.solve_local(params, pot, gl.GLAUBER, u0, 0.5 * radius, 40, 1e-12)
     assert local.terms_used > 1
     assert len(calls) == 1
-    # a run that applies nothing builds none, so it reads no epsilon
-    calls.clear()
-    gl.evolve_global(params, pot, u0, 0.0, epsilon=-1.0)
-    gl.solve_local(params, pot, math.nan, u0, 0.0, 40, 1e-12)
-    assert calls == []
+    # the rows are built up front, so an invalid epsilon is refused at t = 0 too
+    message = "^epsilon must be finite and non-negative, got %s$"
+    with pytest.raises(InvalidArgumentError, match=message % "-1.0"):
+        gl.evolve_global(params, pot, u0, 0.0, epsilon=-1.0)
+    with pytest.raises(InvalidArgumentError, match=message % "nan"):
+        gl.solve_local(params, pot, math.nan, u0, 0.0, 40, 1e-12)
 
 
 def test_evolve_global_working_set_at_the_evolve_size():
