@@ -187,7 +187,7 @@ def build_initial_density(cfg: ExperimentConfig, grid: Grid) -> GridField:
 
 
 def build_scale_params(cfg: ExperimentConfig) -> ScaleParams:
-    return ScaleParams(cfg.alpha, cfg.alpha0, cfg.z, cfg.epsilon)
+    return ScaleParams(cfg.alpha, cfg.alpha0, cfg.z)
 
 
 def build_vlasov_config(cfg: ExperimentConfig) -> VlasovConfig:

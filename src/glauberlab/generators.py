@@ -40,7 +40,6 @@ from .hierarchy import (
     evaluate_gf_rows,
     substitute_affine,  # unused here; kept importable for bench/spans.py
     substitute_affine_rows,
-    zero_hierarchy,
 )
 from .lattice import GridField, PairPotential, displacement_matrix, l1_norm, require_same_grid
 
@@ -82,6 +81,7 @@ def shift_bound_constants(pot, epsilon):
     return float(np.max(a_disp)), l1_norm(b_disp, pot.grid.spacing)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def apply_birth(
     k, pot: PairPotential, epsilon, out=None, rows=None, freed=None
 ) -> CorrelationHierarchy:
@@ -109,12 +109,11 @@ def apply_birth(
     k, whose orders 1..n_max receive the sums; rows is
     shift_rows(pot, [epsilon]) when the caller already built it; freed, a
     list, receives each order's stack of c_x once it is summed (order n's
-    stack has order n's shape).
+    stack has order n's shape).  An entry that overflows reads inf or nan,
+    without a warning, as in evaluate_gf; the Taylor loop scans for it.
     """
     require_same_grid(k, pot)
     grid = k.grid
-    if k.n_max == 0:
-        return zero_hierarchy(grid, 0)
     a_rows, b_rows = shift_rows(pot, [epsilon]) if rows is None else rows
     subs = substitute_affine_rows(k, a_rows, b_rows, k.n_max - 1)
     tensors = [np.array(0.0)]
@@ -130,6 +129,7 @@ def apply_birth(
     return CorrelationHierarchy._trusted(grid, tensors)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def apply_generator(
     k, params: ScaleParams, pot, epsilon, out=None, rows=None
 ) -> CorrelationHierarchy:

@@ -304,8 +304,9 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir, n_cases=100):
     overflows, or when a death, birth or generator value is not finite
     (an overflowing sum reads inf or nan): no comparison with nan could fail.
     """
-    if n_cases < 1:
-        raise InvalidArgumentError("n_cases must be at least 1")
+    if not 1 <= n_cases < math.inf or int(n_cases) != n_cases:
+        raise InvalidArgumentError("n_cases must be an integer >= 1")
+    n_cases = int(n_cases)
     grid = build_grid(cfg)
     pot = build_potential(cfg, grid)
     params = build_scale_params(cfg)

@@ -126,15 +126,17 @@ class CorrelationHierarchy:
         )
 
 
-def _require_order(grid, n_max):
-    """The builders' gate, checked before they allocate: n_max >= 0 and the guard."""
-    if n_max < 0:
-        raise InvalidArgumentError("n_max must be non-negative")
+def _require_order(grid, n_max) -> int:
+    """The builders' gate, checked before they allocate: an integer n_max >= 0 and the guard."""
+    if not 0 <= n_max < math.inf or int(n_max) != n_max:
+        raise InvalidArgumentError("n_max must be an integer >= 0")
+    n_max = int(n_max)
     require_within_memory_guard(grid.n_sites, n_max)
+    return n_max
 
 
 def zero_hierarchy(grid, n_max) -> CorrelationHierarchy:
-    _require_order(grid, n_max)
+    n_max = _require_order(grid, n_max)
     tensors = [np.zeros((grid.n_sites,) * n) for n in range(n_max + 1)]
     return CorrelationHierarchy._trusted(grid, tensors)
 
@@ -144,7 +146,7 @@ def exponential_hierarchy(rho: GridField, n_max) -> CorrelationHierarchy:
 
     The finite analogue of a Poisson-type state with density rho.
     """
-    _require_order(rho.grid, n_max)
+    n_max = _require_order(rho.grid, n_max)
     tensors = [np.array(1.0)]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_max):
@@ -165,7 +167,7 @@ def random_ruelle_hierarchy(grid, n_max, rng, envelope=1.0) -> CorrelationHierar
     overflowing or nan envelope^n_max NonfiniteStateError; past them every entry
     is finite (|average| <= 1), so none is validated again.
     """
-    _require_order(grid, n_max)
+    n_max = _require_order(grid, n_max)
     if envelope < 0:
         raise InvalidArgumentError("envelope must be non-negative")
     if not _pow_or_inf(envelope, n_max) < math.inf:
@@ -303,14 +305,16 @@ def substitute_affine_rows(k: CorrelationHierarchy, a_rows, b_rows, top):
 def substitute_affine(k, a: GridField, b: GridField) -> CorrelationHierarchy:
     """Hierarchy of the substituted functional theta -> B(a*theta + b).
 
-    The single-field case of substitute_affine_rows, over all orders.
+    The single-field case of substitute_affine_rows, over all orders.  An
+    entry that overflows raises NonfiniteStateError, without a warning.
     """
     require_same_grid(k, a)
     require_same_grid(k, b)
-    tensors = substitute_affine_rows(
-        k, a.values[np.newaxis], b.values[np.newaxis], k.n_max
-    )
-    return CorrelationHierarchy(k.grid, [t[0] for t in tensors])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = substitute_affine_rows(k, a.values[np.newaxis], b.values[np.newaxis], k.n_max)
+    tensors = [t[0] for t in rows]
+    require_finite(tensors, "substituted hierarchy")
+    return CorrelationHierarchy._trusted(k.grid, tensors)
 
 
 def _pow_or_inf(base, n) -> float:

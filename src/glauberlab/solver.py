@@ -91,7 +91,6 @@ class SolveReport:
     solution: CorrelationHierarchy
     terms_used: int
     tail_estimate: float
-    radius: float
     alpha: float  # scale index of the report's norms
     restarts: int = 0
     steps: list = field(default_factory=list)  # one record per accepted substep, none at t = 0
@@ -106,12 +105,25 @@ def step_radius(M, alpha, alpha0) -> float:
     return (alpha0 - alpha) / (math.e * M)
 
 
+def _require_series(t, m_max, tol, norm_alpha, t_name="t"):
+    """The series' rules, checked once before any work, whatever t is."""
+    if not (t >= 0 and math.isfinite(t)):
+        raise InvalidArgumentError("%s must be finite and non-negative" % t_name)
+    if not 1 <= m_max < math.inf or int(m_max) != m_max:
+        raise InvalidArgumentError("m_max must be an integer >= 1")
+    if not (tol > 0):
+        raise InvalidArgumentError("tol must be positive")
+    if not (norm_alpha > 0):
+        raise InvalidArgumentError("alpha must be positive")
+
+
 def taylor_evolve(apply, u0, t, m_max, tol, norm_alpha=1.0, spare=None) -> SolveReport:
     """Sum u(t) = sum_{m<=m*} t^m/m! A^m u0 until the term norm drops below tol.
 
     The stopping norm is scale_norm at norm_alpha; tail_estimate is the
-    norm of the last added term.  Raises ConvergenceError when m_max terms
-    did not reach tol.
+    norm of the last added term.  The series' rules on t, m_max, tol and
+    norm_alpha are checked once, before any work, whatever t is.  Raises
+    ConvergenceError when m_max terms did not reach tol.
 
     Each term is apply(term, out) scaled by t/m into out, a hierarchy of
     u0's shape whose arrays the loop owns and no longer reads.  apply may
@@ -126,12 +138,7 @@ def taylor_evolve(apply, u0, t, m_max, tol, norm_alpha=1.0, spare=None) -> Solve
     list to successive calls reuses the same arrays (evolve_global does);
     u0 never goes there.
     """
-    if not (t >= 0 and math.isfinite(t)):
-        raise InvalidArgumentError("t must be finite and non-negative")
-    if not 1 <= m_max < math.inf or int(m_max) != m_max:
-        raise InvalidArgumentError("m_max must be an integer >= 1")
-    if not (tol > 0):
-        raise InvalidArgumentError("tol must be positive")
+    _require_series(t, m_max, tol, norm_alpha)
     spare = [] if spare is None else spare
 
     def take():
@@ -146,7 +153,7 @@ def taylor_evolve(apply, u0, t, m_max, tol, norm_alpha=1.0, spare=None) -> Solve
     for acc, x in zip(u.tensors, u0.tensors):
         np.copyto(acc, x)
     if t == 0.0:
-        return SolveReport(u, 0, 0.0, math.inf, norm_alpha)
+        return SolveReport(u, 0, 0.0, norm_alpha)
     term = u0
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, int(m_max) + 1):
@@ -164,7 +171,7 @@ def taylor_evolve(apply, u0, t, m_max, tol, norm_alpha=1.0, spare=None) -> Solve
             if tail < tol:
                 require_finite(u.tensors, "evolved state")
                 spare.append(term)
-                return SolveReport(u, m, tail, math.inf, norm_alpha)
+                return SolveReport(u, m, tail, norm_alpha)
     raise ConvergenceError(
         "tail %.3g still above tol %.3g after %d terms" % (tail, tol, m_max)
     )
@@ -182,7 +189,6 @@ def solve_local(params: ScaleParams, pot, epsilon, u0, t, m_max, tol) -> SolveRe
         lambda term, out: apply_generator(term, params, pot, epsilon, out=out, rows=rows),
         u0, t, m_max, tol, norm_alpha=params.alpha,
     )
-    report.radius = radius
     if t > 0:
         report.steps = [step_record(t, report.solution, params.z, params.alpha,
                                     report.terms_used, report.tail_estimate)]
@@ -208,18 +214,19 @@ def evolve_global(
     Tolerances: the initial state must satisfy margin <= 1 + RUELLE_TOL;
     during the run drift up to 1 + RUELLE_DRIFT_TOL is accepted as
     truncation noise, beyond that the run aborts with RuelleViolationError.
-    A zero step radius, too many substeps for the memory guard or an invalid
-    epsilon fail up front.  A substep is at most substep_fraction < 1 of the
-    radius, so it stays inside solve_local's guard without checking it again.
+    The series' rules (taylor_evolve's, with t_final as t) are checked
+    first, whatever t_final is; a zero step radius, too many substeps for
+    the memory guard or an invalid epsilon fail up front too.  A substep is
+    at most substep_fraction < 1 of the radius, so it stays inside
+    solve_local's guard without checking it again.
     The run's substeps share one spare list and one set of shift rows.
     """
-    if not (t_final >= 0 and math.isfinite(t_final)):
-        raise InvalidArgumentError("t_final must be finite and non-negative")
-    if not (0 < substep_fraction < 1):
-        raise InvalidArgumentError("substep_fraction must lie in (0, 1)")
     z = params.z
     alpha0 = 1.0 / z
-    gparams = ScaleParams(alpha0 / 2.0, alpha0, z, params.epsilon)
+    _require_series(t_final, m_max, tol, alpha0 / 2.0, "t_final")
+    if not (0 < substep_fraction < 1):
+        raise InvalidArgumentError("substep_fraction must lie in (0, 1)")
+    gparams = ScaleParams(alpha0 / 2.0, alpha0, z)
     radius = step_radius(norm_bound_M(gparams, pot), gparams.alpha, gparams.alpha0)
     step = substep_fraction * radius
 
@@ -257,7 +264,6 @@ def evolve_global(
         solution=u,
         terms_used=max((r.terms_used for r in records), default=0),
         tail_estimate=records[-1].tail_estimate if records else 0.0,
-        radius=radius,
         alpha=gparams.alpha,
         restarts=max(0, len(records) - 1),
         steps=records,

@@ -7,7 +7,7 @@ import pytest
 
 import glauberlab as gl
 from glauberlab import hierarchy
-from glauberlab.errors import InvalidArgumentError, MemoryGuardError
+from glauberlab.errors import InvalidArgumentError, MemoryGuardError, NonfiniteStateError
 from glauberlab.generators import (
     birth_gf_term,
     birth_gf_terms,
@@ -654,6 +654,24 @@ def test_extreme_spacings_keep_the_full_sums_bits():
     out = gl.apply_birth(k, pot, gl.VLASOV_LIMIT).tensors
     assert bits(out) == bits(apply_birth_full(k, pot, gl.VLASOV_LIMIT))
     assert out[1].tobytes() == np.zeros(2).tobytes()
+
+
+def test_tensor_route_overflow_reads_inf_without_a_warning():
+    # numpy's overflow RuntimeWarning reached direct library calls; only the
+    # Taylor loop's errstate hid it
+    grid = gl.make_grid(4, 4e300)
+    k = gl.exponential_hierarchy(gl.constant_field(grid, 1e10), 1)
+    pot = gl.gaussian_potential(grid, 0.5, 1.0)
+    one = gl.constant_field(grid, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        birth = gl.apply_birth(k, pot, gl.GLAUBER)
+        generated = gl.apply_generator(k, gl.ScaleParams(0.5, 1.0, 0.5), pot, gl.GLAUBER)
+        # it ended invalid-argument through the constructor's finiteness scan
+        with pytest.raises(NonfiniteStateError, match="^substituted hierarchy has non-finite entries$"):
+            gl.substitute_affine(k, one, one)
+    assert np.isinf(birth.tensors[1]).all()
+    assert np.isinf(generated.tensors[1]).all()
 
 
 def test_zero_potential_birth_runs_no_contraction(monkeypatch):

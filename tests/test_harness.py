@@ -781,9 +781,9 @@ def run_default_with(tmp_path, line, command):
         ("initial.level = -1", ["evolve"], 5, "",
          "error: parse-error: initial.level must be non-negative\n"),
         ("", ["verify-bounds", "--cases", "0"], 1, "",
-         "error: invalid-argument: n_cases must be at least 1\n"),
+         "error: invalid-argument: n_cases must be an integer >= 1\n"),
         ("", ["verify-bounds", "--cases", "-3"], 1, "",
-         "error: invalid-argument: n_cases must be at least 1\n"),
+         "error: invalid-argument: n_cases must be an integer >= 1\n"),
         # a substep of one whole radius ended in radius-exceeded on its first solve
         ("time.substep_fraction = 1.0\ntime.t_final = 1.0", ["evolve", "--mode", "global"], 5,
          "", "error: parse-error: time.substep_fraction must lie in (0, 1)\n"),

@@ -137,13 +137,13 @@ def test_builders_refuse_a_negative_order():
         lambda: gl.random_ruelle_hierarchy(grid, -2, np.random.default_rng(0)),
     ]
     for build in builders:
-        with pytest.raises(InvalidArgumentError, match="^n_max must be non-negative$"):
+        with pytest.raises(InvalidArgumentError, match="^n_max must be an integer >= 0$"):
             build()
 
 
 def test_builders_share_one_order_gate():
     # zero, exponential and random_ruelle each restated the gate, and one drifted
-    refusal = '"n_max must be non-negative"'
+    refusal = '"n_max must be an integer >= 0"'
     assert inspect.getsource(hierarchy).count(refusal) == 1
     assert refusal in inspect.getsource(hierarchy._require_order)
 

@@ -128,7 +128,7 @@ def test_solve_local_zero_time_and_radius_guard():
     report = gl.solve_local(params, pot, gl.GLAUBER, u0, 0.0, 40, 1e-12)
     assert gl.max_abs_difference(report.solution, u0) == 0.0
     assert report.steps == []  # no record for t = 0
-    radius = report.radius
+    radius = gl.step_radius(norm_bound_M(params, pot), params.alpha, params.alpha0)
     with pytest.raises(RadiusExceededError):
         gl.solve_local(params, pot, gl.GLAUBER, u0, 1.01 * radius, 40, 1e-12)
 
