@@ -82,9 +82,7 @@ def shift_bound_constants(pot, epsilon):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def apply_birth(
-    k, pot: PairPotential, epsilon, out=None, rows=None, freed=None
-) -> CorrelationHierarchy:
+def apply_birth(k, pot: PairPotential, epsilon, out=None, rows=None) -> CorrelationHierarchy:
     """Birth part: symmetrized per-site substituted hierarchies.
 
     With c_x the hierarchy of theta -> B(a_x theta + b_x),
@@ -95,22 +93,16 @@ def apply_birth(
     sum over which argument plays the birth site replaces the 1/(n-1)!
     bookkeeping.  Output order 0 vanishes.  The c_x are computed for all
     sites at once, stacked along a leading site axis, and only up to order
-    n_max - 1, the highest the output reads.  The working set peaks at
-    about 2.1-2.2 times the top tensor at (16, 4), (24, 4) and (64, 3):
-    the stacked c_x, one order of contracted rows, and then the output.
-
-    substitute_affine_rows skips the shift's exact identities: with phi = 0
-    (b = 0) it runs no contraction, and at epsilon = 0 or phi = 0 (a = 1) no
-    a-product.  Both keep every bit: a contraction with zeros adds +0, and
-    a product with 1.0 is exact.  The sum starts from stack + 0.0, which is
-    0 + stack by commutativity.
+    n_max - 1, the highest the output reads.  Each sum starts from
+    stack + 0.0, which is 0 + stack by commutativity.
 
     out, when given, is a hierarchy of k's shape, sharing no memory with
-    k, whose orders 1..n_max receive the sums; rows is
-    shift_rows(pot, [epsilon]) when the caller already built it; freed, a
-    list, receives each order's stack of c_x once it is summed (order n's
-    stack has order n's shape).  An entry that overflows reads inf or nan,
-    without a warning, as in evaluate_gf; the Taylor loop scans for it.
+    k, whose orders 1..n_max receive the sums.  rows is
+    shift_rows(pot, [epsilon]) when the caller already built it: building
+    it on every application costs 5-9% of a call at (16, 4) with a
+    Gaussian or top-hat potential, so a Taylor run builds it once.  An entry that
+    overflows reads inf or nan, without a warning, as in evaluate_gf; the
+    Taylor loop scans for it.
     """
     require_same_grid(k, pot)
     grid = k.grid
@@ -124,8 +116,6 @@ def apply_birth(
         for i in range(1, n):
             acc += np.moveaxis(stack, 0, i)
         tensors.append(acc)
-        if freed is not None:
-            freed.append(stack)
     return CorrelationHierarchy._trusted(grid, tensors)
 
 
@@ -135,17 +125,15 @@ def apply_generator(
 ) -> CorrelationHierarchy:
     """Full generator -death + z * birth on the truncated hierarchy.
 
-    Order n is z * b_n - n * k_n: apply_birth's tensors less the death part
-    (each of n particles dies at rate 1), computed inside the birth tensors;
-    n * k_n goes into the stack of c_x that order n was summed from.
-    k is left unchanged.  out and rows are apply_birth's: with out the
-    result's orders 1..n_max are out's arrays.
+    Order n is z * b_n - n * k_n: apply_birth's tensors, scaled and less
+    the death part (each of n particles dies at rate 1) in place.  k is
+    left unchanged.  out and rows are apply_birth's: with out the result's
+    orders 1..n_max are out's arrays.
     """
-    stacks = []
-    birth = apply_birth(k, pot, epsilon, out=out, rows=rows, freed=stacks)
-    for n, stack in enumerate(stacks, start=1):
+    birth = apply_birth(k, pot, epsilon, out=out, rows=rows)
+    for n in range(1, k.n_max + 1):
         birth.tensors[n] *= params.z
-        birth.tensors[n] -= np.multiply(k.tensors[n], n, out=stack)
+        birth.tensors[n] -= k.tensors[n] * n
     return birth
 
 

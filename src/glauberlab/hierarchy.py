@@ -51,9 +51,9 @@ from .lattice import (  # the guard lives in lattice; re-exported for bench/ and
 class ScaleParams:
     """Scale indices, activity and scaling parameter of a model run.
 
-    alpha < alpha0 are the target and initial scale indices, z is the
-    birth activity, epsilon the scaling parameter (0 denotes the
-    mean-field limit).
+    0 < alpha < alpha0 < inf are the target and initial scale indices,
+    0 < z < inf is the birth activity, epsilon the scaling parameter (0
+    denotes the mean-field limit).
     """
 
     alpha: float
@@ -67,8 +67,10 @@ class ScaleParams:
                 "need 0 < alpha < alpha0, got alpha=%r alpha0=%r"
                 % (self.alpha, self.alpha0)
             )
-        if not (self.z > 0):
-            raise InvalidArgumentError("activity z must be positive")
+        if not math.isfinite(self.alpha0):
+            raise InvalidArgumentError("alpha0 must be finite, got %r" % (self.alpha0,))
+        if not (0 < self.z < math.inf):
+            raise InvalidArgumentError("activity z must be finite and positive")
         if not (self.epsilon >= 0):
             raise InvalidArgumentError("epsilon must be non-negative")
 
@@ -273,11 +275,10 @@ def substitute_affine_rows(k: CorrelationHierarchy, a_rows, b_rows, top):
     """
     nm = k.n_max
     batch = (b_rows.shape[0],)
-    k_rows = [np.broadcast_to(t, batch + t.shape) for t in k.tensors[: top + 1]]
     weights = list(_taylor_weights(k.grid.spacing, nm + 1))
     reach = min(top, nm - 1)  # the orders a j >= 1 term adds to
     if not b_rows.any() and math.isfinite(weights[-1]):
-        acc = [t + 0.0 for t in k_rows[: reach + 1]]
+        acc = [np.broadcast_to(t, batch + t.shape) + 0.0 for t in k.tensors[: reach + 1]]
     else:
         acc = []
         nxt = [_contract_first(t, b_rows, shared=True) for t in k.tensors[1:]]
@@ -291,7 +292,7 @@ def substitute_affine_rows(k: CorrelationHierarchy, a_rows, b_rows, top):
                     acc.append(row[m])
                 else:
                     acc[m] += row[m]
-    acc += [t.copy() for t in k_rows[reach + 1 :]]
+    acc += [np.broadcast_to(t, batch + t.shape).copy() for t in k.tensors[reach + 1 : top + 1]]
     if np.all(a_rows == 1.0):
         return acc
     for m in range(1, top + 1):
@@ -335,8 +336,8 @@ def scale_norm(profile, alpha) -> float:
 
 def ruelle_margin(k: CorrelationHierarchy, z) -> float:
     """scale_norm at 1/z; at most 1 iff the activity envelope |k_n| <= z^n holds."""
-    if not (z > 0):
-        raise InvalidArgumentError("z must be positive")
+    if not (0 < z < math.inf):
+        raise InvalidArgumentError("z must be finite and positive")
     return scale_norm(max_abs_by_order(k), 1.0 / z)
 
 

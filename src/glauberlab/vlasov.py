@@ -44,8 +44,8 @@ class VlasovConfig:
     sample_stride: int = 1
 
     def __post_init__(self):
-        if not (self.z > 0):
-            raise InvalidArgumentError("z must be positive")
+        if not (0 < self.z < math.inf):
+            raise InvalidArgumentError("z must be finite and positive")
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise InvalidArgumentError("dt must be finite and positive")
         if self.scheme not in SCHEMES:

@@ -331,7 +331,7 @@ def evolve_global_fresh(params, pot, u0, t_final, epsilon, m_max=60, tol=1e-12):
     """
     z = params.z
     alpha0 = 1.0 / z
-    gparams = ScaleParams(alpha0 / 2.0, alpha0, z, params.epsilon)
+    gparams = ScaleParams(alpha0 / 2.0, alpha0, z)
     step = 0.9 * step_radius(norm_bound_M(gparams, pot), gparams.alpha, gparams.alpha0)
     u, now, records = u0, 0.0, []
     while t_final - now > 1e-12 * max(1.0, t_final):

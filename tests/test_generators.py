@@ -561,21 +561,23 @@ def bits(tensors):
 
 @pytest.mark.parametrize("shape,epsilon", [("gaussian", 1.0), ("gaussian", 0.0), ("zero", 1.0)])
 def test_apply_generator_working_set_at_the_evolve_size(shape, epsilon):
-    # 2.27x the top tensor at (16, 4): the birth route's inputs, outputs and
-    # one order of contracted rows, the summed stacks kept for the death part;
-    # 4.21x when each operation made a new array.  The a = 1 and b = 0
-    # shortcuts must not raise it, nor an out made beforehand.
+    # Peak over the top tensor at (16, 4): 2.207-2.210 without out, the birth
+    # route's inputs, outputs and one order of contracted rows (2.274-2.277
+    # while the summed stacks were kept for the death part; 4.21 when each
+    # operation made a new array), and 1.206-1.273 with an out made
+    # beforehand.  The bounds leave 0.04 and 0.027.  The a = 1 and b = 0
+    # shortcuts must not raise either.
     grid, _, params, rng = standard_setup(n_sites=16, n_max=4)
     pot = shape_potential(shape, grid)
     k = gl.random_ruelle_hierarchy(grid, 4, rng, envelope=0.5)
-    for out in (None, gl.zero_hierarchy(grid, 4)):
+    for out, bound in ((None, 2.25), (gl.zero_hierarchy(grid, 4), 1.3)):
         tracemalloc.start()
         try:
             gl.apply_generator(k, params, pot, epsilon, out=out)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * k.tensors[4].nbytes
+        assert peak <= bound * k.tensors[4].nbytes
 
 
 @pytest.mark.parametrize("shape", ["zero", "gaussian", "tophat"])

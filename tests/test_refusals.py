@@ -68,7 +68,14 @@ REFUSALS = {
     "scale-norm-alpha": (lambda: gl.scale_norm([1.0], 0.0),
                          InvalidArgumentError, "alpha must be positive"),
     "ruelle-margin-z": (lambda: gl.ruelle_margin(_hierarchy(), 0.0),
-                        InvalidArgumentError, "z must be positive"),
+                        InvalidArgumentError, "z must be finite and positive"),
+    # an infinite activity or alpha0 built, and the solve layer refused it by accident or not at all
+    "ruelle-margin-z-inf": (lambda: gl.ruelle_margin(_hierarchy(), math.inf),
+                            InvalidArgumentError, "z must be finite and positive"),
+    "scale-alpha0-inf": (lambda: gl.ScaleParams(0.5, math.inf, 0.5),
+                         InvalidArgumentError, "alpha0 must be finite, got inf"),
+    "scale-z-inf": (lambda: gl.ScaleParams(0.5, 1.0, math.inf),
+                    InvalidArgumentError, "activity z must be finite and positive"),
     "difference-grids": (lambda: gl.max_abs_difference(_hierarchy(), _hierarchy(gl.make_grid(8, 4.0))),
                          GridMismatchError, "hierarchies live on different grids"),
     "step-radius-alpha": (lambda: gl.step_radius(1.0, 1.0, 0.5),
@@ -139,7 +146,10 @@ REFUSALS = {
     "verify-bounds-cases-nan": (lambda: cmd_verify_bounds(ExperimentConfig(), None, n_cases=math.nan),
                                 InvalidArgumentError, "n_cases must be an integer >= 1"),
     "vlasov-z": (lambda: gl.VlasovConfig(z=0.0, dt=0.1),
-                 InvalidArgumentError, "z must be positive"),
+                 InvalidArgumentError, "z must be finite and positive"),
+    # built, and integrate ended nonfinite-state at t = dt
+    "vlasov-z-inf": (lambda: gl.VlasovConfig(z=math.inf, dt=0.1),
+                     InvalidArgumentError, "z must be finite and positive"),
     # raised a raw numpy overflow warning from the direct sum before GridField saw it
     "convolve-overflow": (_overflowing_convolution,
                           InvalidArgumentError, "field values must be finite"),
