@@ -199,7 +199,8 @@ def evolve_global(
 ) -> SolveReport:
     """Continue local solves up to t_final under the activity envelope.
 
-    The scale is pinned to alpha0 = 1/z and alpha = alpha0/2, each substep
+    The scale is pinned to alpha0 = 1/z, which must be finite, and
+    alpha = alpha0/2, each substep
     advances substep_fraction of the step radius, and the envelope margin
     of every accepted substep, the last one included, is checked as soon as
     its step record is made.
@@ -215,6 +216,8 @@ def evolve_global(
     """
     z = params.z
     alpha0 = 1.0 / z
+    if not math.isfinite(alpha0):
+        raise InvalidArgumentError("activity z=%r is too small: 1/z overflows" % (z,))
     _require_series(t_final, m_max, tol, alpha0 / 2.0, "t_final")
     if not (0 < substep_fraction < 1):
         raise InvalidArgumentError("substep_fraction must lie in (0, 1)")

@@ -46,13 +46,17 @@ def _line_digests(data):
     return "".join(_sha(line)[:8] for line in data.splitlines())
 
 
+def _out_dir(out_root, label):
+    return Path(out_root, label.replace(" ", "_"))
+
+
 def run_shipped(out_root):
     """Run every shipped config under every command; the record of each by label."""
     runs = {}
     for conf in sorted(CONFIG_DIR.glob("*.conf")):
         for command in COMMANDS:
             label = " ".join([conf.stem] + command)
-            out = Path(out_root, label.replace(" ", "_"))
+            out = _out_dir(out_root, label)
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 status = main(["--config", str(conf), "--out", str(out)] + command)
@@ -99,8 +103,7 @@ def mismatches(record, actual, out_root):
             elif w["sha256"] != h["sha256"]:
                 where = ""
                 if "lines" in w:
-                    out_path = Path(out_root, label.replace(" ", "_"), name)
-                    where = ", " + _first_differing_line(w["lines"], out_path)
+                    where = ", " + _first_differing_line(w["lines"], _out_dir(out_root, label) / name)
                 found.append("%s: file %s differs%s" % (label, name, where))
     if found and record["numpy"] != actual["numpy"]:
         found.insert(0, "numpy is %s here but the record was made with numpy %s"

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import glauberlab as gl
+from glauberlab.config import build_grid, build_potential, parse_config
 from glauberlab.errors import GridMismatchError, InvalidArgumentError
 from glauberlab.lattice import (
     GAUSSIAN_FLOOR,
@@ -16,6 +18,8 @@ from glauberlab.lattice import (
 )
 
 from helpers import convolve_oracle
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_make_grid_spacing():
@@ -72,24 +76,71 @@ def test_gaussian_potential_matches_direct_sums():
     assert math.isclose(pot.norm_linf, max(abs(v) for v in expected), rel_tol=1e-14)
 
 
+def _distances(grid):
+    d = np.arange(grid.n_sites)
+    return np.minimum(d, grid.n_sites - d) * grid.spacing
+
+
 def test_gaussian_tail_below_floor_is_zero_and_moves_no_convolution():
-    # The floor also narrows the band, so the floored convolution sums fewer
-    # terms in another order than the unfloored one: both are held to the
-    # oracle bound instead of to each other's bits.
+    # The floor is max(GAUSSIAN_FLOOR, amplitude * 2**-53).  It narrows the
+    # band, so the floored convolution sums fewer terms in another order than
+    # the unfloored one: both are held to the oracle bound on the raw samples
+    # instead of to each other's bits.
     grid = gl.make_grid(512, 64.0)
-    r = np.minimum(np.arange(512), 512 - np.arange(512)) * grid.spacing
+    r = _distances(grid)
     f = gl.GridField(grid, np.random.default_rng(5).uniform(0.05, 1.0, 512))
     for amplitude, width in ((0.8, 0.7), (0.5, 1.0), (0.2, 1.1)):
         pot = gl.gaussian_potential(grid, amplitude, width)
         raw = amplitude * np.exp(-((r / width) ** 2))
-        floored = (raw > 0.0) & (raw < GAUSSIAN_FLOOR)
+        floored = (raw > 0.0) & (raw < max(GAUSSIAN_FLOOR, amplitude * 2.0**-53))
         assert np.any(floored & (raw < np.finfo(np.float64).tiny))  # subnormal tail
+        assert np.any(floored & (raw > GAUSSIAN_FLOOR))  # and the relative cut
         assert np.all(pot.values_by_displacement[floored] == 0.0)
         assert np.array_equal(pot.values_by_displacement[~floored], raw[~floored])
         unfloored = gl.potential_from_samples(grid, raw)
         assert convolution_kernel(pot)[1].size < convolution_kernel(unfloored)[1].size
         for p in (pot, unfloored):
             _assert_within_oracle_bound(grid, raw, f.values, gl.convolve(p, f).values)
+
+
+def test_gaussian_band_ends_past_six_widths():
+    # exp(-(r/w)^2) falls below 2**-53 at r = 6.06 w
+    grid = gl.make_grid(512, 64.0)
+    for amplitude in (0.2, 0.8):
+        for width in (0.5, 0.75, 1.0, 1.25, 1.5):
+            band = convolution_kernel(gl.gaussian_potential(grid, amplitude, width))[1].size
+            assert 2 * math.floor(6.05 * width / grid.spacing) + 1 <= band
+            assert band <= 2 * math.ceil(6.07 * width / grid.spacing) + 1, (amplitude, width)
+
+
+def test_gaussian_floor_is_absolute_for_a_tiny_amplitude():
+    # amplitude * 2**-53 is below GAUSSIAN_FLOOR: no sample may be subnormal
+    grid = gl.make_grid(512, 64.0)
+    raw = 1e-290 * np.exp(-(_distances(grid) ** 2))
+    pot = gl.gaussian_potential(grid, 1e-290, 1.0)
+    assert np.array_equal(pot.values_by_displacement, np.where(raw < GAUSSIAN_FLOOR, 0.0, raw))
+
+
+def test_floored_gaussian_moves_a_kinetic_run_by_at_most_4_ulps():
+    grid = gl.make_grid(512, 64.0)
+    raw = 0.5 * np.exp(-(_distances(grid) ** 2))
+    rho0 = gl.GridField(grid, np.random.default_rng(3).uniform(0.05, 1.0, 512))
+    cfg = gl.VlasovConfig(z=0.7, dt=0.005, scheme="rk4", t_final=1.0)  # 200 steps
+    floored = gl.integrate(rho0, cfg, gl.gaussian_potential(grid, 0.5, 1.0))[0].values
+    unfloored = gl.integrate(rho0, cfg, gl.potential_from_samples(grid, raw))[0].values
+    assert np.all(np.abs(floored - unfloored) <= 4 * np.spacing(np.abs(unfloored)))
+
+
+def test_no_shipped_gaussian_loses_a_sample():
+    gaussians = 0
+    for conf in sorted(CONFIG_DIR.glob("*.conf")):
+        cfg = parse_config(conf)
+        if cfg.potential_kind == "gaussian":
+            grid = build_grid(cfg)
+            raw = cfg.potential_amplitude * np.exp(-((_distances(grid) / cfg.potential_width) ** 2))
+            assert np.array_equal(build_potential(cfg, grid).values_by_displacement, raw), conf.stem
+            gaussians += 1
+    assert gaussians == 2
 
 
 def test_potential_rejects_negative_and_asymmetric():

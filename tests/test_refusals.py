@@ -76,6 +76,9 @@ REFUSALS = {
                          InvalidArgumentError, "alpha0 must be finite, got inf"),
     "scale-z-inf": (lambda: gl.ScaleParams(0.5, 1.0, math.inf),
                     InvalidArgumentError, "activity z must be finite and positive"),
+    # also from the CLI: 1/z overflowed, and the run ended naming an alpha and alpha0 never set
+    "global-z-subnormal": (lambda: gl.evolve_global(gl.ScaleParams(0.5, 1.0, 5e-324), POT, _hierarchy(), 0.0),
+                           InvalidArgumentError, "activity z=5e-324 is too small: 1/z overflows"),
     "difference-grids": (lambda: gl.max_abs_difference(_hierarchy(), _hierarchy(gl.make_grid(8, 4.0))),
                          GridMismatchError, "hierarchies live on different grids"),
     "step-radius-alpha": (lambda: gl.step_radius(1.0, 1.0, 0.5),
