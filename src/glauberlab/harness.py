@@ -9,9 +9,9 @@ write_csv would give the same rows.  Randomness is drawn from numpy's
 default_rng seeded by the config, so a (config, seed) pair pins every
 output bit.
 
-Every command that evolves a hierarchy calls _evolve, the one place that
-chooses a local solve or global continuation: evolve passes its --mode,
-scaling-study "local" for every run, chaos-check "global".  verify-bounds
+Every command that evolves a hierarchy calls _evolve, which builds the run
+from its config and alone chooses a local solve or global continuation: evolve
+passes its --mode, scaling-study "local", chaos-check "global".  verify-bounds
 stacks its epsilons' birth shift rows once per run, one birth pass per case.
 """
 
@@ -65,8 +65,6 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return str(value)
 
 
@@ -95,21 +93,25 @@ def write_trajectory_csv(trajectory, path):
             fh.write(template % tuple(cells))
 
 
-def _evolve(cfg: ExperimentConfig, params, pot, epsilon, u0, mode) -> SolveReport:
-    """Evolve u0 to cfg.t_final under the generator at epsilon.
+def _evolve(cfg: ExperimentConfig, epsilon, mode):
+    """Build the config's model and evolve its product state u0 to cfg.t_final at epsilon.
 
-    mode "local" is one guarded solve at the configured scale indices,
-    "global" envelope-based continuation, and "auto" is local iff t_final
-    lies inside the configured step radius (alpha0 - alpha)/(e M).
+    Returns (u0, report).  mode "local" is one guarded solve at the configured
+    scale indices, "global" envelope-based continuation, and "auto" is local
+    iff t_final lies inside the configured step radius (alpha0 - alpha)/(e M).
     """
     if mode not in ("auto", "local", "global"):
         raise InvalidArgumentError("mode must be auto, local or global")
+    grid = build_grid(cfg)
+    pot = build_potential(cfg, grid)
+    params = build_scale_params(cfg)
+    u0 = exponential_hierarchy(build_initial_density(cfg, grid), cfg.n_max)
     if mode == "auto":
         radius = step_radius(norm_bound_M(params, pot), params.alpha, params.alpha0)
         mode = "local" if cfg.t_final < radius else "global"
     if mode == "local":
-        return solve_local(params, pot, epsilon, u0, cfg.t_final, cfg.m_max, cfg.tol)
-    return evolve_global(
+        return u0, solve_local(params, pot, epsilon, u0, cfg.t_final, cfg.m_max, cfg.tol)
+    return u0, evolve_global(
         params, pot, u0, cfg.t_final, substep_fraction=cfg.substep_fraction,
         m_max=cfg.m_max, tol=cfg.tol, epsilon=epsilon,
     )
@@ -121,11 +123,7 @@ def cmd_evolve(cfg: ExperimentConfig, out_dir, mode="auto") -> SolveReport:
     Writes per-step state and solver diagnostics plus the final hierarchy
     snapshot.
     """
-    grid = build_grid(cfg)
-    pot = build_potential(cfg, grid)
-    params = build_scale_params(cfg)
-    u0 = exponential_hierarchy(build_initial_density(cfg, grid), cfg.n_max)
-    report = _evolve(cfg, params, pot, cfg.epsilon, u0, mode)
+    u0, report = _evolve(cfg, cfg.epsilon, mode)
 
     state_rows = [["t", "n", "max_abs", "scale_norm", "ruelle_margin"]]
     for record in [step_record(0.0, u0, cfg.z, report.alpha)] + report.steps:
@@ -201,11 +199,8 @@ def cmd_scaling_study(cfg: ExperimentConfig, out_dir, epsilons) -> ScalingStudyR
     eps_list = sorted(set(given), reverse=True)
     if len(eps_list) < 2:
         raise InvalidArgumentError("need at least two distinct epsilons")
-    grid = build_grid(cfg)
-    pot = build_potential(cfg, grid)
-    params = build_scale_params(cfg)
-    u0 = exponential_hierarchy(build_initial_density(cfg, grid), cfg.n_max)
-    limit_run = _evolve(cfg, params, pot, VLASOV_LIMIT, u0, "local").solution
+    limit_run = _evolve(cfg, VLASOV_LIMIT, "local")[1].solution
+    grid = limit_run.grid
 
     rng = np.random.default_rng(cfg.seed)
     thetas = rng.uniform(-0.5, 0.5, size=(SCALING_THETA_COUNT, grid.n_sites))
@@ -214,7 +209,7 @@ def cmd_scaling_study(cfg: ExperimentConfig, out_dir, epsilons) -> ScalingStudyR
 
     gaps = []
     for eps in eps_list:
-        run = _evolve(cfg, params, pot, eps, u0, "local").solution
+        run = _evolve(cfg, eps, "local")[1].solution
         gap = max(
             abs(value - ref) * w
             for value, ref, w in zip(evaluate_gf_rows(run, thetas), limit_values, weights)
@@ -250,7 +245,6 @@ def cmd_chaos_check(cfg: ExperimentConfig, out_dir):
         raise InvalidArgumentError("chaos check needs truncation.n_max >= 4")
     grid = build_grid(cfg)
     pot = build_potential(cfg, grid)
-    params = build_scale_params(cfg)
     rho0 = build_initial_density(cfg, grid)
     with np.errstate(over="ignore"):  # an overflowing coupling reads inf, over the cap
         phi_rho = convolve_values(convolution_kernel(pot), rho0.values, grid.spacing)
@@ -260,9 +254,8 @@ def cmd_chaos_check(cfg: ExperimentConfig, out_dir):
             "||phi * rho_0||_inf = %.3g exceeds the %.2g cap the check assumes"
             % (coupling, CHAOS_COUPLING_CAP)
         )
-    u0 = exponential_hierarchy(rho0, cfg.n_max)
-    evolved = _evolve(cfg, params, pot, VLASOV_LIMIT, u0, "global").solution
-    rho_t, _ = integrate(rho0, build_vlasov_config(cfg), pot)
+    rho_t, _ = integrate(rho0, build_vlasov_config(cfg), pot)  # first: bad vlasov.* refuses at once
+    evolved = _evolve(cfg, VLASOV_LIMIT, "global")[1].solution
 
     dev1 = float(np.max(np.abs(evolved.tensors[1] - rho_t.values)))
     product2 = np.multiply.outer(rho_t.values, rho_t.values)

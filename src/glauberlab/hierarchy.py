@@ -37,7 +37,7 @@ from .errors import (
     InvalidArgumentError,
     NonfiniteStateError,
 )
-from .lattice import (  # the guard lives in lattice; re-exported for bench/ and tests
+from .lattice import (  # the guard lives in lattice; re-exported for bench/test_smoke.py
     MEMORY_GUARD_ENTRIES,
     Grid,
     GridField,

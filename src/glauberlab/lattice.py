@@ -144,7 +144,11 @@ def zero_potential(grid) -> PairPotential:
     return potential_from_samples(grid, np.zeros(grid.n_sites))
 
 
-def _min_image_distance(grid):
+def _min_image_distance(grid, amplitude, width):
+    if amplitude < 0:
+        raise InvalidArgumentError("amplitude must be non-negative")
+    if not (width > 0):
+        raise InvalidArgumentError("width must be positive")
     d = np.arange(grid.n_sites)
     return np.minimum(d, grid.n_sites - d) * grid.spacing
 
@@ -159,11 +163,7 @@ def gaussian_potential(grid, amplitude, width) -> PairPotential:
     of 415, and one convolution takes a third of the time.  The absolute
     term keeps a tiny amplitude's products off subnormal numbers.
     """
-    if amplitude < 0:
-        raise InvalidArgumentError("amplitude must be non-negative")
-    if not (width > 0):
-        raise InvalidArgumentError("width must be positive")
-    r = _min_image_distance(grid)
+    r = _min_image_distance(grid, amplitude, width)
     with np.errstate(over="ignore"):  # an overflowing square is inf, its exp the right 0
         samples = amplitude * np.exp(-((r / width) ** 2))
     samples[samples < max(GAUSSIAN_FLOOR, amplitude * 2.0**-53)] = 0.0
@@ -172,11 +172,7 @@ def gaussian_potential(grid, amplitude, width) -> PairPotential:
 
 def tophat_potential(grid, amplitude, width) -> PairPotential:
     """Sample amplitude on min-image distances <= width, zero beyond."""
-    if amplitude < 0:
-        raise InvalidArgumentError("amplitude must be non-negative")
-    if not (width > 0):
-        raise InvalidArgumentError("width must be positive")
-    r = _min_image_distance(grid)
+    r = _min_image_distance(grid, amplitude, width)
     return potential_from_samples(grid, np.where(r <= width, amplitude, 0.0))
 
 

@@ -33,7 +33,6 @@ from .errors import (
 )
 from .generators import GLAUBER, apply_generator, norm_bound_M, shift_rows
 from .hierarchy import (
-    MEMORY_GUARD_ENTRIES,
     CorrelationHierarchy,
     ScaleParams,
     max_abs_by_order,
@@ -41,6 +40,7 @@ from .hierarchy import (
     ruelle_margin,
     scale_norm,
 )
+from .lattice import MEMORY_GUARD_ENTRIES
 
 RUELLE_TOL = 1e-6
 RUELLE_DRIFT_TOL = 1e-3
@@ -242,7 +242,7 @@ def evolve_global(
     u = u0
     now = 0.0
     records = []
-    while t_final - now > 1e-12 * max(1.0, t_final):
+    while t_final - now > 1e-12 * t_final:
         dt_step = min(step, t_final - now)
         local = taylor_evolve(
             lambda term, out: apply_generator(term, gparams, pot, epsilon, out=out, rows=rows),

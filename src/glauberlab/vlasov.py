@@ -109,7 +109,7 @@ def integrate(rho0: GridField, cfg: VlasovConfig, pot: PairPotential):
     step = euler if cfg.scheme == "euler" else rk4
     n_full = int(math.floor(cfg.t_final / cfg.dt + 1e-9))
     remainder = cfg.t_final - n_full * cfg.dt
-    if remainder < 1e-9 * max(cfg.dt, 1.0):
+    if remainder < 1e-9 * cfg.dt:
         remainder = 0.0
     last = n_full + (remainder > 0.0)  # the remainder step, if any, is step n_full + 1
 

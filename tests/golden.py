@@ -10,6 +10,9 @@ build, so the record keeps numpy's version.
 Rewrite the record, after a change of output made by design, with
 
     PYTHONPATH=src python tests/golden.py
+
+which first prints, one line each, the runs and files that differ from the
+old record, so that the change can list them.
 """
 
 import contextlib
@@ -115,5 +118,7 @@ if __name__ == "__main__":
     warnings.simplefilter("error")
     with tempfile.TemporaryDirectory() as out_root:
         record = run_shipped(out_root)
+        for line in mismatches(json.loads(RECORD.read_text()), record, out_root):
+            print(line)
     RECORD.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print("wrote %d runs to %s" % (len(record["runs"]), RECORD), file=sys.stderr)

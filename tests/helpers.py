@@ -27,7 +27,6 @@ from glauberlab.generators import (
     shift_displacement_tables,
 )
 from glauberlab.hierarchy import (
-    MEMORY_GUARD_ENTRIES,
     CorrelationHierarchy,
     ScaleParams,
     evaluate_gf,
@@ -36,7 +35,12 @@ from glauberlab.hierarchy import (
     scale_norm,
 )
 from glauberlab.solver import step_radius, step_record
-from glauberlab.lattice import GridField, displacement_matrix, require_same_grid
+from glauberlab.lattice import (
+    MEMORY_GUARD_ENTRIES,
+    GridField,
+    displacement_matrix,
+    require_same_grid,
+)
 
 FD_STEP = 1e-5
 
@@ -73,6 +77,34 @@ def child_env(**overrides):
     env = {**os.environ, **overrides}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def shape_potential(shape, grid):
+    """The "zero", "gaussian" (amplitude 0.5, width 1) or "tophat" (0.4, 1.5) potential."""
+    if shape == "zero":
+        return glauberlab.zero_potential(grid)
+    if shape == "gaussian":
+        return glauberlab.gaussian_potential(grid, 0.5, 1.0)
+    return glauberlab.tophat_potential(grid, 0.4, 1.5)
+
+
+def plant_signed_zeros(tensors, rng):
+    """Set a quarter of the entries of each order >= 1 (at least two) to +0.0 and -0.0, in place."""
+    for t in tensors[1:]:
+        flat = t.reshape(-1)
+        picks = rng.choice(flat.size, size=max(2, flat.size // 4), replace=False)
+        flat[picks[0::2]] = 0.0
+        flat[picks[1::2]] = -0.0
+
+
+def count_constructions(monkeypatch):
+    """Patch CorrelationHierarchy.__init__ to append 1 to the returned list per call."""
+    built = []
+    init = CorrelationHierarchy.__init__
+    monkeypatch.setattr(
+        CorrelationHierarchy, "__init__", lambda obj, *args: built.append(1) or init(obj, *args)
+    )
+    return built
 
 
 def rel_err(a, b) -> float:
@@ -334,7 +366,7 @@ def evolve_global_fresh(params, pot, u0, t_final, epsilon, m_max=60, tol=1e-12):
     gparams = ScaleParams(alpha0 / 2.0, alpha0, z)
     step = 0.9 * step_radius(norm_bound_M(gparams, pot), gparams.alpha, gparams.alpha0)
     u, now, records = u0, 0.0, []
-    while t_final - now > 1e-12 * max(1.0, t_final):
+    while t_final - now > 1e-12 * t_final:
         dt_step = min(step, t_final - now)
         tensors, terms, tail = taylor_evolve_fresh(
             lambda h: apply_generator(h, gparams, pot, epsilon), u, dt_step, m_max, tol, gparams.alpha

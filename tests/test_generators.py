@@ -1,12 +1,14 @@
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import glauberlab as gl
 from glauberlab import hierarchy
+from glauberlab.config import build_grid, build_potential, build_scale_params, parse_config
 from glauberlab.errors import InvalidArgumentError, MemoryGuardError, NonfiniteStateError
 from glauberlab.generators import (
     birth_gf_term,
@@ -29,12 +31,15 @@ from helpers import (
     flatten,
     loglog_slope,
     plain_glauber_generator_oracle,
+    plant_signed_zeros,
     rel_err,
+    shape_potential,
     substitute_affine_rows_full,
     unflatten,
     variational_derivative_oracle,
 )
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 ORACLE_KINDS = (gl.GLAUBER, 0.25, gl.VLASOV_LIMIT)
 ORACLE_SHAPES = ((5, 0), (7, 1), (6, 2), (5, 3), (6, 4))
 
@@ -384,6 +389,41 @@ def test_sampled_generator_estimate_bounds():
         assert diff <= bound * big_k * weight
 
 
+def generator_worst_case(cfg, epsilon, birth_scale=1.0):
+    """sup of (a'' - a') times the generator's norm from a'' to a', on 20 scales in [alpha, alpha0].
+
+    The birth part with rows (|a|, |b|) on the constant hierarchy v_n = a''^-n,
+    times z, plus the death part's n v_n, is at each entry at least
+    sum_j |L_ij| v_j, so its scale norm at a' bounds the induced norm, sharp
+    up to sign cancellations.  birth_scale multiplies the birth part.
+    """
+    grid = build_grid(cfg)
+    pot = build_potential(cfg, grid)
+    rows = tuple(np.abs(r) for r in shift_rows(pot, [epsilon]))
+    scales = np.linspace(cfg.alpha, cfg.alpha0, 20).tolist()
+    sup = 0.0
+    for j, a_dprime in enumerate(scales[1:], start=1):
+        v = [np.full((grid.n_sites,) * n, a_dprime**-n) for n in range(cfg.n_max + 1)]
+        birth = gl.apply_birth(gl.CorrelationHierarchy(grid, v), pot, epsilon, rows=rows)
+        profile = [float(np.max(birth_scale * cfg.z * b + n * t))
+                   for n, (b, t) in enumerate(zip(birth.tensors, v))]
+        sup = max([sup] + [(a_dprime - a) * gl.scale_norm(profile, a) for a in scales[:j]])
+    return sup
+
+
+@pytest.mark.parametrize("conf", ["default.conf", "chaos.conf"])
+def test_generator_estimate_holds_at_its_worst_case(conf):
+    # random states reach about 2e-2 of M/gap; the worst case over all states
+    # reaches 0.596-0.634 (default) and 0.653-0.700 (chaos) of M = 2.083.  A
+    # birth part 6x too large gives 2.10-2.59 and breaks the bound in each
+    # case; 4x (1.50-1.83) does not, 5x only on chaos.conf at epsilon 0
+    cfg = parse_config(CONFIG_DIR / conf)
+    big_m = gl.norm_bound_M(build_scale_params(cfg), build_potential(cfg, build_grid(cfg)))
+    for epsilon in (gl.GLAUBER, 0.5, gl.VLASOV_LIMIT):
+        assert generator_worst_case(cfg, epsilon) < big_m
+        assert generator_worst_case(cfg, epsilon, birth_scale=6.0) > big_m
+
+
 @pytest.mark.parametrize("n_sites,n_max", ORACLE_SHAPES)
 def test_apply_birth_matches_per_site_oracle_bitwise(n_sites, n_max):
     grid = gl.make_grid(n_sites, 5.0)
@@ -533,25 +573,13 @@ def test_apply_generator_is_the_formula_byte_for_byte(shape):
 SHORTCUT_EPSILONS = (1.0, 0.25, 0.0, 1e-300)
 
 
-def shape_potential(shape, grid):
-    if shape == "zero":
-        return gl.zero_potential(grid)
-    if shape == "gaussian":
-        return gl.gaussian_potential(grid, 0.5, 1.0)
-    return gl.tophat_potential(grid, 0.4, 1.5)
-
-
 def planted_hierarchy(grid, n_max, seed):
     """A random hierarchy with +0.0 and -0.0 planted in every order, -0.0 in k_0 for odd seeds."""
     rng = np.random.default_rng(seed)
     tensors = [t.copy() for t in gl.random_ruelle_hierarchy(grid, n_max, rng, envelope=0.8).tensors]
     if seed % 2:
         tensors[0] = np.array(-0.0)
-    for t in tensors[1:]:
-        flat = t.reshape(-1)
-        picks = rng.choice(flat.size, size=max(2, flat.size // 4), replace=False)
-        flat[picks[0::2]] = 0.0
-        flat[picks[1::2]] = -0.0
+    plant_signed_zeros(tensors, rng)
     return gl.CorrelationHierarchy(grid, tensors)
 
 

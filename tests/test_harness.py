@@ -261,6 +261,25 @@ def test_cmd_chaos_check_control_and_zero_time(tmp_path):
     assert dev1 == 0.0 and dev2 == 0.0 and passed
 
 
+@pytest.mark.parametrize(
+    "dt,error,message",
+    [(3.0, gl.InvalidArgumentError, "dt must not exceed t_final"),
+     (1e-7, gl.MemoryGuardError, "2e\\+07 steps on 16 sites exceed the guard")],
+)
+def test_cmd_chaos_check_refuses_kinetic_settings_before_evolving(
+    tmp_path, monkeypatch, dt, error, message
+):
+    # the hierarchy evolution ran first and took about 6 s before these refusals
+    cfg = replace(parse_config(CONFIG_DIR / "chaos.conf"), n_sites=16, n_max=5, t_final=2.0, dt=dt)
+
+    def evolve_global(*args, **kwargs):
+        raise AssertionError("evolve_global ran before the kinetic refusal")
+
+    monkeypatch.setattr(harness, "evolve_global", evolve_global)
+    with pytest.raises(error, match=message):
+        cmd_chaos_check(cfg, tmp_path)
+
+
 def test_cmd_chaos_check_rejects_strong_coupling(tmp_path):
     strong = replace(ExperimentConfig(), n_max=4, initial_level=0.45, t_final=0.1)
     with pytest.raises(gl.InvalidArgumentError):
@@ -408,45 +427,6 @@ def test_every_subcommand_on_every_shipped_config(tmp_path, capsys):
                 assert status == EXIT_CODES.get(code, 1), (conf.stem, command)
                 assert captured.err.startswith("error: %s:" % code)
                 assert captured.err.count("\n") == 1
-
-
-def command_runs(tmp_path):
-    """(label, argv-builder) pairs covering every subcommand."""
-    chaos_small = tmp_path / "chaos_small.conf"
-    chaos_small.write_text(
-        "truncation.n_max = 4\ninitial.level = 0.2\ntime.t_final = 0.1\n"
-    )
-    default = str(CONFIG_DIR / "default.conf")
-    return [
-        ("evolve", lambda out: ["--config", default, "--out", out, "evolve"]),
-        ("vlasov", lambda out: ["--config", default, "--out", out, "vlasov"]),
-        (
-            "scaling",
-            lambda out: ["--config", default, "--out", out, "scaling-study",
-                         "--epsilons", "0.4,0.2,0.1,0.05"],
-        ),
-        (
-            "chaos",
-            lambda out: ["--config", str(chaos_small), "--out", out, "chaos-check"],
-        ),
-        (
-            "verify",
-            lambda out: ["--config", default, "--out", out, "verify-bounds",
-                         "--cases", "20"],
-        ),
-    ]
-
-
-def test_commands_are_deterministic(tmp_path):
-    for label, argv in command_runs(tmp_path):
-        out_a = tmp_path / (label + "_a")
-        out_b = tmp_path / (label + "_b")
-        assert main(argv(str(out_a))) == 0
-        assert main(argv(str(out_b))) == 0
-        names = sorted(os.listdir(out_a))
-        assert names == sorted(os.listdir(out_b))
-        for name in names:
-            assert read(out_a / name) == read(out_b / name), (label, name)
 
 
 def outputs_under_thread_counts(tmp_path, config, command):
@@ -670,37 +650,20 @@ def test_cli_help_still_exits_zero(capsys):
         (["time.t_final = 0.001", "vlasov.dt = 0.001"], "vlasov"),
         # the coupling check convolves before any hierarchy is built
         (["truncation.n_max = 4"], "chaos-check"),
+        # at order 1 the hierarchy guard would let 3163 sites through, and the
+        # birth operator's displacement matrix and shift rows would take 240 MB
+        (["truncation.n_max = 1"], "evolve"),
     ],
 )
-def test_cli_convolution_kernel_hits_memory_guard(tmp_path, capsys, lines, command):
-    # 3163^2 entries is just over the 1e7 guard; both commands used to
-    # build two 80 MB N x N matrices here.  make_grid refuses the grid now,
-    # before any potential or kernel is built.
+def test_cli_3163_sites_hit_memory_guard_before_any_matrix(tmp_path, capsys, lines, command):
+    # 3163^2 entries is just over the 1e7 guard; each command used to build
+    # N x N matrices of 80 MB or more here.  make_grid refuses the grid now,
+    # before any potential, kernel or shift row is built.
     conf = tmp_path / "big.conf"
     conf.write_text("\n".join(["grid.n_sites = 3163", "grid.length = 3163.0"] + lines) + "\n")
     tracemalloc.start()
     try:
         status = main(["--config", str(conf), "--out", str(tmp_path / "o"), command])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert status == 1
-    assert capsys.readouterr().err == (
-        "error: memory-guard: top tensor would hold 10004569 entries (guard 10000000)\n"
-    )
-    assert peak < 1_000_000
-    assert not list((tmp_path / "o").glob("*.csv"))
-
-
-def test_cli_evolve_shift_matrices_hit_memory_guard(tmp_path, capsys):
-    # at order 1 the hierarchy guard would let 3163 sites through, and the
-    # birth operator's displacement matrix and shift rows would take about
-    # 240 MB; make_grid refuses the grid first
-    conf = tmp_path / "big.conf"
-    conf.write_text("grid.n_sites = 3163\ngrid.length = 3163.0\ntruncation.n_max = 1\n")
-    tracemalloc.start()
-    try:
-        status = main(["--config", str(conf), "--out", str(tmp_path / "o"), "evolve"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -35,6 +35,7 @@ from helpers import (
     assert_all_symmetric,
     brute_force_gf,
     cauchy_check_oracle,
+    count_constructions,
     evaluate_gf_oracle,
     flatten,
     lagrange_eval,
@@ -152,12 +153,7 @@ def test_builders_trust_what_they_build(monkeypatch):
     # the constructor's shape and finiteness scan is for tensors from outside
     grid = gl.make_grid(4, 4.0)
     rho = gl.GridField(grid, np.array([0.5, 0.25, 1.5, 2.0]))
-    built = []
-    init = hierarchy.CorrelationHierarchy.__init__
-    monkeypatch.setattr(
-        hierarchy.CorrelationHierarchy, "__init__",
-        lambda obj, *args: built.append(1) or init(obj, *args),
-    )
+    built = count_constructions(monkeypatch)
     builds = [gl.zero_hierarchy(grid, 3), gl.exponential_hierarchy(rho, 3)]
     assert built == []
     for k in builds:

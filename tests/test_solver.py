@@ -20,9 +20,12 @@ from glauberlab.generators import apply_generator, norm_bound_M
 from helpers import (
     assemble_matrix,
     assert_all_symmetric,
+    count_constructions,
     evolve_global_fresh,
     flatten,
     matrix_exp_oracle,
+    plant_signed_zeros,
+    shape_potential,
     taylor_evolve_fresh,
     unflatten,
 )
@@ -151,6 +154,16 @@ def test_evolve_global_zero_time():
     report = gl.evolve_global(params, pot, u0, 0.0)
     assert report.restarts == 0
     assert gl.max_abs_difference(report.solution, u0) == 0.0
+
+
+def test_evolve_global_evolves_a_horizon_below_the_end_tolerance_of_one():
+    # the loop ended once t_final - now <= 1e-12 * max(1, t_final), so a
+    # horizon of 5e-13 took no substep at all; the tolerance is now relative
+    grid, pot, params, u0 = interacting_setup()
+    tiny = gl.evolve_global(params, pot, u0, 5e-13)
+    assert [r.time for r in tiny.steps] == [5e-13]
+    assert gl.max_abs_difference(tiny.solution, u0) > 0
+    assert [r.time for r in gl.evolve_global(params, pot, u0, 1e-300).steps] == [1e-300]
 
 
 def test_evolve_global_free_equilibrium_long_run():
@@ -328,24 +341,11 @@ def test_taylor_loop_builds_no_validated_hierarchy(monkeypatch):
     # u0 and every term were validated or built from validated input; the
     # only finiteness scans left are the guarded ones on terms and the sum
     grid, pot, params, u0 = interacting_setup(n_max=3, seed=8)
-    built = []
-    init = hierarchy.CorrelationHierarchy.__init__
-    monkeypatch.setattr(
-        hierarchy.CorrelationHierarchy, "__init__",
-        lambda obj, *args: built.append(1) or init(obj, *args),
-    )
+    built = count_constructions(monkeypatch)
     radius = gl.step_radius(norm_bound_M(params, pot), params.alpha, params.alpha0)
     report = gl.solve_local(params, pot, gl.GLAUBER, u0, 0.5 * radius, 60, 1e-12)
     assert report.terms_used > 1
     assert built == []
-
-
-def shape_potential(shape, grid):
-    if shape == "zero":
-        return gl.zero_potential(grid)
-    if shape == "gaussian":
-        return gl.gaussian_potential(grid, 0.5, 1.0)
-    return gl.tophat_potential(grid, 0.4, 1.5)
 
 
 def envelope_start(grid, n_max, z, seed):
@@ -353,11 +353,7 @@ def envelope_start(grid, n_max, z, seed):
     rng = np.random.default_rng(seed)
     sampled = gl.random_ruelle_hierarchy(grid, n_max, rng, envelope=0.5 * z)
     tensors = [np.array(0.5)] + [t.copy() for t in sampled.tensors[1:]]
-    for t in tensors[1:]:
-        flat = t.reshape(-1)
-        picks = rng.choice(flat.size, size=max(2, flat.size // 4), replace=False)
-        flat[picks[0::2]] = 0.0
-        flat[picks[1::2]] = -0.0
+    plant_signed_zeros(tensors, rng)
     return gl.CorrelationHierarchy(grid, tensors)
 
 

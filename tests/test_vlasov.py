@@ -237,3 +237,13 @@ def test_integrate_samples_every_stride_and_the_final_time_once(scheme, t_final,
     final, trajectory = gl.integrate(gl.constant_field(grid, 0.2), cfg, gl.zero_potential(grid))
     assert [t for t, _ in trajectory] == times
     assert np.array_equal(trajectory[-1][1], final.values)
+
+
+def test_integrate_keeps_the_remainder_of_a_tiny_step():
+    # remainders under 1e-9 * max(dt, 1) were dropped, so a horizon of 1.5
+    # steps of 1e-10 ended at t = 1e-10; the tolerance is now 1e-9 * dt
+    grid = gl.make_grid(4, 4.0)
+    cfg = gl.VlasovConfig(z=0.5, dt=1e-10, t_final=1.5e-10)
+    final, trajectory = gl.integrate(gl.constant_field(grid, 0.2), cfg, gl.zero_potential(grid))
+    assert [t for t, _ in trajectory] == [0.0, 1e-10, 1.5e-10]
+    assert not np.array_equal(trajectory[1][1], final.values)
