@@ -37,7 +37,6 @@ from .hierarchy import (
     ScaleParams,
     evaluate_gf,
     exponential_hierarchy,
-    gf_upper_bound,
     load_hierarchy,
     max_abs_by_order,
     max_abs_difference,

@@ -115,31 +115,31 @@ def parse_config(path) -> ExperimentConfig:
     """Read a config file; missing keys keep their defaults."""
     cfg = ExperimentConfig()
     try:
-        fh = open(path)
-    except OSError as exc:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, ValueError) as exc:  # a byte the locale cannot decode is a ValueError
         raise ConfigError("cannot read config file %s: %s" % (path, exc)) from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError("line %d: expected `key = value`, got %r" % (lineno, raw.strip()))
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _KEYS:
-                raise ConfigError("line %d: unknown key '%s'" % (lineno, key))
-            attr, typ = _KEYS[key]
-            try:
-                parsed = typ(value)
-            except ValueError:
-                raise ConfigError(
-                    "line %d: cannot parse value %r for key '%s'" % (lineno, value, key)
-                ) from None
-            if isinstance(parsed, float) and not math.isfinite(parsed):
-                raise ConfigError(
-                    "line %d: value %r for key '%s' is not finite" % (lineno, value, key)
-                )
-            cfg = replace(cfg, **{attr: parsed})
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError("line %d: expected `key = value`, got %r" % (lineno, raw.strip()))
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _KEYS:
+            raise ConfigError("line %d: unknown key '%s'" % (lineno, key))
+        attr, typ = _KEYS[key]
+        try:
+            parsed = typ(value)
+        except ValueError:
+            raise ConfigError(
+                "line %d: cannot parse value %r for key '%s'" % (lineno, value, key)
+            ) from None
+        if isinstance(parsed, float) and not math.isfinite(parsed):
+            raise ConfigError(
+                "line %d: value %r for key '%s' is not finite" % (lineno, value, key)
+            )
+        cfg = replace(cfg, **{attr: parsed})
     _validate(cfg)
     return cfg
 

@@ -11,9 +11,9 @@ discretize the sum-over-configurations measure.  Orders above n_max are
 closed by zero, which keeps every operation in this package exactly linear
 on the truncated space.
 
-The scale norm, gf_upper_bound and cauchy_estimate_checks read only the profile
-[max|k_0|, .., max|k_{n_max}|] that max_abs_by_order returns, so one scan of a
-hierarchy serves them all.  The scale norm is the computable surrogate
+The scale norm reads only the profile [max|k_0|, .., max|k_{n_max}|] that
+max_abs_by_order returns, so one scan of a hierarchy serves every scale index.
+It is the computable surrogate
 
     scale_norm(profile, alpha) = sup_n alpha^n max|k_n|,
 
@@ -341,52 +341,16 @@ def ruelle_margin(k: CorrelationHierarchy, z) -> float:
     return scale_norm(max_abs_by_order(k), 1.0 / z)
 
 
-def _taylor_weights(r, count):
-    """r^n / n! for n = 0..count-1, accumulated as weight *= r / n.
+def _taylor_weights(dx, count):
+    """dx^n / n! for n = 0..count-1, accumulated as weight *= dx / n.
 
-    The one source of the Taylor weights: dx^n / n! for the functional and
-    its substitutions, r^n / n! for the majorant.
+    The one source of the Taylor weights of the functional and its substitutions.
     """
     weight = 1.0
     for n in range(count):
         if n > 0:
-            weight *= r / n
+            weight *= dx / n
         yield weight
-
-
-def gf_upper_bound(profile, r) -> float:
-    """Majorant sum_n max|k_n| r^n / n! of a profile, >= sup |B| on the radius-r ball.
-
-    r must be finite.  An order whose max is 0 adds 0, also where r^n / n!
-    overflows to inf.
-    """
-    if not (0 < r < math.inf):
-        raise InvalidArgumentError("r must be finite and positive, got %r" % (r,))
-    total = 0.0
-    for weight, m in zip(_taylor_weights(r, len(profile)), profile):
-        if m:
-            total += weight * m
-    return total
-
-
-def cauchy_estimate_checks(profile, r):
-    """Verdicts of the derivative growth estimate at orders 1..n_max, from one majorant.
-
-    With w_n = r^n / n!, the very weight gf_upper_bound accumulates, and
-    bound = gf_upper_bound(profile, r), the check is w_1 max|k_1| <= bound
-    for n = 1 and w_n max|k_n| <= e^n bound for n >= 2, where an overflowing
-    e^n reads as inf; a zero order passes.  The left side is a product the
-    majorant sums, so no underflowing or overflowing weight can fail it.
-    Because the majorant dominates the sup of |B| over the complex radius-r
-    ball and k_n is the n-th derivative kernel at 0, the check holds
-    identically, also on sampled hierarchies, whose coset average is
-    symmetric to roundoff.
-    """
-    bound = gf_upper_bound(profile, r)
-    weights = list(_taylor_weights(r, len(profile)))
-    caps = [bound] + [_pow_or_inf(math.e, n) * bound if bound else 0.0  # inf * 0 is nan
-                      for n in range(2, len(profile))]
-    return [not m or w * m <= cap for w, m, cap in zip(weights[1:], profile[1:], caps)]
 
 
 def flat_dimension(grid, n_max) -> int:  # kept importable for bench/ladder.py

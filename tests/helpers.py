@@ -392,32 +392,6 @@ def birth_gf_term_oracle(k, theta_values, pot, epsilon) -> float:
     return dx * math.fsum(contributions)
 
 
-def cauchy_check_oracle(profile, n, r) -> bool:
-    """The derivative growth check at order n alone, each weight accumulated as r/1 * r/2 * ...
-
-    The bound sums w_j max|k_j| over the nonzero orders, and the verdict is
-    w_1 max|k_1| <= bound at n = 1 and w_n max|k_n| <= e^n bound above it,
-    an overflowing e^n reading as inf and a zero bound as a zero cap; a zero
-    order passes.
-    """
-    weights = [1.0]
-    for j in range(1, len(profile)):
-        weights.append(weights[-1] * (r / j))
-    bound = 0.0
-    for w, m in zip(weights, profile):
-        if m:
-            bound += w * m
-    if not profile[n]:
-        return True
-    if n == 1:
-        return weights[1] * profile[1] <= bound
-    try:
-        e_n = math.e**n
-    except OverflowError:
-        e_n = math.inf
-    return weights[n] * profile[n] <= (e_n * bound if bound else 0.0)
-
-
 def save_hierarchy_oracle(k, path):
     """Snapshot writer that stores one hand-built .npy member per entry.
 

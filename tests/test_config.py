@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import glauberlab as gl
+from glauberlab.cli import main
 from glauberlab.config import (
     _KEYS,
     ExperimentConfig,
@@ -138,6 +139,17 @@ def test_missing_files_surface_as_config_errors(tmp_path):
     )
     with pytest.raises(ConfigError):
         build_potential(cfg, build_grid(cfg))
+
+
+def test_undecodable_config_bytes_are_a_parse_error(tmp_path, capsys):
+    # the locale decodes the file while it is read, so a bad byte is a read error
+    path = tmp_path / "run.conf"
+    path.write_bytes(b"grid.n_sites = 8\n\xff\xfe = 1\n")
+    with pytest.raises(ConfigError):
+        parse_config(path)
+    assert main(["--config", str(path), "--out", str(tmp_path / "o"), "evolve"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse-error: ") and err.count("\n") == 1
 
 
 def test_float_ranges_cover_every_float_key():

@@ -1,6 +1,9 @@
+import argparse
 import json
 
 import golden
+
+from glauberlab import cli
 
 
 def test_shipped_runs_match_the_golden_record(tmp_path):
@@ -9,3 +12,10 @@ def test_shipped_runs_match_the_golden_record(tmp_path):
     record = json.loads(golden.RECORD.read_text())
     found = golden.mismatches(record, golden.run_shipped(tmp_path), tmp_path)
     assert not found, "\n".join(found)
+
+
+def test_every_subcommand_has_shipped_runs():
+    # a new subcommand cannot ship without its runs in the golden record
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {command[0] for command in golden.COMMANDS} == set(sub.choices)

@@ -280,6 +280,28 @@ def test_cmd_chaos_check_refuses_kinetic_settings_before_evolving(
         cmd_chaos_check(cfg, tmp_path)
 
 
+@pytest.mark.parametrize(
+    "command", [["evolve"], ["scaling-study"], ["chaos-check"], ["verify-bounds", "--cases", "2"]]
+)
+def test_cli_over_guard_hierarchy_refuses_before_integrating(
+    tmp_path, capsys, monkeypatch, command
+):
+    # the guard comes before chaos-check's kinetic integrate, which takes seconds on large grids
+    conf = tmp_path / "big.conf"
+    conf.write_text("grid.n_sites = 100\ntruncation.n_max = 4\n")
+
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrate ran before the memory guard")
+
+    monkeypatch.setattr(harness, "integrate", integrate)
+    status = main(["--config", str(conf), "--out", str(tmp_path / "o")] + command)
+    assert status == 1
+    assert capsys.readouterr() == (
+        "", "error: memory-guard: top tensor would hold 100000000 entries (guard 10000000)\n"
+    )
+    assert not list((tmp_path / "o").iterdir())
+
+
 def test_cmd_chaos_check_rejects_strong_coupling(tmp_path):
     strong = replace(ExperimentConfig(), n_max=4, initial_level=0.45, t_final=0.1)
     with pytest.raises(gl.InvalidArgumentError):
@@ -345,7 +367,7 @@ def test_cmd_verify_bounds_evaluates_each_term_once(
 
 
 def test_cmd_verify_bounds_scans_each_hierarchy_once(tmp_path, monkeypatch):
-    # the scale norm and all n_max * 3 derivative checks share one profile
+    # the scale norm reads one profile per sampled hierarchy
     scans = _count_calls(monkeypatch, "max_abs_by_order", module=hierarchy)
     cases = 3
     assert set(cmd_verify_bounds(ExperimentConfig(), tmp_path, n_cases=cases).values()) == {0}

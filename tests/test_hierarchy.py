@@ -25,7 +25,6 @@ from glauberlab.errors import (
 )
 from glauberlab.hierarchy import (
     _symmetrize_tensor,
-    cauchy_estimate_checks,
     flat_dimension,
     max_abs_by_order,
 )
@@ -34,7 +33,6 @@ from helpers import (
     PrecisionLossError,
     assert_all_symmetric,
     brute_force_gf,
-    cauchy_check_oracle,
     count_constructions,
     evaluate_gf_oracle,
     flatten,
@@ -358,106 +356,6 @@ def test_ruelle_margin_examples_and_oracle():
         for n, t in enumerate(rand.tensors)
     )
     assert math.isclose(gl.ruelle_margin(rand, z), oracle, rel_tol=1e-14)
-
-
-def test_gf_upper_bound_examples_and_oracle():
-    grid = gl.make_grid(8, 8.0)
-    unit = gl.zero_hierarchy(grid, 3)
-    unit.tensors[0] = np.array(1.0)
-    assert gl.gf_upper_bound(gl.max_abs_by_order(unit), 2.0) == 1.0
-    c, r = 0.4, 1.5
-    k = gl.exponential_hierarchy(gl.constant_field(grid, c), 3)
-    expected = sum((c * r) ** n / math.factorial(n) for n in range(4))
-    assert math.isclose(gl.gf_upper_bound(gl.max_abs_by_order(k), r), expected, rel_tol=1e-12)
-    rand, _ = small_random_hierarchy(n_sites=4, n_max=3, seed=18)
-    oracle = sum(
-        max(abs(float(v)) for v in np.ravel(t)) * r**n / math.factorial(n)
-        for n, t in enumerate(rand.tensors)
-    )
-    assert math.isclose(gl.gf_upper_bound(gl.max_abs_by_order(rand), r), oracle, rel_tol=1e-13)
-
-
-def test_cauchy_estimate_check_worked_example():
-    grid = gl.make_grid(8, 8.0)
-    k = gl.zero_hierarchy(grid, 1)
-    k.tensors[0] = np.array(1.0)
-    k.tensors[1] = np.ones(8)
-    # gf_upper_bound(k, 1) = 1 + 1 = 2 and max|k_1| = 1 <= 2/1
-    assert cauchy_estimate_checks(gl.max_abs_by_order(k), 1.0)[0]
-
-
-def test_cauchy_estimate_check_zero_hierarchy():
-    k = gl.zero_hierarchy(gl.make_grid(8, 8.0), 2)
-    assert cauchy_estimate_checks(gl.max_abs_by_order(k), 0.5)[0]
-    assert cauchy_estimate_checks(gl.max_abs_by_order(k), 2.0)[1]
-    # (e/r)^n overflows to inf, and inf * 0 must not turn a zero order into a violation
-    assert cauchy_estimate_checks(gl.max_abs_by_order(k), 1e-110)[1]
-    # r^2/2 overflows to inf; the zero order 2 adds 0 to the majorant, not inf * 0 = nan,
-    # and at order 1 a rounded bound / r fell just below max|k_1| on this hierarchy
-    gapped, _ = small_random_hierarchy(n_sites=4, n_max=2, seed=25)
-    gapped.tensors[2] = np.zeros((4, 4))
-    profile = gl.max_abs_by_order(gapped)
-    assert not math.isnan(gl.gf_upper_bound(profile, 1e300))
-    assert cauchy_estimate_checks(profile, 1e300) == [True, True]
-
-
-def test_cauchy_estimate_check_extreme_radii_are_no_violations():
-    # r^2/2 underflows to 0, so the majorant is 0 and (e/r)^2 is inf: inf * 0
-    # was nan.  The weighted term (r^2/2) * 1 is that same 0.
-    assert cauchy_estimate_checks([0.0, 0.0, 1.0], 1e-170)[1]
-    # e^n overflows where the majorant is 0 as well
-    assert cauchy_estimate_checks([0.0] * 800 + [1.0], 1e-3)[799]
-    # (e/inf)^2 * inf was 0 * inf = nan; an infinite radius is now refused
-    with pytest.raises(InvalidArgumentError):
-        cauchy_estimate_checks([1.0, 1.0, 1.0], math.inf)
-    for r in (math.inf, -math.inf, math.nan, 0.0, -1.0):
-        with pytest.raises(InvalidArgumentError):
-            gl.gf_upper_bound([1.0, 1.0], r)
-
-
-def test_cauchy_estimate_check_random_sweep():
-    grid = gl.make_grid(4, 4.0)
-    rng = np.random.default_rng(19)
-    for case in range(200):
-        k = gl.random_ruelle_hierarchy(grid, 3, rng, envelope=rng.uniform(0.2, 2.0))
-        for r in (0.5, 1.0, 2.0, 1e-110):  # (e/1e-110)^3 overflows to inf
-            assert cauchy_estimate_checks(gl.max_abs_by_order(k), r) == [True] * 3
-
-
-def _assert_all_orders_cauchy_check_agrees(profile, r):
-    orders = range(1, len(profile))
-    verdicts = cauchy_estimate_checks(profile, r)
-    assert verdicts == [cauchy_check_oracle(profile, n, r) for n in orders]
-    return verdicts
-
-
-def test_all_orders_cauchy_check_on_the_edge_profiles():
-    gapped, _ = small_random_hierarchy(n_sites=4, n_max=2, seed=25)
-    gapped.tensors[2] = np.zeros((4, 4))
-    passing = [
-        ([1.0, 0.0, 0.0, 0.0], 0.5),  # all-zero orders
-        ([0.0, 0.0, 0.0], 1e-110),  # (e/r)^n overflows over a zero majorant
-        (gl.max_abs_by_order(gapped), 1e300),  # r^2/2 overflows at a zero order
-        ([0.0, 0.0, 1.0], 1e-170),  # r^2/2 underflows: a zero majorant
-        ([0.0] * 800 + [1.0], 1e-3),  # e^800 overflows
-        ([0.7, 0.3, 0.2, 0.1], 1.0),
-    ]
-    for profile, r in passing:
-        assert _assert_all_orders_cauchy_check_agrees(profile, r) == [True] * (len(profile) - 1)
-    # a nan order makes the majorant nan, and no comparison with it holds
-    assert _assert_all_orders_cauchy_check_agrees([1.0, math.nan, 1.0], 1.0) == [False, False]
-    assert cauchy_estimate_checks([1.0], 1.0) == []
-    with pytest.raises(InvalidArgumentError):
-        cauchy_estimate_checks([1.0, 1.0], math.inf)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    profile=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e308)), min_size=1, max_size=9),
-    r=st.floats(0.0, 1e300, exclude_min=True),
-)
-def test_all_orders_cauchy_check_agrees_with_every_single_order(profile, r):
-    _assert_all_orders_cauchy_check_agrees(profile, r)
 
 
 def test_random_ruelle_hierarchy_is_its_symmetrized_draws_bit_for_bit():
