@@ -141,11 +141,20 @@ def test_missing_files_surface_as_config_errors(tmp_path):
         build_potential(cfg, build_grid(cfg))
 
 
-def test_undecodable_config_bytes_are_a_parse_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"grid.n_sites = 8\n\xff\xfe = 1\n",  # bytes that start no character
+        b"# caf\xe9\ngrid.n_sites = 8\n",  # in a comment, which is otherwise ignored
+        b"grid.n_sites = 8\n\xe2\x82",  # a character cut off at the end of the file
+    ],
+    ids=["key", "comment", "truncated"],
+)
+def test_undecodable_config_bytes_are_a_parse_error(tmp_path, capsys, data):
     # the locale decodes the file while it is read, so a bad byte is a read error
     path = tmp_path / "run.conf"
-    path.write_bytes(b"grid.n_sites = 8\n\xff\xfe = 1\n")
-    with pytest.raises(ConfigError):
+    path.write_bytes(data)
+    with pytest.raises(ConfigError, match="cannot read config file"):
         parse_config(path)
     assert main(["--config", str(path), "--out", str(tmp_path / "o"), "evolve"]) == 5
     err = capsys.readouterr().err
