@@ -1,13 +1,13 @@
 """Experiment configuration: line-oriented `key = value` text.
 
-`#` starts a comment, blank lines are ignored, keys are dotted section
-names from the table below, and unknown keys are rejected by name.  All
-parse and validation failures raise ConfigError with the offending line
-number where one applies.
+Files are read as UTF-8.  `#` starts a comment, blank lines are ignored,
+keys are the dotted names that the ExperimentConfig fields state, and
+unknown keys are rejected by name.  All parse and validation failures
+raise ConfigError with the offending line number where one applies.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -28,54 +28,39 @@ from .vlasov import SCHEMES, VlasovConfig
 POTENTIAL_KINDS = ("zero", "gaussian", "tophat", "file")
 
 
+def _key(name, default):
+    """Field of config key `name`; its annotation parses it: no `from __future__ import annotations`."""
+    return field(default=default, metadata={"key": name})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    n_sites: int = 8
-    length: float = 8.0
-    potential_kind: str = "gaussian"
-    potential_amplitude: float = 0.5
-    potential_width: float = 1.0
-    potential_path: str = ""
-    z: float = 0.5
-    epsilon: float = 1.0
-    n_max: int = 3
-    alpha: float = 0.5
-    alpha0: float = 1.0
-    m_max: int = 60
-    tol: float = 1e-12
-    t_final: float = 0.05
-    substep_fraction: float = 0.9
-    dt: float = 1e-3
-    scheme: str = "rk4"
-    sample_stride: int = 10
-    initial_level: float = math.nan
-    initial_cosine_amplitude: float = 0.0
-    seed: int = 12345
+    """One field per config key; the field's annotation parses the value."""
+
+    n_sites: int = _key("grid.n_sites", 8)
+    length: float = _key("grid.length", 8.0)
+    potential_kind: str = _key("potential.kind", "gaussian")
+    potential_amplitude: float = _key("potential.amplitude", 0.5)
+    potential_width: float = _key("potential.width", 1.0)
+    potential_path: str = _key("potential.path", "")
+    z: float = _key("model.z", 0.5)
+    epsilon: float = _key("model.epsilon", 1.0)
+    n_max: int = _key("truncation.n_max", 3)
+    alpha: float = _key("solver.alpha", 0.5)
+    alpha0: float = _key("solver.alpha0", 1.0)
+    m_max: int = _key("solver.m_max", 60)
+    tol: float = _key("solver.tol", 1e-12)
+    t_final: float = _key("time.t_final", 0.05)
+    substep_fraction: float = _key("time.substep_fraction", 0.9)
+    dt: float = _key("vlasov.dt", 1e-3)
+    scheme: str = _key("vlasov.scheme", "rk4")
+    sample_stride: int = _key("vlasov.sample_stride", 10)
+    initial_level: float = _key("initial.level", math.nan)
+    initial_cosine_amplitude: float = _key("initial.cosine_amplitude", 0.0)
+    seed: int = _key("rng.seed", 12345)
 
 
-_KEYS = {
-    "grid.n_sites": ("n_sites", int),
-    "grid.length": ("length", float),
-    "potential.kind": ("potential_kind", str),
-    "potential.amplitude": ("potential_amplitude", float),
-    "potential.width": ("potential_width", float),
-    "potential.path": ("potential_path", str),
-    "model.z": ("z", float),
-    "model.epsilon": ("epsilon", float),
-    "truncation.n_max": ("n_max", int),
-    "solver.alpha": ("alpha", float),
-    "solver.alpha0": ("alpha0", float),
-    "solver.m_max": ("m_max", int),
-    "solver.tol": ("tol", float),
-    "time.t_final": ("t_final", float),
-    "time.substep_fraction": ("substep_fraction", float),
-    "vlasov.dt": ("dt", float),
-    "vlasov.scheme": ("scheme", str),
-    "vlasov.sample_stride": ("sample_stride", int),
-    "initial.level": ("initial_level", float),
-    "initial.cosine_amplitude": ("initial_cosine_amplitude", float),
-    "rng.seed": ("seed", int),
-}
+_KEYS = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
 
 
 def _validate(cfg: ExperimentConfig):
@@ -115,9 +100,9 @@ def parse_config(path) -> ExperimentConfig:
     """Read a config file; missing keys keep their defaults."""
     cfg = ExperimentConfig()
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except (OSError, ValueError) as exc:  # a byte the locale cannot decode is a ValueError
+    except (OSError, ValueError) as exc:  # a byte that is not UTF-8 is a ValueError
         raise ConfigError("cannot read config file %s: %s" % (path, exc)) from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -128,9 +113,9 @@ def parse_config(path) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KEYS:
             raise ConfigError("line %d: unknown key '%s'" % (lineno, key))
-        attr, typ = _KEYS[key]
+        spec = _KEYS[key]
         try:
-            parsed = typ(value)
+            parsed = spec.type(value)
         except ValueError:
             raise ConfigError(
                 "line %d: cannot parse value %r for key '%s'" % (lineno, value, key)
@@ -139,7 +124,7 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(
                 "line %d: value %r for key '%s' is not finite" % (lineno, value, key)
             )
-        cfg = replace(cfg, **{attr: parsed})
+        cfg = replace(cfg, **{spec.name: parsed})
     _validate(cfg)
     return cfg
 
@@ -156,7 +141,7 @@ def build_potential(cfg: ExperimentConfig, grid: Grid) -> PairPotential:
     if cfg.potential_kind == "tophat":
         return tophat_potential(grid, cfg.potential_amplitude, cfg.potential_width)
     try:
-        with open(cfg.potential_path) as fh:
+        with open(cfg.potential_path, encoding="utf-8") as fh:
             values = [float(ln.strip()) for ln in fh if ln.strip()]
     except OSError as exc:
         raise ConfigError(

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.linalg
+from hypothesis import strategies as st
 
 import glauberlab
 from glauberlab.errors import GlauberLabError, InvalidArgumentError, MemoryGuardError
@@ -60,6 +61,14 @@ FLOAT_RANGES = {
     "vlasov.dt": (0.0, None, True, False),
     "initial.level": (0.0, None, False, False),
     "initial.cosine_amplitude": (0.0, None, False, False),
+}
+
+# the int keys, each in range and at one value far past it, and the other scheme
+OTHER_KEYS = {
+    "solver.m_max": st.integers(1, 80),
+    "vlasov.sample_stride": st.one_of(st.integers(1, 50), st.just(10**9)),
+    "rng.seed": st.one_of(st.integers(0, 2**32), st.just(2**64)),
+    "vlasov.scheme": st.sampled_from(["rk4", "euler"]),
 }
 
 

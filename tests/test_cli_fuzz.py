@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from glauberlab import errors
 from glauberlab.cli import EXIT_CODES, main
 
-from helpers import FLOAT_RANGES
+from helpers import FLOAT_RANGES, OTHER_KEYS
 
 EXTREMES = (0.0, 5e-324, 1e-310, 1e-300, 1e300, sys.float_info.max)
 CODES = {
@@ -44,15 +44,6 @@ SIZE_LIMIT = 2000  # largest n_sites ** n_max drawn, apart from OVER_SITE_LIMIT
 # could really be allocated.
 OVER_SITE_LIMIT = (3163, 10**18)
 TIME_LIMIT_S = 20.0
-
-
-# the int keys, each in range and at one value far past it, and the other scheme
-OTHER_KEYS = {
-    "solver.m_max": st.integers(1, 80),
-    "vlasov.sample_stride": st.one_of(st.integers(1, 50), st.just(10**9)),
-    "rng.seed": st.one_of(st.integers(0, 2**32), st.just(2**64)),
-    "vlasov.scheme": st.sampled_from(["rk4", "euler"]),
-}
 
 
 def float_value(key):

@@ -1,5 +1,9 @@
 import math
-from dataclasses import replace
+import re
+import subprocess
+import sys
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +24,9 @@ from glauberlab.config import (
 )
 from glauberlab.errors import ConfigError
 
-from helpers import FLOAT_RANGES
+from helpers import FLOAT_RANGES, OTHER_KEYS, child_env
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write(tmp_path, text):
@@ -151,7 +157,7 @@ def test_missing_files_surface_as_config_errors(tmp_path):
     ids=["key", "comment", "truncated"],
 )
 def test_undecodable_config_bytes_are_a_parse_error(tmp_path, capsys, data):
-    # the locale decodes the file while it is read, so a bad byte is a read error
+    # the file is decoded as UTF-8 while it is read, so a bad byte is a read error
     path = tmp_path / "run.conf"
     path.write_bytes(data)
     with pytest.raises(ConfigError, match="cannot read config file"):
@@ -161,8 +167,46 @@ def test_undecodable_config_bytes_are_a_parse_error(tmp_path, capsys, data):
     assert err.startswith("error: parse-error: ") and err.count("\n") == 1
 
 
+def test_config_is_utf8_whatever_the_locale(tmp_path):
+    # an ASCII locale without Python's UTF-8 mode must still read a UTF-8 comment
+    path = tmp_path / "run.conf"
+    path.write_bytes("# rho\u2080 (\u03c1)\ngrid.n_sites = 7\n".encode("utf-8"))
+    code = "import sys, glauberlab.config as c; print(c.parse_config(sys.argv[1]).n_sites)"
+    out = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-c", code, str(path)],
+        env=child_env(LC_ALL="C"),
+        capture_output=True,
+        text=True,
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (0, "7\n", "")
+
+
+def test_readme_table_lists_every_key_with_its_default():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("### Configuration"):text.index("### Outputs")]
+    rows = re.findall(r"^\| `([^`]+)` \| ?([^|]*?) ?\|", section, re.M)
+    assert rows == [
+        (f.metadata["key"], "model.z" if f.name == "initial_level" else str(f.default))
+        for f in fields(ExperimentConfig)
+    ]
+
+
+def test_default_conf_states_the_defaults():
+    path = ROOT / "configs" / "default.conf"
+    assert parse_config(path) == ExperimentConfig()
+    lines = (line.split("#", 1)[0] for line in path.read_text(encoding="utf-8").splitlines())
+    keys = {line.split("=", 1)[0].strip() for line in lines if line.strip()}
+    # neither has a value that can be written: the path is empty, the level tracks model.z
+    assert keys == set(_KEYS) - {"potential.path", "initial.level"}
+
+
 def test_float_ranges_cover_every_float_key():
-    assert set(FLOAT_RANGES) == {k for k, (_, typ) in _KEYS.items() if typ is float}
+    assert set(FLOAT_RANGES) == {k for k, spec in _KEYS.items() if spec.type is float}
+    # the CLI fuzz draws every key but the potential file's path
+    drawn = set(FLOAT_RANGES) | set(OTHER_KEYS) | {
+        "grid.n_sites", "truncation.n_max", "potential.kind"
+    }
+    assert drawn == set(_KEYS) - {"potential.path"}
 
 
 @st.composite
@@ -182,7 +226,7 @@ def finite_assignment(draw):
 def test_finite_float_values_round_trip(tmp_path, assignment):
     key, value = assignment
     cfg = parse_config(write(tmp_path, "%s = %r\n" % (key, value)))
-    assert cfg == replace(ExperimentConfig(), **{_KEYS[key][0]: value})
+    assert cfg == replace(ExperimentConfig(), **{_KEYS[key].name: value})
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -6,6 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import glauberlab
+
 from helpers import child_env
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -34,6 +38,12 @@ def test_readme_library_example_runs(capsys):
     margin, restarts = printed[0].split()
     assert float(margin) <= 1.0 + 1e-3 and int(restarts) >= 1
     assert 0.0 <= float(printed[1]) < 0.1  # relaxing towards the fixed point
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # new in Python 3.11
+    with open(README.parent / "pyproject.toml", "rb") as fh:
+        assert glauberlab.__version__ == tomllib.load(fh)["project"]["version"]
 
 
 BENCH_MARKER = "kept importable for bench/"
