@@ -14,7 +14,8 @@ used, and only exact zeros of phi are skipped, whose products add nothing.
 The sum is einsum's sum of products over each (N, B) window row
 (optimize=False: no BLAS call and no N x N array or temporary), so its
 reduction order is fixed for a given numpy build and results are
-reproducible bit for bit.
+reproducible bit for bit.  A zero potential has an empty band (B = 0),
+and its convolution is +0.0 everywhere without a gather or a sum.
 Gaussian samples below max(GAUSSIAN_FLOOR, amplitude * 2^-53) are stored as
 zero: weights under the unit roundoff relative to the peak weight.  That cuts
 the band at r > 6.06 width, where exp(-(r/width)^2) falls below 2^-53.
@@ -219,7 +220,7 @@ def convolution_kernel(pot: PairPotential):
     return np.arange(n + b - 1) - s, weights
 
 
-def convolve_values(kernel, values, dx):
+def convolve_values(kernel, values, dx, out=None):
     """Direct sum (K v)(x) = sum_d phi(d) v(x - d) dx over the support band.
 
     The one convolution path, O(N B) with B <= N: gather the values once
@@ -229,13 +230,23 @@ def convolve_values(kernel, values, dx):
     array.  The products left out are those with exact zeros of phi, which
     add nothing.  The reduction order is fixed for a given numpy build, so
     results are reproducible bit for bit, whatever the thread count or
-    buffer alignment.
+    buffer alignment.  An empty band (phi = 0) gives +0.0, the bits of an
+    empty sum times dx, with no gather or sum.  out, when given, is a
+    float64 N-vector other than values, and receives the result.
     """
     index, weights = kernel
-    gathered = np.asarray(values, dtype=np.float64).take(index, mode="wrap")
     b = weights.size
-    window = np.ndarray((index.size - b + 1, b), np.float64, gathered, 0, (8, 8))
-    return np.einsum("ij,j->i", window, weights, optimize=False) * dx
+    n = index.size - b + 1
+    if out is None:
+        out = np.empty(n)
+    if b == 0:
+        out.fill(0.0)
+        return out
+    gathered = np.asarray(values, dtype=np.float64).take(index, mode="wrap")
+    window = np.ndarray((n, b), np.float64, gathered, 0, (8, 8))
+    np.einsum("ij,j->i", window, weights, out=out, optimize=False)
+    out *= dx
+    return out
 
 
 def convolve(pot: PairPotential, f: GridField) -> GridField:

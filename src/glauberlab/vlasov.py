@@ -11,6 +11,10 @@ The exponential functional exp(sum_x rho(x) theta(x) dx) evaluated along a
 solution is the mean-field evolution of a product-form state; chaos
 preservation is the statement that the hierarchy flow under the limit
 generator keeps states of exactly this form.
+
+The integrator writes every step into N-vectors one run owns, with the
+bits of the textbook expression form; phi = 0 has an empty band, whose
+convolution is a fill with zeros.
 """
 
 import math
@@ -58,9 +62,17 @@ class VlasovConfig:
             raise InvalidArgumentError("sample_stride must be an integer >= 1")
 
 
-def _rhs(kernel, values, z, dx):
-    """-v + z exp(-(phi * v)) on raw values, phi given by its convolution kernel."""
-    return -values + z * np.exp(-convolve_values(kernel, values, dx))
+def _rhs(kernel, values, z, dx, out=None):
+    """-v + z exp(-(phi * v)) on raw values, phi given by its convolution kernel.
+
+    Written into out when given, as z e - v: the bits of -v + z e.
+    """
+    out = convolve_values(kernel, values, dx, out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out *= z
+    out -= values
+    return out
 
 
 def vlasov_rhs(rho: GridField, z, pot: PairPotential) -> GridField:
@@ -78,6 +90,9 @@ def integrate(rho0: GridField, cfg: VlasovConfig, pot: PairPotential):
     sample_stride-th step, and the final time.  Raises NonfiniteStateError
     as soon as the state picks up a NaN or infinity, and MemoryGuardError
     before the first step when steps times sites exceeds the memory guard.
+    Beside the state the run owns five N-vectors, k1..k4 and the stage
+    argument, written in place by every step; rho0 is not written, and
+    every sample is a copy.
     """
     require_same_grid(rho0, pot)
     if np.any(rho0.values < 0):
@@ -92,35 +107,36 @@ def integrate(rho0: GridField, cfg: VlasovConfig, pot: PairPotential):
     kernel = convolution_kernel(pot)
     dx = grid.spacing
     z = cfg.z
-
-    def rhs(values):
-        return _rhs(kernel, values, z, dx)
-
-    def euler(values, h):
-        return values + h * rhs(values)
-
-    def rk4(values, h):
-        k1 = rhs(values)
-        k2 = rhs(values + 0.5 * h * k1)
-        k3 = rhs(values + 0.5 * h * k2)
-        k4 = rhs(values + h * k3)
-        return values + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    step = euler if cfg.scheme == "euler" else rk4
+    values = rho0.values.copy()
+    k1, k2, k3, k4, stage = (np.empty_like(values) for _ in range(5))
     n_full = int(math.floor(cfg.t_final / cfg.dt + 1e-9))
     remainder = cfg.t_final - n_full * cfg.dt
     if remainder < 1e-9 * cfg.dt:
         remainder = 0.0
     last = n_full + (remainder > 0.0)  # the remainder step, if any, is step n_full + 1
 
-    values = rho0.values.copy()
     trajectory = [(0.0, values.copy())]
     # overflow is diagnosed by the isfinite check below, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, last + 1):
             h, t = (cfg.dt, i * cfg.dt) if i <= n_full else (remainder, cfg.t_final)
-            values = step(values, h)
-            if not np.all(np.isfinite(values)):
+            _rhs(kernel, values, z, dx, k1)
+            if cfg.scheme == "euler":  # values + h k1
+                k1 *= h
+                values += k1
+            else:  # values + (h/6) (((k1 + 2 k2) + 2 k3) + k4)
+                for h_stage, k_in, k_out in ((0.5 * h, k1, k2), (0.5 * h, k2, k3), (h, k3, k4)):
+                    np.multiply(h_stage, k_in, out=stage)
+                    stage += values  # the stage argument values + h_stage k_in
+                    _rhs(kernel, stage, z, dx, k_out)
+                k2 *= 2.0
+                k2 += k1
+                k3 *= 2.0
+                k2 += k3
+                k2 += k4
+                k2 *= h / 6.0
+                values += k2
+            if not np.isfinite(values).all():
                 raise NonfiniteStateError("state became non-finite at t=%.9g" % t)
             if i % cfg.sample_stride == 0 or i == last:
                 trajectory.append((t, values.copy()))

@@ -39,6 +39,8 @@ from glauberlab.solver import step_radius, step_record
 from glauberlab.lattice import (
     MEMORY_GUARD_ENTRIES,
     GridField,
+    convolution_kernel,
+    convolve_values,
     displacement_matrix,
     require_same_grid,
 )
@@ -540,6 +542,45 @@ def taylor_coefficient_fd(k, n, sites, step=FD_STEP) -> float:
             % abs(est - check)
         )
     return est
+
+
+def integrate_formula(rho0, cfg, pot):
+    """The kinetic integrator in expression form, one new array per operation.
+
+    The arithmetic integrate must keep while it steps in arrays it owns:
+    the right-hand side -v + z exp(-(phi * v)) and the textbook Euler and
+    RK4 updates, dt steps to t_final plus a remainder step, sampled at t = 0,
+    every sample_stride-th step and the final time.  Returns (final values,
+    trajectory).
+    """
+    kernel = convolution_kernel(pot)
+    dx = pot.grid.spacing
+
+    def rhs(v):
+        return -v + cfg.z * np.exp(-convolve_values(kernel, v, dx))
+
+    def step(v, h):
+        if cfg.scheme == "euler":
+            return v + h * rhs(v)
+        k1 = rhs(v)
+        k2 = rhs(v + 0.5 * h * k1)
+        k3 = rhs(v + 0.5 * h * k2)
+        k4 = rhs(v + h * k3)
+        return v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    n_full = int(math.floor(cfg.t_final / cfg.dt + 1e-9))
+    remainder = cfg.t_final - n_full * cfg.dt
+    steps = [(cfg.dt, i * cfg.dt) for i in range(1, n_full + 1)]
+    if remainder >= 1e-9 * cfg.dt:
+        steps.append((remainder, cfg.t_final))
+    values = rho0.values.copy()
+    trajectory = [(0.0, values.copy())]
+    with np.errstate(over="ignore"):
+        for i, (h, t) in enumerate(steps, start=1):
+            values = step(values, h)
+            if i % cfg.sample_stride == 0 or i == len(steps):
+                trajectory.append((t, values.copy()))
+    return values, trajectory
 
 
 def exponential_gf_eval(rho, theta) -> float:

@@ -324,6 +324,18 @@ def test_convolve_values_bits_ignore_alignment_and_repeats():
         moved_kernel = tuple(_copy_at_offset(part, offset) for part in kernel)
         moved = convolve_values(moved_kernel, _copy_at_offset(values, offset), dx)
         assert moved.tobytes() == first, offset
+        out = _copy_at_offset(np.full(values.size, np.nan), offset)
+        assert convolve_values(kernel, values, dx, out) is out
+        assert out.tobytes() == first, offset
+    for n in (2, 9, 512):  # an empty band: every entry +0.0, whatever out held
+        grid = gl.make_grid(n, 8.0)
+        kernel = convolution_kernel(gl.zero_potential(grid))
+        values = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        zeros = np.zeros(n).tobytes()
+        assert convolve_values(kernel, values, grid.spacing).tobytes() == zeros
+        out = np.full(n, -0.0)
+        assert convolve_values(kernel, values, grid.spacing, out) is out
+        assert out.tobytes() == zeros
 
 
 def test_convolve_values_allocates_no_kernel_sized_temporary():

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import glauberlab as gl
 from glauberlab.errors import InvalidArgumentError, MemoryGuardError, NonfiniteStateError
 
-from helpers import exponential_gf_eval
+from helpers import exponential_gf_eval, integrate_formula, shape_potential
 
 
 def test_vlasov_rhs_fixed_point_and_empty():
@@ -247,3 +249,73 @@ def test_integrate_keeps_the_remainder_of_a_tiny_step():
     final, trajectory = gl.integrate(gl.constant_field(grid, 0.2), cfg, gl.zero_potential(grid))
     assert [t for t, _ in trajectory] == [0.0, 1e-10, 1.5e-10]
     assert not np.array_equal(trajectory[1][1], final.values)
+
+
+def _assert_integrate_matches_formula(rho0, cfg, pot):
+    final, trajectory = gl.integrate(rho0, cfg, pot)
+    expected_final, expected = integrate_formula(rho0, cfg, pot)
+    assert final.values.tobytes() == expected_final.tobytes()
+    assert [t for t, _ in trajectory] == [t for t, _ in expected]
+    for (_, got), (_, want) in zip(trajectory, expected):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
+@pytest.mark.parametrize("shape", ["gaussian", "tophat", "zero"])
+@pytest.mark.parametrize("t_final", [1.0, 1.03])  # 20 steps of 0.05, then 20 and a remainder
+def test_integrate_matches_the_expression_form_bit_for_bit(scheme, shape, t_final):
+    grid = gl.make_grid(64, 16.0)
+    rho0 = gl.GridField(grid, 0.4 + 0.3 * np.cos(np.arange(64) * 0.3))
+    cfg = gl.VlasovConfig(z=0.7, dt=0.05, scheme=scheme, t_final=t_final, sample_stride=3)
+    _assert_integrate_matches_formula(rho0, cfg, shape_potential(shape, grid))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(2, 64),
+    dt=st.floats(0.01, 0.5),
+    steps=st.one_of(st.just(0.0), st.floats(1.0, 12.0)),
+    stride=st.integers(1, 5),
+    amplitude=st.floats(0.0, 3.0),
+    kind=st.sampled_from(["gaussian", "tophat"]),
+    scheme=st.sampled_from(["rk4", "euler"]),
+)
+def test_integrate_matches_the_expression_form_on_random_runs(
+    n, dt, steps, stride, amplitude, kind, scheme
+):
+    grid = gl.make_grid(n, n / 4.0)
+    make = gl.gaussian_potential if kind == "gaussian" else gl.tophat_potential
+    rho0 = gl.GridField(grid, np.linspace(0.0, 1.0, n))
+    cfg = gl.VlasovConfig(
+        z=0.8, dt=dt, scheme=scheme, t_final=steps * dt, sample_stride=stride
+    )
+    _assert_integrate_matches_formula(rho0, cfg, make(grid, amplitude, 1.0))
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
+def test_integrate_leaves_the_initial_field_and_the_samples_apart(scheme):
+    grid = gl.make_grid(32, 8.0)
+    rho0 = gl.GridField(grid, 0.2 + 0.1 * np.sin(np.arange(32)))
+    before = rho0.values.tobytes()
+    cfg = gl.VlasovConfig(z=0.6, dt=0.1, scheme=scheme, t_final=1.0, sample_stride=2)
+    final, trajectory = gl.integrate(rho0, cfg, gl.gaussian_potential(grid, 0.5, 1.0))
+    assert rho0.values.tobytes() == before
+    arrays = [values for _, values in trajectory]
+    for i, sample in enumerate(arrays):
+        assert not np.shares_memory(sample, final.values)
+        assert not np.shares_memory(sample, rho0.values)
+        for other in arrays[i + 1:]:
+            assert not np.shares_memory(sample, other)
+    assert not np.shares_memory(final.values, rho0.values)
+
+
+def test_integrate_names_the_first_non_finite_step():
+    # from rho = 0 under phi = 0 one rk4 step of 1e50 lands near -4e198,
+    # and the next overflows
+    grid = gl.make_grid(8, 8.0)
+    rho0 = gl.constant_field(grid, 0.0)
+    pot = gl.zero_potential(grid)
+    final, _ = gl.integrate(rho0, gl.VlasovConfig(z=1.0, dt=1e50, t_final=1e50), pot)
+    assert np.isfinite(final.values).all()
+    with pytest.raises(NonfiniteStateError, match=r"at t=2e\+50$"):
+        gl.integrate(rho0, gl.VlasovConfig(z=1.0, dt=1e50, t_final=3e50), pot)
