@@ -26,6 +26,7 @@ n_sites (int64), length (float64) and k0 .. k{n_max}, read back bit for bit; its
 zip entries carry numpy's one fixed date, so equal hierarchies give equal bytes.
 """
 
+import functools
 import math
 import zipfile
 from dataclasses import dataclass
@@ -79,9 +80,11 @@ class CorrelationHierarchy:
     """Symmetric tensors k_0 .. k_{n_max} on a shared grid.
 
     tensors[0] is a 0-d array (a scalar); tensors[n] has shape (N,)*n.
-    Symmetry under index permutations holds to roundoff, not by construction:
-    evolved and sampled tensors can differ from their transposes in the last
-    bits.
+    Sampled tensors (random_ruelle_hierarchy) are symmetric bit for bit: each
+    entry is read from its orbit's one mean.  Evolved tensors are symmetric
+    to roundoff only: the birth sums add the same terms in different orders
+    at permuted entries, so they can differ from their transposes in the
+    last bits.
     """
 
     __slots__ = ("grid", "tensors")
@@ -163,11 +166,14 @@ def random_ruelle_hierarchy(grid, n_max, rng, envelope=1.0) -> CorrelationHierar
     The order-0 entry is drawn near 1.  Used by the inequality harness and
     the test suite; the envelope plays the role of the activity bound, so
     sampled states grow no faster than a prescribed geometric rate.  Each
-    uniform draw is averaged over its axis permutations by the coset
-    recursion, with the rng stream and law of the n!-term average and its
-    entries up to roundoff.  A negative envelope is InvalidArgumentError, an
-    overflowing or nan envelope^n_max NonfiniteStateError; past them every entry
-    is finite (|average| <= 1), so none is validated again.
+    uniform draw of order n is averaged over its axis permutations by
+    _symmetrize_tensor: the rng stream and the law are those of the n!-term
+    average, and the tensors are symmetric bit for bit.  The orbit index it
+    reads is built on the first call at (n_sites, n_max) and cached, so a run
+    that samples one shape many times builds it once.  A negative envelope is
+    InvalidArgumentError, an overflowing or nan envelope^n_max
+    NonfiniteStateError; past them every entry is finite (|average| <= 1), so
+    none is validated again.
     """
     n_max = _require_order(grid, n_max)
     if envelope < 0:
@@ -176,7 +182,8 @@ def random_ruelle_hierarchy(grid, n_max, rng, envelope=1.0) -> CorrelationHierar
         raise NonfiniteStateError("activity envelope %r overflows at order %d" % (envelope, n_max))
     tensors = [np.array(rng.uniform(0.5, 1.5))]
     for order in range(1, n_max + 1):
-        tensors.append(_symmetrize_tensor(rng.uniform(-1.0, 1.0, size=(grid.n_sites,) * order)))
+        raw = rng.uniform(-1.0, 1.0, size=(grid.n_sites,) * order)
+        tensors.append(_symmetrize_tensor(raw, n_max))
         tensors[-1] *= envelope**order
     return CorrelationHierarchy._trusted(grid, tensors)
 
@@ -357,22 +364,62 @@ def flat_dimension(grid, n_max) -> int:  # kept importable for bench/ladder.py
     return sum(grid.n_sites**n for n in range(n_max + 1))
 
 
-def _symmetrize_tensor(tensor):
-    """Average of `tensor` over all axis permutations, one new axis at a time.
+@functools.lru_cache(maxsize=2)
+def _orbit_index(n_sites, n_max):
+    """Per order 3..n_max of an (n_sites, n_max) hierarchy: (ids, sizes) of its orbits.
 
-    Stage m takes a tensor already symmetric in its first m - 1 axes and
-    averages it with its m - 1 swaps of axis m - 1 with an earlier axis,
-    one representative per coset of S_{m-1} in S_m: order n costs
-    1 + 2 + ... + (n - 1) strided adds instead of n! - 1.
+    An orbit is the set of entries that axis permutations of one entry reach,
+    named by its sorted index tuple.  ids[f] is the dense id of flat entry f's
+    orbit and sizes[i] counts orbit i's entries.  Order m is built from order
+    m - 1: entry (w, s) lies in the orbit of w's orbit joined by site s, so
+    the K * N sorted tuples of the K orbits of order m - 1, each joined by
+    each site, and one gather number every entry.  A table of all N^m index
+    tuples, sorted entry by entry, took 385 instead of 30 ms and peaked at 8.2
+    instead of 2.1 top tensors at (2, 20).  Keyed by the whole shape, so a run
+    that samples one shape builds each order once; both arrays are read-only.
     """
-    out = tensor
-    for m in range(2, tensor.ndim + 1):
-        total = out + np.swapaxes(out, 0, m - 1)
-        for i in range(1, m - 1):
-            total += np.swapaxes(out, i, m - 1)
-        total /= m
-        out = total
-    return out
+    sites = np.arange(n_sites, dtype=np.int16)  # the guard keeps n_sites <= 215 from order 3 on
+    ids, members = np.arange(n_sites), [sites]  # order 1: one orbit per site; tuples by column
+    index = []
+    for order in range(2, n_max + 1):
+        shape = (n_sites,) * order
+        joined = [np.repeat(c, n_sites) for c in members] + [np.tile(sites, len(members[0]))]
+        for j in range(order - 1, 0, -1):  # one insertion pass sorts each joined tuple
+            low, high = joined[j - 1 : j + 1]
+            joined[j - 1 : j + 1] = np.minimum(low, high), np.maximum(low, high)
+        canonical = np.ravel_multi_index(joined, shape)
+        seen = np.zeros(n_sites**order, dtype=bool)
+        seen[canonical] = True
+        found = np.flatnonzero(seen)  # this order's orbits, by the flat index of their sorted tuple
+        members = [c.astype(np.int16) for c in np.unravel_index(found, shape)]
+        ids = np.searchsorted(found, canonical).reshape(-1, n_sites)[ids]
+        if order >= 3:
+            flat = ids.reshape(-1)
+            sizes = np.bincount(flat).astype(np.float64)
+            flat.flags.writeable = sizes.flags.writeable = False
+            index.append((flat, sizes))
+    return tuple(index)
+
+
+def _symmetrize_tensor(tensor, n_max):
+    """Average of `tensor`, one order of an (N, n_max) hierarchy, over all axis permutations.
+
+    Each entry becomes the mean of its orbit, the distinct entries its axis
+    permutations reach, summed by np.bincount and divided by the orbit size:
+    that is the n!-term average, to roundoff, and every entry of an orbit
+    reads the one mean, so the result is symmetric bit for bit.  With
+    _orbit_index cached, a random_ruelle_hierarchy call at (12, 4) takes
+    0.15 ms, against 0.37 ms with the coset recursion this replaced, whose
+    1 + .. + (n - 1) strided adds and n - 1 divisions each swept the tensor.
+    Order 2 stays (t + t.T) / 2, the orbit mean bit for bit and faster than
+    the gather (19 against 26 ms at N = 2000); orders 0 and 1 are returned as
+    they are.
+    """
+    order = tensor.ndim
+    if order < 3:
+        return tensor if order < 2 else (tensor + tensor.T) / 2
+    ids, sizes = _orbit_index(tensor.shape[0], n_max)[order - 3]
+    return (np.bincount(ids, weights=tensor.ravel()) / sizes)[ids].reshape(tensor.shape)
 
 
 def max_abs_difference(k1, k2) -> float:

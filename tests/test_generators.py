@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import glauberlab as gl
-from glauberlab import hierarchy
+from glauberlab import generators, hierarchy
 from glauberlab.config import build_grid, build_potential, build_scale_params, parse_config
 from glauberlab.errors import InvalidArgumentError, MemoryGuardError, NonfiniteStateError
 from glauberlab.generators import (
@@ -471,6 +471,23 @@ def test_batched_birth_terms_are_the_per_epsilon_terms_bitwise(n_sites, n_max, s
         values = birth_gf_terms(k, field, a_rows, b_rows)
         assert values == [birth_gf_term(k, field, pot, eps) for eps in epsilons]
         assert values == [birth_gf_term_oracle(k, theta, pot, eps) for eps in epsilons]
+
+
+@pytest.mark.parametrize("shape,top_rows", [("gaussian", 2 * 7 + 1), ("zero", 3)])
+def test_birth_terms_contract_one_top_row_where_a_is_all_ones(monkeypatch, shape, top_rows):
+    # a block of shift rows whose a is all ones scales theta by exact ones: its
+    # N top-order rows are one row, contracted once (at epsilon = 0, and at
+    # every epsilon where phi = 0)
+    grid = gl.make_grid(7, 5.0)
+    pot = gl.gaussian_potential(grid, 0.7, 1.3) if shape == "gaussian" else gl.zero_potential(grid)
+    k = gl.random_ruelle_hierarchy(grid, 3, np.random.default_rng(410), envelope=0.8)
+    rows = []
+    contract = generators._contract_leading
+    monkeypatch.setattr(
+        generators, "_contract_leading", lambda t, r, c: rows.append(len(r)) or contract(t, r, c)
+    )
+    birth_gf_terms(k, gl.GridField(grid, np.full(7, 0.3)), *shift_rows(pot, [1.0, 0.25, 0.0]))
+    assert rows == [top_rows]
 
 
 @pytest.mark.parametrize("n_sites,n_max", ORACLE_SHAPES)

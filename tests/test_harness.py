@@ -366,6 +366,15 @@ def test_cmd_verify_bounds_evaluates_each_term_once(
     assert rows[2:4] == ["birth-estimate,%d,0" % checks, "generator-estimate,%d,0" % checks]
 
 
+def test_cmd_verify_bounds_builds_each_orbit_index_once(tmp_path):
+    # every case samples the same shape, so the run builds its orbit index once
+    hierarchy._orbit_index.cache_clear()
+    cfg = replace(ExperimentConfig(), n_sites=2, n_max=12)
+    assert set(cmd_verify_bounds(cfg, tmp_path, n_cases=20).values()) == {0}
+    info = hierarchy._orbit_index.cache_info()
+    assert (info.misses, info.hits) == (1, 20 * (12 - 2) - 1)
+
+
 def test_cmd_verify_bounds_scans_each_hierarchy_once(tmp_path, monkeypatch):
     # the scale norm reads one profile per sampled hierarchy
     scans = _count_calls(monkeypatch, "max_abs_by_order", module=hierarchy)

@@ -368,7 +368,7 @@ def test_random_ruelle_hierarchy_is_its_symmetrized_draws_bit_for_bit():
         want = [np.array(replay.uniform(0.5, 1.5))]
         for order in range(1, n_max + 1):
             raw = replay.uniform(-1.0, 1.0, size=(grid.n_sites,) * order)
-            want.append(_symmetrize_tensor(raw) * envelope**order)
+            want.append(_symmetrize_tensor(raw, n_max) * envelope**order)
         assert [(t.dtype, t.shape, t.tobytes()) for t in k.tensors] == [
             (w.dtype, w.shape, w.tobytes()) for w in want
         ]
@@ -396,15 +396,68 @@ def test_flatten_unflatten_and_max_abs_difference():
     assert diff == oracle
 
 
-def test_coset_symmetrizer_matches_permutation_oracle():
+def test_orbit_symmetrizer_matches_permutation_oracle():
     grid = gl.make_grid(4, 4.0)
     rng = np.random.default_rng(24)
-    raw = [rng.uniform(-1.0, 1.0, size=(4,) * n) for n in range(6)]
-    sym = [_symmetrize_tensor(t) for t in raw]
-    for t, s in zip(raw, sym):
-        assert np.max(np.abs(s - symmetrize_oracle(t)), initial=0.0) <= 1e-15
-        assert np.max(np.abs(_symmetrize_tensor(s) - s), initial=0.0) <= 1e-15
-    assert_all_symmetric(gl.CorrelationHierarchy(grid, sym))
+    raw = [rng.uniform(-1.0, 1.0, size=(4,) * n) for n in range(7)]
+    sym = [_symmetrize_tensor(t, 6) for t in raw]
+    for t, s in zip(raw[2:], sym[2:]):
+        assert np.max(np.abs(s - symmetrize_oracle(t))) <= 1e-15
+        assert np.max(np.abs(_symmetrize_tensor(s, 6) - s)) <= 1e-15
+    assert_all_symmetric(gl.CorrelationHierarchy(grid, sym), tol=0.0)
+
+
+def test_order_two_symmetrizer_is_the_orbit_mean_bit_for_bit():
+    # (t + t.T) / 2 adds an orbit's two entries as bincount would, and halves exactly
+    t = np.random.default_rng(25).uniform(-1.0, 1.0, size=(9, 9))
+    sites = np.arange(9)
+    ids = np.minimum.outer(sites, sites) * 9 + np.maximum.outer(sites, sites)
+    means = np.bincount(ids.ravel(), weights=t.ravel(), minlength=81)
+    means /= np.maximum(np.bincount(ids.ravel(), minlength=81), 1)
+    assert _symmetrize_tensor(t, 2).tobytes() == means[ids].tobytes()
+
+
+def test_sampled_hierarchies_are_symmetric_bit_for_bit():
+    grid = gl.make_grid(12, 4.0)
+    for n_max in range(6):
+        k = gl.random_ruelle_hierarchy(grid, n_max, np.random.default_rng(40 + n_max), envelope=0.8)
+        assert_all_symmetric(k, tol=0.0)
+    # 12! permutations are too many to list: adjacent swaps generate them all
+    k = gl.random_ruelle_hierarchy(gl.make_grid(2, 4.0), 12, np.random.default_rng(46))
+    for tensor in k.tensors[2:]:
+        for axis in range(tensor.ndim - 1):
+            assert np.array_equal(tensor, np.swapaxes(tensor, axis, axis + 1))
+
+
+def test_orbit_index_is_built_once_per_shape():
+    # an orbit index costs several samples to build; sampling a shape again reads the cache
+    hierarchy._orbit_index.cache_clear()
+    rng = np.random.default_rng(47)
+    shapes = [(5, 4), (3, 6)]
+    for _ in range(3):
+        for n_sites, n_max in shapes:
+            gl.random_ruelle_hierarchy(gl.make_grid(n_sites, 4.0), n_max, rng)
+    info = hierarchy._orbit_index.cache_info()
+    assert info.misses == len(shapes)
+    ids, sizes = hierarchy._orbit_index(5, 4)[-1]
+    assert ids.shape == (5**4,) and len(sizes) == math.comb(5 + 4 - 1, 4)
+    assert sizes.sum() == 5**4 and not ids.flags.writeable and not sizes.flags.writeable
+
+
+@pytest.mark.parametrize("n_sites,n_max", [(24, 4), (128, 3)])
+def test_first_sample_of_a_shape_peaks_below_six_top_tensors(n_sites, n_max):
+    # building the orbit index and sampling peak at 3.2 and 4.1 top tensors;
+    # the coset recursion it replaced peaked at 3.1 and 3.0
+    grid = gl.make_grid(n_sites, 4.0)
+    hierarchy._orbit_index.cache_clear()
+    tracemalloc.start()
+    try:
+        gl.random_ruelle_hierarchy(grid, n_max, np.random.default_rng(48))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        hierarchy._orbit_index.cache_clear()
+    assert peak <= 6 * 8 * n_sites**n_max
 
 
 def test_snapshot_roundtrip_is_exact(tmp_path):
