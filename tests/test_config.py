@@ -243,3 +243,70 @@ def test_non_finite_float_values_are_parse_errors(tmp_path, key, text):
 
 def test_unset_initial_level_stays_nan(tmp_path):
     assert math.isnan(parse_config(write(tmp_path, "model.z = 0.5\n")).initial_level)
+
+
+# Every value rule of the config, at its boundary: (text that parses, text
+# just past the boundary, the exact message).  The table states the rules
+# itself, so a change to a rule's wording or its edge fails here.
+RULES = [
+    ("grid.n_sites = 2", "grid.n_sites = 1", "grid.n_sites must be >= 2"),
+    ("grid.length = 5e-324", "grid.length = 0.0", "grid.length must be positive"),
+    ("potential.kind = zero", "potential.kind = box",
+     "potential.kind must be one of ('zero', 'gaussian', 'tophat', 'file')"),
+    ("potential.kind = tophat", "potential.kind = Tophat",
+     "potential.kind must be one of ('zero', 'gaussian', 'tophat', 'file')"),
+    ("potential.amplitude = -0.0", "potential.amplitude = -5e-324",
+     "potential.amplitude must be non-negative"),
+    ("potential.width = 5e-324", "potential.width = 0.0", "potential.width must be positive"),
+    ("model.z = 5e-324", "model.z = 0.0", "model.z must be positive"),
+    ("model.epsilon = 0.0", "model.epsilon = -5e-324", "model.epsilon must be non-negative"),
+    ("truncation.n_max = 0", "truncation.n_max = -1", "truncation.n_max must be non-negative"),
+    ("solver.m_max = 1", "solver.m_max = 0", "solver.m_max must be >= 1"),
+    ("solver.tol = 5e-324", "solver.tol = 0.0", "solver.tol must be positive"),
+    ("time.t_final = 0.0", "time.t_final = -5e-324", "time.t_final must be non-negative"),
+    ("time.substep_fraction = 5e-324", "time.substep_fraction = 0.0",
+     "time.substep_fraction must lie in (0, 1)"),
+    ("time.substep_fraction = 0.9999999999999999", "time.substep_fraction = 1.0",
+     "time.substep_fraction must lie in (0, 1)"),
+    ("vlasov.dt = 5e-324", "vlasov.dt = 0.0", "vlasov.dt must be positive"),
+    ("vlasov.scheme = euler", "vlasov.scheme = rk2", "vlasov.scheme must be rk4 or euler"),
+    ("vlasov.scheme = rk4", "vlasov.scheme = RK4", "vlasov.scheme must be rk4 or euler"),
+    ("vlasov.sample_stride = 1", "vlasov.sample_stride = 0", "vlasov.sample_stride must be >= 1"),
+    ("initial.level = 0.0", "initial.level = -5e-324", "initial.level must be non-negative"),
+    ("initial.cosine_amplitude = 0.0", "initial.cosine_amplitude = -5e-324",
+     "initial.cosine_amplitude must be non-negative"),
+    ("rng.seed = 0", "rng.seed = -1", "rng.seed must be non-negative"),
+    # the two rules that span two keys
+    ("solver.alpha = 5e-324", "solver.alpha = 0.0", "need 0 < solver.alpha < solver.alpha0"),
+    ("solver.alpha = 0.9999999999999999", "solver.alpha = 1.0",
+     "need 0 < solver.alpha < solver.alpha0"),
+    ("solver.alpha0 = 0.5000000000000001", "solver.alpha0 = 0.5",
+     "need 0 < solver.alpha < solver.alpha0"),
+    ("potential.kind = file\npotential.path = phi.txt", "potential.kind = file\npotential.path =",
+     "potential.kind = file requires potential.path"),
+]
+
+# configs that break two rules; each names the one reported first
+BROKEN_TWICE = [
+    ("grid.n_sites = 1\nrng.seed = -1", "grid.n_sites must be >= 2"),
+    ("solver.alpha = 2.0\ngrid.n_sites = 1", "grid.n_sites must be >= 2"),
+    ("potential.kind = file\nsolver.alpha = 0.0", "need 0 < solver.alpha < solver.alpha0"),
+]
+
+
+@pytest.mark.parametrize("allowed,broken,message", RULES, ids=[r[1] for r in RULES])
+def test_each_rule_holds_at_its_boundary(tmp_path, capsys, allowed, broken, message):
+    parse_config(write(tmp_path, allowed + "\n"))
+    with pytest.raises(ConfigError) as err:
+        parse_config(write(tmp_path, broken + "\n"))
+    assert (err.value.code, str(err.value)) == ("parse-error", message)
+    path = write(tmp_path, broken + "\n")
+    assert main(["--config", str(path), "--out", str(tmp_path / "o"), "evolve"]) == 5
+    assert capsys.readouterr().err == "error: parse-error: %s\n" % message
+
+
+@pytest.mark.parametrize("text,message", BROKEN_TWICE)
+def test_the_first_broken_rule_is_reported(tmp_path, text, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(write(tmp_path, text + "\n"))
+    assert str(err.value) == message
