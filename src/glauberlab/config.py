@@ -1,9 +1,9 @@
 """Experiment configuration: line-oriented `key = value` text.
 
-Files are read as UTF-8.  `#` starts a comment, blank lines are ignored,
-keys are the dotted names that the ExperimentConfig fields state, and
-unknown keys are rejected by name.  All parse and validation failures
-raise ConfigError with the offending line number where one applies.
+Files are read as UTF-8, up to READ_CAP characters.  `#` starts a comment,
+blank lines are ignored, keys are the dotted names that the ExperimentConfig
+fields state, and unknown keys are rejected by name.  All parse and
+validation failures raise ConfigError, with the line number where one applies.
 """
 
 import math
@@ -26,82 +26,80 @@ from .lattice import (
 from .vlasov import SCHEMES, VlasovConfig
 
 POTENTIAL_KINDS = ("zero", "gaussian", "tophat", "file")
+READ_CAP = 2**20  # characters read from one config or potential sample file
+
+# a value rule: the text after `<key> must`, and the predicate a value passes
+_POSITIVE = ("be positive", lambda v: v > 0)
+_NON_NEGATIVE = ("be non-negative", lambda v: not v < 0)  # an unset initial.level, NaN, passes
 
 
-def _key(name, default):
-    """Field of config key `name`; its annotation parses it: no `from __future__ import annotations`."""
-    return field(default=default, metadata={"key": name})
+def _key(name, default, rule=None):
+    """Field of key `name` and its rule; no `from __future__ import annotations`: the type parses."""
+    return field(default=default, metadata={"key": name, "rule": rule})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One field per config key; the field's annotation parses the value."""
 
-    n_sites: int = _key("grid.n_sites", 8)
-    length: float = _key("grid.length", 8.0)
-    potential_kind: str = _key("potential.kind", "gaussian")
-    potential_amplitude: float = _key("potential.amplitude", 0.5)
-    potential_width: float = _key("potential.width", 1.0)
+    n_sites: int = _key("grid.n_sites", 8, ("be >= 2", lambda v: v >= 2))
+    length: float = _key("grid.length", 8.0, _POSITIVE)
+    potential_kind: str = _key("potential.kind", "gaussian",
+                               ("be one of %s" % (POTENTIAL_KINDS,), POTENTIAL_KINDS.__contains__))
+    potential_amplitude: float = _key("potential.amplitude", 0.5, _NON_NEGATIVE)
+    potential_width: float = _key("potential.width", 1.0, _POSITIVE)
     potential_path: str = _key("potential.path", "")
-    z: float = _key("model.z", 0.5)
-    epsilon: float = _key("model.epsilon", 1.0)
-    n_max: int = _key("truncation.n_max", 3)
+    z: float = _key("model.z", 0.5, _POSITIVE)
+    epsilon: float = _key("model.epsilon", 1.0, _NON_NEGATIVE)
+    n_max: int = _key("truncation.n_max", 3, _NON_NEGATIVE)
     alpha: float = _key("solver.alpha", 0.5)
     alpha0: float = _key("solver.alpha0", 1.0)
-    m_max: int = _key("solver.m_max", 60)
-    tol: float = _key("solver.tol", 1e-12)
-    t_final: float = _key("time.t_final", 0.05)
-    substep_fraction: float = _key("time.substep_fraction", 0.9)
-    dt: float = _key("vlasov.dt", 1e-3)
-    scheme: str = _key("vlasov.scheme", "rk4")
-    sample_stride: int = _key("vlasov.sample_stride", 10)
-    initial_level: float = _key("initial.level", math.nan)
-    initial_cosine_amplitude: float = _key("initial.cosine_amplitude", 0.0)
-    seed: int = _key("rng.seed", 12345)
+    m_max: int = _key("solver.m_max", 60, ("be >= 1", lambda v: v >= 1))
+    tol: float = _key("solver.tol", 1e-12, _POSITIVE)
+    t_final: float = _key("time.t_final", 0.05, _NON_NEGATIVE)
+    substep_fraction: float = _key("time.substep_fraction", 0.9,
+                                   ("lie in (0, 1)", lambda v: 0 < v < 1))
+    dt: float = _key("vlasov.dt", 1e-3, _POSITIVE)
+    scheme: str = _key("vlasov.scheme", "rk4", ("be rk4 or euler", SCHEMES.__contains__))
+    sample_stride: int = _key("vlasov.sample_stride", 10, ("be >= 1", lambda v: v >= 1))
+    initial_level: float = _key("initial.level", math.nan, _NON_NEGATIVE)
+    initial_cosine_amplitude: float = _key("initial.cosine_amplitude", 0.0, _NON_NEGATIVE)
+    seed: int = _key("rng.seed", 12345, _NON_NEGATIVE)
 
 
 _KEYS = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
 
 
 def _validate(cfg: ExperimentConfig):
-    checks = [
-        (cfg.n_sites >= 2, "grid.n_sites must be >= 2"),
-        (cfg.length > 0, "grid.length must be positive"),
-        (cfg.potential_kind in POTENTIAL_KINDS,
-         "potential.kind must be one of %s" % (POTENTIAL_KINDS,)),
-        (cfg.potential_amplitude >= 0, "potential.amplitude must be non-negative"),
-        (cfg.potential_width > 0, "potential.width must be positive"),
-        (cfg.z > 0, "model.z must be positive"),
-        (cfg.epsilon >= 0, "model.epsilon must be non-negative"),
-        (cfg.n_max >= 0, "truncation.n_max must be non-negative"),
-        (0 < cfg.alpha < cfg.alpha0, "need 0 < solver.alpha < solver.alpha0"),
-        (cfg.m_max >= 1, "solver.m_max must be >= 1"),
-        (cfg.tol > 0, "solver.tol must be positive"),
-        (cfg.t_final >= 0, "time.t_final must be non-negative"),
-        (0 < cfg.substep_fraction < 1,
-         "time.substep_fraction must lie in (0, 1)"),
-        (cfg.dt > 0, "vlasov.dt must be positive"),
-        (cfg.scheme in SCHEMES, "vlasov.scheme must be rk4 or euler"),
-        (cfg.sample_stride >= 1, "vlasov.sample_stride must be >= 1"),
-        (cfg.initial_cosine_amplitude >= 0,
-         "initial.cosine_amplitude must be non-negative"),
-        (cfg.potential_kind != "file" or bool(cfg.potential_path),
-         "potential.kind = file requires potential.path"),
-        (cfg.seed >= 0, "rng.seed must be non-negative"),
-    ]
-    for ok, message in checks:
-        if not ok:
-            raise ConfigError(message)
-    if not math.isnan(cfg.initial_level) and cfg.initial_level < 0:
-        raise ConfigError("initial.level must be non-negative")
+    """Raise ConfigError for the first broken rule: each field's `<key> must <rule>` in
+    field order, then 0 < solver.alpha < solver.alpha0, then potential.kind = file's path."""
+    for key, spec in _KEYS.items():
+        rule = spec.metadata["rule"]
+        if rule and not rule[1](getattr(cfg, spec.name)):
+            raise ConfigError("%s must %s" % (key, rule[0]))
+    if not 0 < cfg.alpha < cfg.alpha0:
+        raise ConfigError("need 0 < solver.alpha < solver.alpha0")
+    if cfg.potential_kind == "file" and not cfg.potential_path:
+        raise ConfigError("potential.kind = file requires potential.path")
+
+
+def _read_lines(path, what):
+    """readlines() of UTF-8 file `path`, in chunks; ConfigError past READ_CAP characters."""
+    lines, left = [], READ_CAP + 1
+    with open(path, encoding="utf-8") as fh:
+        while left and (line := fh.readline(left)):
+            lines.append(line)
+            left -= len(line)
+    if not left:
+        raise ConfigError("%s %s exceeds %d characters" % (what, path, READ_CAP))
+    return lines
 
 
 def parse_config(path) -> ExperimentConfig:
     """Read a config file; missing keys keep their defaults."""
     cfg = ExperimentConfig()
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
+        lines = _read_lines(path, "config file")
     except (OSError, ValueError) as exc:  # a byte that is not UTF-8 is a ValueError
         raise ConfigError("cannot read config file %s: %s" % (path, exc)) from None
     for lineno, raw in enumerate(lines, start=1):
@@ -141,8 +139,8 @@ def build_potential(cfg: ExperimentConfig, grid: Grid) -> PairPotential:
     if cfg.potential_kind == "tophat":
         return tophat_potential(grid, cfg.potential_amplitude, cfg.potential_width)
     try:
-        with open(cfg.potential_path, encoding="utf-8") as fh:
-            values = [float(ln.strip()) for ln in fh if ln.strip()]
+        lines = _read_lines(cfg.potential_path, "potential file")
+        values = [float(ln.strip()) for ln in lines if ln.strip()]
     except OSError as exc:
         raise ConfigError(
             "cannot read potential samples %s: %s" % (cfg.potential_path, exc)

@@ -1,5 +1,6 @@
 import math
 import re
+import resource
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -184,9 +185,10 @@ def test_config_is_utf8_whatever_the_locale(tmp_path):
 def test_readme_table_lists_every_key_with_its_default():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     section = text[text.index("### Configuration"):text.index("### Outputs")]
-    rows = re.findall(r"^\| `([^`]+)` \| ?([^|]*?) ?\|", section, re.M)
+    rows = re.findall(r"^\| `([^`]+)` \| ?([^|]*?) ?\| ?([^|]*?) ?\|", section, re.M)
     assert rows == [
-        (f.metadata["key"], "model.z" if f.name == "initial_level" else str(f.default))
+        (f.metadata["key"], "model.z" if f.name == "initial_level" else str(f.default),
+         f.metadata["rule"][0] if f.metadata["rule"] else "")
         for f in fields(ExperimentConfig)
     ]
 
@@ -310,3 +312,59 @@ def test_the_first_broken_rule_is_reported(tmp_path, text, message):
     with pytest.raises(ConfigError) as err:
         parse_config(write(tmp_path, text + "\n"))
     assert str(err.value) == message
+
+
+# the most characters read from one config or potential sample file
+CAP = 2**20
+SAMPLES = "0.3\n0.1\n0.0\n0.0\n0.0\n0.0\n0.0\n0.1\n"  # the default grid's 8 sites
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize("what", ["config", "potential"])
+def test_an_endless_line_is_a_parse_error_in_bounded_memory(tmp_path, what):
+    # one line of /dev/zero never ends; reading it whole ran out of memory
+    conf = tmp_path / "run.conf"
+    conf.write_text("potential.kind = file\npotential.path = /dev/zero\n")
+    out = subprocess.run(
+        [sys.executable, "-m", "glauberlab",
+         "--config", "/dev/zero" if what == "config" else str(conf),
+         "--out", str(tmp_path / "o"), "evolve"],
+        env=child_env(), capture_output=True, text=True, timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (
+        5, "", "error: parse-error: %s file /dev/zero exceeds %d characters\n" % (what, CAP)
+    )
+
+
+def test_config_is_read_up_to_the_cap_in_characters(tmp_path, capsys):
+    text = "# " + "\u00e9" * (CAP - 3) + "\n"  # two bytes per character
+    assert parse_config(write(tmp_path, text)) == ExperimentConfig()
+    path = write(tmp_path, text + "\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert str(err.value) == "config file %s exceeds %d characters" % (path, CAP)
+    assert main(["--config", str(path), "--out", str(tmp_path / "o"), "evolve"]) == 5
+    assert capsys.readouterr().err == "error: parse-error: %s\n" % err.value
+
+
+def test_potential_samples_are_read_up_to_the_cap(tmp_path):
+    path = tmp_path / "phi.txt"
+    cfg = replace(ExperimentConfig(), potential_kind="file", potential_path=str(path))
+    path.write_text(SAMPLES + "\n" * (CAP - len(SAMPLES)))
+    pot = build_potential(cfg, build_grid(cfg))
+    assert list(pot.values_by_displacement) == [0.3, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.1]
+    path.write_text(SAMPLES + "\n" * (CAP + 1 - len(SAMPLES)))
+    with pytest.raises(ConfigError) as err:
+        build_potential(cfg, build_grid(cfg))
+    assert str(err.value) == "potential file %s exceeds %d characters" % (path, CAP)
+
+
+def test_config_lines_split_on_newlines_only(tmp_path):
+    # str.splitlines() would also end a line at a form feed or U+2028
+    text = "model.z = 0.25  # a\fgrid.n_sites = 1 \u2028grid.n_sites = 1\r\nmodel.epsilon = 0\r"
+    cfg = parse_config(write(tmp_path, text))
+    assert (cfg.z, cfg.n_sites, cfg.epsilon) == (0.25, 8, 0.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import lambertw
 
 import glauberlab as gl
 from glauberlab.errors import InvalidArgumentError, MemoryGuardError, NonfiniteStateError
@@ -319,3 +320,36 @@ def test_integrate_names_the_first_non_finite_step():
     assert np.isfinite(final.values).all()
     with pytest.raises(NonfiniteStateError, match=r"at t=2e\+50$"):
         gl.integrate(rho0, gl.VlasovConfig(z=1.0, dt=1e50, t_final=3e50), pot)
+
+
+@pytest.mark.parametrize("shape,amplitude,gaussian_rate", [
+    ("gaussian", 0.5, 1.309183854), ("gaussian", 4.0, 2.094060183),
+    ("tophat", 0.5, None), ("tophat", 4.0, None),
+])
+def test_integrate_meets_the_exact_fixed_point_and_mode_rate(shape, amplitude, gaussian_rate):
+    # A constant start stays constant and obeys rho' = -rho + z exp(-phi_hat(0) rho),
+    # with phi_hat(k) = sum_d phi(d) cos(2 pi k d / N) dx.  Its fixed point is
+    # rho* = W(z phi_hat(0)) / phi_hat(0), W the Lambert function, and a Fourier
+    # mode k about rho* decays at lambda_k = 1 + rho* phi_hat(k).
+    n, z = 64, 0.5
+    grid = gl.make_grid(n, 16.0)
+    make = gl.gaussian_potential if shape == "gaussian" else gl.tophat_potential
+    pot = make(grid, amplitude, 1.0)
+    d = np.arange(n)
+    phi_hat = [math.fsum(pot.values_by_displacement * np.cos(2 * np.pi * k * d / n)) * grid.spacing
+               for k in (0, 1)]
+    rho_star = lambertw(z * phi_hat[0]).real / phi_hat[0]
+    rate = 1.0 + rho_star * phi_hat[1]
+    if gaussian_rate is not None:
+        assert abs(rate - gaussian_rate) <= 1e-9
+
+    cfg = gl.VlasovConfig(z=z, dt=0.01, t_final=40.0, sample_stride=4000)
+    final, _ = gl.integrate(gl.constant_field(grid, 0.2), cfg, pot)
+    assert np.max(np.abs(final.values - rho_star)) <= 1e-14
+
+    mode = np.cos(2 * np.pi * d / n)
+    start = gl.GridField(grid, rho_star + 1e-7 * mode)
+    cfg = gl.VlasovConfig(z=z, dt=1e-3, t_final=2.0, sample_stride=2000)
+    final, _ = gl.integrate(start, cfg, pot)
+    left = 2.0 / n * math.fsum((final.values - rho_star) * mode)
+    assert abs(-math.log(left / 1e-7) / 2.0 - rate) <= 1e-7
