@@ -342,8 +342,10 @@ def test_an_endless_line_is_a_parse_error_in_bounded_memory(tmp_path, what):
 
 def test_config_is_read_up_to_the_cap_in_characters(tmp_path, capsys):
     text = "# " + "\u00e9" * (CAP - 3) + "\n"  # two bytes per character
-    assert parse_config(write(tmp_path, text)) == ExperimentConfig()
-    path = write(tmp_path, text + "\n")
+    path = tmp_path / "run.conf"
+    path.write_text(text, encoding="utf-8")
+    assert parse_config(path) == ExperimentConfig()
+    path.write_text(text + "\n", encoding="utf-8")
     with pytest.raises(ConfigError) as err:
         parse_config(path)
     assert str(err.value) == "config file %s exceeds %d characters" % (path, CAP)
@@ -365,6 +367,8 @@ def test_potential_samples_are_read_up_to_the_cap(tmp_path):
 
 def test_config_lines_split_on_newlines_only(tmp_path):
     # str.splitlines() would also end a line at a form feed or U+2028
-    text = "model.z = 0.25  # a\fgrid.n_sites = 1 \u2028grid.n_sites = 1\r\nmodel.epsilon = 0\r"
-    cfg = parse_config(write(tmp_path, text))
+    path = tmp_path / "run.conf"
+    path.write_text("model.z = 0.25  # a\fgrid.n_sites = 1 \u2028grid.n_sites = 1\r\n"
+                    "model.epsilon = 0\r", encoding="utf-8", newline="")
+    cfg = parse_config(path)
     assert (cfg.z, cfg.n_sites, cfg.epsilon) == (0.25, 8, 0.0)
