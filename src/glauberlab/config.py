@@ -141,7 +141,7 @@ def build_potential(cfg: ExperimentConfig, grid: Grid) -> PairPotential:
     try:
         lines = _read_lines(cfg.potential_path, "potential file")
         values = [float(ln.strip()) for ln in lines if ln.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a ValueError, so caught before the next
         raise ConfigError(
             "cannot read potential samples %s: %s" % (cfg.potential_path, exc)
         ) from None
@@ -149,6 +149,11 @@ def build_potential(cfg: ExperimentConfig, grid: Grid) -> PairPotential:
         raise ConfigError(
             "potential file %s holds non-numeric lines" % cfg.potential_path
         ) from None
+    if len(values) != grid.n_sites:
+        raise ConfigError(
+            "potential file %s holds %d samples, need grid.n_sites = %d"
+            % (cfg.potential_path, len(values), grid.n_sites)
+        )
     return potential_from_samples(grid, np.asarray(values))
 
 

@@ -34,12 +34,14 @@ from .hierarchy import (
     ScaleParams,
     _contract_leading,
     _fsum_or_nan,
+    _orbit_index,
     _order_terms,
     _pow_or_inf,
     evaluate_gf,  # unused here; kept importable for bench/spans.py
     evaluate_gf_rows,
     substitute_affine,  # unused here; kept importable for bench/spans.py
-    substitute_affine_rows,
+    substitute_affine_orbits,
+    unpack_orbits,
 )
 from .lattice import GridField, PairPotential, displacement_matrix, l1_norm, require_same_grid
 
@@ -92,9 +94,16 @@ def apply_birth(k, pot: PairPotential, epsilon, out=None, rows=None) -> Correlat
     which is the order-n coefficient of sum_x dx theta(x) B_x(theta); the
     sum over which argument plays the birth site replaces the 1/(n-1)!
     bookkeeping.  Output order 0 vanishes.  The c_x are computed for all
-    sites at once, stacked along a leading site axis, and only up to order
-    n_max - 1, the highest the output reads.  Each sum starts from
-    stack + 0.0, which is 0 + stack by commutativity.
+    sites at once, stacked along a leading site axis, only up to order
+    n_max - 1, the highest the output reads, and only at the orbits'
+    representatives (substitute_affine_orbits).  Each output order is
+    summed at its representatives, the sorted tuples s, in axis order from
+    c_{s_1} + 0.0, which is 0 + c_{s_1} by commutativity; then each orbit's
+    sum is written to every entry of the orbit.  So the result is symmetric
+    bit for bit, k is read at its representatives only, and on a k that is
+    symmetric bit for bit every representative keeps the bits of the sum
+    over all entries.  The orbit tables are built at the first application
+    of a shape (hierarchy._orbit_index).
 
     out, when given, is a hierarchy of k's shape, sharing no memory with
     k, whose orders 1..n_max receive the sums.  rows is
@@ -105,18 +114,20 @@ def apply_birth(k, pot: PairPotential, epsilon, out=None, rows=None) -> Correlat
     Taylor loop scans for it.
     """
     require_same_grid(k, pot)
-    grid = k.grid
     a_rows, b_rows = shift_rows(pot, [epsilon]) if rows is None else rows
-    subs = substitute_affine_rows(k, a_rows, b_rows, k.n_max - 1)
+    orbits = _orbit_index(k.grid.n_sites, k.n_max)
+    subs = substitute_affine_orbits(k, a_rows, b_rows, k.n_max - 1, orbits)
     tensors = [np.array(0.0)]
     for n in range(1, k.n_max + 1):
-        stack = subs[n - 1]
+        stack = subs[n - 1].reshape(-1)
         subs[n - 1] = None  # free each order once it is summed
-        acc = np.add(stack, 0.0, out=None if out is None else out.tensors[n])
-        for i in range(1, n):
-            acc += np.moveaxis(stack, 0, i)
-        tensors.append(acc)
-    return CorrelationHierarchy._trusted(grid, tensors)
+        first, *rest = orbits[n].drop
+        acc = np.take(stack, first)
+        acc += 0.0
+        for position in rest:
+            acc += np.take(stack, position)
+        tensors.append(unpack_orbits(acc, orbits[n], None if out is None else out.tensors[n]))
+    return CorrelationHierarchy._trusted(k.grid, tensors)
 
 
 @np.errstate(over="ignore", invalid="ignore")

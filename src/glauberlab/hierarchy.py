@@ -11,6 +11,15 @@ discretize the sum-over-configurations measure.  Orders above n_max are
 closed by zero, which keeps every operation in this package exactly linear
 on the truncated space.
 
+Since k_n is a function of the unordered set {x_1..x_n}, it holds one value
+per orbit of index tuples under axis permutations, C(N+n-1, n) of them.  The
+substitution and birth routes (substitute_affine, apply_birth and the birth
+part of apply_generator) compute one value per orbit, at the orbit's
+representative, its sorted index tuple, and write it to every entry of the
+orbit.  That is their contract: they read k only at representatives, so on
+a k that is not symmetric they act on the symmetric hierarchy that k's
+representatives define, and their tensors are symmetric bit for bit.
+
 The scale norm reads only the profile [max|k_0|, .., max|k_{n_max}|] that
 max_abs_by_order returns, so one scan of a hierarchy serves every scale index.
 It is the computable surrogate
@@ -30,6 +39,7 @@ import functools
 import math
 import zipfile
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,10 +91,12 @@ class CorrelationHierarchy:
 
     tensors[0] is a 0-d array (a scalar); tensors[n] has shape (N,)*n.
     Sampled tensors (random_ruelle_hierarchy) are symmetric bit for bit: each
-    entry is read from its orbit's one mean.  Evolved tensors are symmetric
-    to roundoff only: the birth sums add the same terms in different orders
-    at permuted entries, so they can differ from their transposes in the
-    last bits.
+    entry is read from its orbit's one mean.  So are birth and substituted
+    tensors, each entry read from its orbit's representative, and therefore
+    evolved tensors whose start is symmetric bit for bit.  A product state
+    (exponential_hierarchy) is symmetric to roundoff only: its factors are
+    multiplied in axis order, so an evolved hierarchy keeps its start's
+    last-bit asymmetry through the identity and death terms.
     """
 
     __slots__ = ("grid", "tensors")
@@ -201,8 +213,10 @@ def _contract_first(tensor, rows, shared=False):
     With shared=True, `tensor` has no row axis and its first axis is
     contracted with every row.  The one contraction every route goes
     through: batched and single-field callers therefore agree bit for bit.
-    Each weight rows[x, i] scales one contiguous slice of N^(m-1) entries,
-    so einsum's inner loop runs over that contiguous tail.
+    Each weight rows[x, i] scales one contiguous slice of the tail (N^(m-1)
+    entries, or R_(m-1) orbit columns), so einsum's inner loop runs over
+    that contiguous tail.  einsum's bits depend on the layout as well as the
+    values: the same values in a transposed copy sum in another order.
     """
     subscripts = "xi,i...->x..." if shared else "xi,xi...->x..."
     return np.einsum(subscripts, rows, tensor, optimize=False)
@@ -261,17 +275,32 @@ def evaluate_gf(k: CorrelationHierarchy, theta: GridField) -> float:
     return evaluate_gf_rows(k, theta.values[np.newaxis])[0]
 
 
-def substitute_affine_rows(k: CorrelationHierarchy, a_rows, b_rows, top):
-    """Orders 0..top of theta -> B(a_x*theta + b_x) for every row x at once.
+def substitute_affine_orbits(k: CorrelationHierarchy, a_rows, b_rows, top, orbits):
+    """Orders 0..top of theta -> B(a_x*theta + b_x) for every row x, at the orbits' representatives.
 
-    a_rows and b_rows have shape (R, N); order m of the result has shape
-    (R,) + (N,)*m and carries, at row x,
+    a_rows and b_rows have shape (R, N); orbits is _orbit_index(N, k.n_max).
+    Order m of the result has shape (R, R_m), one column per orbit of order
+    m (order 0 has shape (R,)), and carries, at row x and the orbit whose
+    sorted index tuple is y,
 
         c_m(y_1..y_m) = prod_i a_x(y_i) * sum_{j<=n_max-m} dx^j/j! sum_w k_{m+j}(w, y) prod b_x(w_l).
 
     The inner sum is capped at j <= n_max - m: with orders above n_max
     closed by zero this makes evaluate_gf(c, theta) == evaluate_gf(k, a*theta+b)
     an exact polynomial identity, not an approximation.
+
+    k is read at its representatives only: each order is packed to its R_m
+    orbit values, and a contraction over w reads k_{m+j}(w, y) from the
+    column of the orbit that w joined to y falls in (orbits[m+j].prepend).
+    On a k that is symmetric bit for bit this is the contraction over all
+    N^m entries, term by term, so every column keeps the bits of the
+    unpacked route at its sorted tuple, whose a-factors are multiplied in
+    axis order: at (16, 4) the top-order contraction is 209k instead of
+    1.05M multiply-adds.  Each gather is an np.take along axis 1, whose
+    result is C-contiguous like the unpacked rows (an advanced index along
+    axis 1 is laid out transposed, and einsum then rounds differently), and
+    an order-0 result keeps the unpacked route's 2-D einsum "xw,xw->x":
+    order 1's prepend table has no orbit axis.
 
     Two exact identities of the birth shift are skipped, with the same bits
     as the full sum.  Where b is all zeros (phi = 0) and every weight is
@@ -282,47 +311,64 @@ def substitute_affine_rows(k: CorrelationHierarchy, a_rows, b_rows, top):
     """
     nm = k.n_max
     batch = (b_rows.shape[0],)
+    packed = [k.tensors[0]] + [np.take(t, o.reps) for t, o in zip(k.tensors[1:], orbits[1:])]
     weights = list(_taylor_weights(k.grid.spacing, nm + 1))
     reach = min(top, nm - 1)  # the orders a j >= 1 term adds to
     if not b_rows.any() and math.isfinite(weights[-1]):
-        acc = [np.broadcast_to(t, batch + t.shape) + 0.0 for t in k.tensors[: reach + 1]]
+        acc = [np.broadcast_to(p, batch + p.shape) + 0.0 for p in packed[: reach + 1]]
     else:
         acc = []
-        nxt = [_contract_first(t, b_rows, shared=True) for t in k.tensors[1:]]
+        nxt = [_contract_first(np.take(p, o.prepend), b_rows, shared=True)
+               for p, o in zip(packed[1:], orbits[1:])]
         for j, weight in enumerate(weights[1:], start=1):
             # row j+1 is contracted from row j before row j is weighted in place
-            row, nxt = nxt, [_contract_first(r, b_rows) for r in nxt[1:]]
+            row = nxt
+            nxt = [_contract_first(np.take(r, o.prepend, axis=1), b_rows)
+                   for r, o in zip(row[1:], orbits[1:])]
             for m in range(min(top, nm - j) + 1):
                 row[m] *= weight
                 if j == 1:  # the j = 0 term is k_m itself
-                    row[m] += k.tensors[m]
+                    row[m] += packed[m]
                     acc.append(row[m])
                 else:
                     acc[m] += row[m]
-    acc += [np.broadcast_to(t, batch + t.shape).copy() for t in k.tensors[reach + 1 : top + 1]]
+    acc += [np.broadcast_to(p, batch + p.shape).copy() for p in packed[reach + 1 : top + 1]]
     if np.all(a_rows == 1.0):
         return acc
     for m in range(1, top + 1):
-        for axis in range(m):
-            shape = list(batch) + [1] * m
-            shape[axis + 1] = -1
-            acc[m] *= a_rows.reshape(shape)
+        for sites in orbits[m].cols:
+            acc[m] *= np.take(a_rows, sites, axis=1)
     return acc
 
 
 def substitute_affine(k, a: GridField, b: GridField) -> CorrelationHierarchy:
     """Hierarchy of the substituted functional theta -> B(a*theta + b).
 
-    The single-field case of substitute_affine_rows, over all orders.  An
-    entry that overflows raises NonfiniteStateError, without a warning.
+    The one-row case of substitute_affine_orbits, over all orders, each
+    orbit's value written to every entry of the orbit: the result is
+    symmetric bit for bit, and k is read at its representatives.  An entry
+    that overflows raises NonfiniteStateError, without a warning.
     """
     require_same_grid(k, a)
     require_same_grid(k, b)
+    orbits = _orbit_index(k.grid.n_sites, k.n_max)
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = substitute_affine_rows(k, a.values[np.newaxis], b.values[np.newaxis], k.n_max)
-    tensors = [t[0] for t in rows]
+        rows = substitute_affine_orbits(
+            k, a.values[np.newaxis], b.values[np.newaxis], k.n_max, orbits
+        )
+    tensors = [rows[0][0]] + [unpack_orbits(c[0], o) for c, o in zip(rows[1:], orbits[1:])]
     require_finite(tensors, "substituted hierarchy")
     return CorrelationHierarchy._trusted(k.grid, tensors)
+
+
+def unpack_orbits(values, orbits, out=None):
+    """The order whose orbit values `values` holds, each written to all of its orbit's entries.
+
+    Into `out` when it is given.  Without it, an index rather than np.take,
+    which copies the read-only ids first: that copy is one top tensor more.
+    """
+    ids = orbits.ids.reshape(orbits.shape)
+    return values[ids] if out is None else np.take(values, ids, out=out, mode="clip")
 
 
 def _pow_or_inf(base, n) -> float:
@@ -364,40 +410,80 @@ def flat_dimension(grid, n_max) -> int:  # kept importable for bench/ladder.py
     return sum(grid.n_sites**n for n in range(n_max + 1))
 
 
+class Orbits(NamedTuple):
+    """One order q of an (N, n_max) orbit index: its R_q orbits, each named by its sorted index tuple.
+
+    ids (N^q,): the orbit of each flat entry, numbered by the flat index of
+    its sorted tuple; sizes (R_q,): entries per orbit, as floats; reps
+    (R_q,): the flat index of each sorted tuple; cols (q, R_q): the sorted
+    tuples, one row per position; prepend (N, R_{q-1}): the orbit of site w
+    joined to orbit r of order q - 1; drop (q, R_q): for position i of
+    orbit r's tuple, s_i * R_{q-1} plus the orbit of the tuple without s_i,
+    a flat index into an (N, R_{q-1}) array.  Order 1's prepend is (N,), as
+    order 0 has no tuple axis.  All are read-only.
+    """
+
+    shape: tuple
+    ids: np.ndarray
+    sizes: np.ndarray
+    reps: np.ndarray
+    cols: np.ndarray
+    prepend: np.ndarray
+    drop: np.ndarray
+
+
+def _read_only(*arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 @functools.lru_cache(maxsize=2)
 def _orbit_index(n_sites, n_max):
-    """Per order 3..n_max of an (n_sites, n_max) hierarchy: (ids, sizes) of its orbits.
+    """The Orbits of orders 0..n_max of an (n_sites, n_max) hierarchy, indexed by order.
 
-    An orbit is the set of entries that axis permutations of one entry reach,
-    named by its sorted index tuple.  ids[f] is the dense id of flat entry f's
-    orbit and sizes[i] counts orbit i's entries.  Order m is built from order
-    m - 1: entry (w, s) lies in the orbit of w's orbit joined by site s, so
-    the K * N sorted tuples of the K orbits of order m - 1, each joined by
-    each site, and one gather number every entry.  A table of all N^m index
-    tuples, sorted entry by entry, took 385 instead of 30 ms and peaked at 8.2
-    instead of 2.1 top tensors at (2, 20).  Keyed by the whole shape, so a run
-    that samples one shape builds each order once; both arrays are read-only.
+    The one orbit table of the package: the sampler reads ids and sizes,
+    the birth route (substitute_affine_orbits, apply_birth) the rest.  Order
+    q is built from order q - 1: entry (w, s) lies in the orbit of w's orbit
+    joined by site s, so the R_{q-1} * N sorted tuples of the orbits of
+    order q - 1, each joined by each site, and one gather number every
+    entry; those joins are the prepend table.  A table of all N^q index
+    tuples, sorted entry by entry, took 385 instead of 30 ms and peaked at
+    8.2 instead of 2.1 top tensors at (2, 20).  Keyed by the whole shape and
+    built on the first sample or birth application of a shape, so a run
+    that works at one shape builds each order once.
     """
-    sites = np.arange(n_sites, dtype=np.int16)  # the guard keeps n_sites <= 215 from order 3 on
-    ids, members = np.arange(n_sites), [sites]  # order 1: one orbit per site; tuples by column
-    index = []
-    for order in range(2, n_max + 1):
+    zero = np.zeros(1, dtype=np.intp)
+    tables = _read_only(zero, np.ones(1), zero, np.zeros((0, 1), dtype=np.intp))
+    index = [Orbits((), *tables, None, None)]  # order 0: one orbit, the empty tuple
+    ids = reps = joins = np.arange(n_sites)
+    members = [ids]
+    for order in range(1, n_max + 1):
         shape = (n_sites,) * order
-        joined = [np.repeat(c, n_sites) for c in members] + [np.tile(sites, len(members[0]))]
-        for j in range(order - 1, 0, -1):  # one insertion pass sorts each joined tuple
-            low, high = joined[j - 1 : j + 1]
-            joined[j - 1 : j + 1] = np.minimum(low, high), np.maximum(low, high)
-        canonical = np.ravel_multi_index(joined, shape)
-        seen = np.zeros(n_sites**order, dtype=bool)
-        seen[canonical] = True
-        found = np.flatnonzero(seen)  # this order's orbits, by the flat index of their sorted tuple
-        members = [c.astype(np.int16) for c in np.unravel_index(found, shape)]
-        ids = np.searchsorted(found, canonical).reshape(-1, n_sites)[ids]
-        if order >= 3:
-            flat = ids.reshape(-1)
-            sizes = np.bincount(flat).astype(np.float64)
-            flat.flags.writeable = sizes.flags.writeable = False
-            index.append((flat, sizes))
+        if order > 1:
+            sites = np.arange(n_sites, dtype=np.int16)  # the guard keeps n_sites <= 3162 from order 2 on
+            joined = [np.repeat(c, n_sites) for c in members] + [np.tile(sites, len(members[0]))]
+            for j in range(order - 1, 0, -1):  # one insertion pass sorts each joined tuple
+                low, high = joined[j - 1 : j + 1]
+                joined[j - 1 : j + 1] = np.minimum(low, high), np.maximum(low, high)
+            canonical = np.ravel_multi_index(joined, shape)
+            seen = np.zeros(n_sites**order, dtype=bool)
+            seen[canonical] = True
+            reps = np.flatnonzero(seen)  # this order's orbits, by the flat index of their sorted tuple
+            joins = np.searchsorted(reps, canonical).reshape(-1, n_sites)
+            members = [c.astype(np.int16) for c in np.unravel_index(reps, shape)]
+            ids = joins[ids]
+        cols = np.array(members)
+        # dropping position i of a sorted tuple leaves a sorted tuple of order - 1
+        below = index[-1]
+        before = below.ids.reshape(below.shape)
+        drop = np.array([cols[i].astype(np.int32) * len(below.sizes)
+                         + before[tuple(np.delete(cols, i, axis=0))] for i in range(order)],
+                        dtype=np.int32)
+        flat = ids.reshape(-1)
+        sizes = np.bincount(flat).astype(np.float64)
+        prepend = np.ascontiguousarray(joins.T, dtype=np.int32)
+        index.append(Orbits(shape, *_read_only(flat, sizes, reps, cols, prepend, drop)))
     return tuple(index)
 
 
@@ -418,8 +504,8 @@ def _symmetrize_tensor(tensor, n_max):
     order = tensor.ndim
     if order < 3:
         return tensor if order < 2 else (tensor + tensor.T) / 2
-    ids, sizes = _orbit_index(tensor.shape[0], n_max)[order - 3]
-    return (np.bincount(ids, weights=tensor.ravel()) / sizes)[ids].reshape(tensor.shape)
+    orbits = _orbit_index(tensor.shape[0], n_max)[order]
+    return unpack_orbits(np.bincount(orbits.ids, weights=tensor.ravel()) / orbits.sizes, orbits)
 
 
 def max_abs_difference(k1, k2) -> float:

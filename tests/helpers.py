@@ -108,6 +108,40 @@ def plant_signed_zeros(tensors, rng):
         flat[picks[1::2]] = -0.0
 
 
+def representative_of_each_entry(shape):
+    """Flat index of each entry's sorted index tuple, the representative of its orbit."""
+    if not shape:
+        return np.zeros(1, dtype=np.intp)
+    tuples = np.indices(shape).reshape(len(shape), -1)
+    return np.ravel_multi_index(np.sort(tuples, axis=0), shape)
+
+
+def plant_signed_zeros_by_orbit(tensors, rng):
+    """plant_signed_zeros over whole orbits: a quarter of each order's orbits (at least two), in place.
+
+    A hierarchy that is symmetric bit for bit stays so.
+    """
+    for t in tensors[1:]:
+        flat = t.reshape(-1)
+        rep_of = representative_of_each_entry(t.shape)
+        reps = np.unique(rep_of)
+        picks = rng.choice(reps, size=max(2, reps.size // 4), replace=False)
+        flat[np.isin(rep_of, picks[0::2])] = 0.0
+        flat[np.isin(rep_of, picks[1::2])] = -0.0
+
+
+def assert_orbit_bits(got, want):
+    """Each entry of each got tensor holds the bits of want at the entry's representative.
+
+    So got keeps want's bits at every sorted index tuple and is symmetric
+    bit for bit, whatever want holds elsewhere.
+    """
+    assert [np.shape(g) for g in got] == [np.shape(w) for w in want]
+    for g, w in zip(got, want):
+        rep_of = representative_of_each_entry(np.shape(w))
+        assert np.asarray(g).tobytes() == np.ravel(w)[rep_of].tobytes()
+
+
 def count_constructions(monkeypatch):
     """Patch CorrelationHierarchy.__init__ to append 1 to the returned list per call."""
     built = []
@@ -242,10 +276,10 @@ def apply_birth_oracle(k, pot, epsilon, tables=None):
 def substitute_affine_rows_full(k, a_rows, b_rows, top):
     """Orders 0..top of the batched substitution with every operation run.
 
-    The arithmetic order the tensor route's shortcuts must keep bit for bit:
-    each order starts as a broadcast copy of k_m, every weighted row
-    j = 1..n_max is added, and the a-rows multiply every axis, even where
-    b is zero or a is one.
+    The arithmetic order the tensor route must keep bit for bit at each
+    sorted index tuple of a symmetric k: each order starts as a broadcast
+    copy of k_m, every weighted row j = 1..n_max is added, and the a-rows
+    multiply every axis, even where b is zero or a is one.
     """
     nm = k.n_max
     batch = (b_rows.shape[0],)

@@ -168,6 +168,27 @@ def test_undecodable_config_bytes_are_a_parse_error(tmp_path, capsys, data):
     assert err.startswith("error: parse-error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        # the wrong count ended invalid-argument (exit 1) in potential_from_samples
+        (b"0.3\n0.1\n", "potential file {} holds 2 samples, need grid.n_sites = 8"),
+        (b"0.1\n" * 9, "potential file {} holds 9 samples, need grid.n_sites = 8"),
+        # a bad byte read as "holds non-numeric lines": UnicodeDecodeError is a ValueError
+        (b"0.3\n\xff\n", "cannot read potential samples {}: 'utf-8' codec can't decode byte 0xff"
+                          " in position 4: invalid start byte"),
+    ],
+    ids=["short", "long", "undecodable"],
+)
+def test_potential_file_faults_are_parse_errors(tmp_path, capsys, data, message):
+    samples = tmp_path / "phi.txt"
+    samples.write_bytes(data)
+    conf = tmp_path / "run.conf"
+    conf.write_text("potential.kind = file\npotential.path = %s\n" % samples, encoding="utf-8")
+    assert main(["--config", str(conf), "--out", str(tmp_path / "o"), "evolve"]) == 5
+    assert capsys.readouterr().err == "error: parse-error: %s\n" % message.format(samples)
+
+
 def test_config_is_utf8_whatever_the_locale(tmp_path):
     # an ASCII locale without Python's UTF-8 mode must still read a UTF-8 comment
     path = tmp_path / "run.conf"

@@ -27,11 +27,12 @@ from helpers import (
     apply_generator_formula,
     assemble_matrix,
     assert_all_symmetric,
+    assert_orbit_bits,
     birth_gf_term_oracle,
     flatten,
     loglog_slope,
     plain_glauber_generator_oracle,
-    plant_signed_zeros,
+    plant_signed_zeros_by_orbit,
     rel_err,
     shape_potential,
     substitute_affine_rows_full,
@@ -431,10 +432,9 @@ def test_apply_birth_matches_per_site_oracle_bitwise(n_sites, n_max):
     rng = np.random.default_rng(100 + n_max)
     k = gl.random_ruelle_hierarchy(grid, n_max, rng, envelope=0.8)
     for kind in ORACLE_KINDS:
-        out = gl.apply_birth(k, pot, kind).tensors
-        ref = apply_birth_oracle(k, pot, kind)
-        assert [t.shape for t in out] == [t.shape for t in ref]
-        assert max(float(np.max(np.abs(a - b))) for a, b in zip(out, ref)) == 0.0
+        # the oracle sums each permuted entry in its own order; apply_birth
+        # keeps its bits at the sorted tuples and writes them to each orbit
+        assert_orbit_bits(gl.apply_birth(k, pot, kind).tensors, apply_birth_oracle(k, pot, kind))
 
 
 @pytest.mark.parametrize("n_sites,n_max", ORACLE_SHAPES)
@@ -552,23 +552,33 @@ def test_death_term_of_a_product_state(n_max):
         assert rel_err(death_gf_term(k, theta), closed) <= 1e-12
 
 
-def test_apply_generator_working_set_is_a_few_top_tensors():
-    grid, pot, params, rng = standard_setup(n_sites=64, n_max=3)
-    k = gl.random_ruelle_hierarchy(grid, 3, rng, envelope=0.5)
-    top_bytes = k.tensors[3].nbytes
+def generator_peak(k, params, pot, epsilon, out=None):
+    """Peak traced bytes of one apply_generator call."""
     tracemalloc.start()
     try:
-        gl.apply_generator(k, params, pot, gl.GLAUBER)
+        gl.apply_generator(k, params, pot, epsilon, out=out)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * top_bytes
+    return peak
+
+
+def test_apply_generator_working_set_is_a_few_top_tensors():
+    # the first call of a shape also builds the shape's orbit tables and
+    # peaks at 4.08 top tensors; a call that finds them built peaks at 2.02
+    grid, pot, params, rng = standard_setup(n_sites=64, n_max=3)
+    k = gl.random_ruelle_hierarchy(grid, 3, rng, envelope=0.5)
+    top_bytes = k.tensors[3].nbytes
+    hierarchy._orbit_index.cache_clear()
+    assert generator_peak(k, params, pot, gl.GLAUBER) < 4.5 * top_bytes
+    assert generator_peak(k, params, pot, gl.GLAUBER) < 8 * top_bytes
 
 
 @pytest.mark.parametrize("shape", ["zero", "gaussian", "tophat"])
 def test_apply_generator_is_the_formula_byte_for_byte(shape):
     # in place, apply_generator must keep every bit of z * birth - death,
-    # the -0.0 that zero's b_x = -phi gives at epsilon 0 included
+    # the -0.0 that zero's b_x = -phi gives at epsilon 0 included, at every
+    # representative, and write it to every entry of its orbit
     grid = gl.make_grid(5, 5.0)
     pots = {
         "zero": gl.zero_potential(grid),
@@ -577,13 +587,11 @@ def test_apply_generator_is_the_formula_byte_for_byte(shape):
     }
     params = gl.ScaleParams(0.5, 1.0, 0.75)
     for n_max in range(5):
-        k = gl.random_ruelle_hierarchy(grid, n_max, np.random.default_rng(n_max), envelope=0.8)
+        k = planted_hierarchy(grid, n_max, seed=n_max)
         before = [t.tobytes() for t in k.tensors]
         for epsilon in (1.0, 0.25, 0.0):
             out = gl.apply_generator(k, params, pots[shape], epsilon).tensors
-            ref = apply_generator_formula(k, params, pots[shape], epsilon)
-            assert [t.shape for t in out] == [t.shape for t in ref]
-            assert [t.tobytes() for t in out] == [t.tobytes() for t in ref]
+            assert_orbit_bits(out, apply_generator_formula(k, params, pots[shape], epsilon))
         assert [t.tobytes() for t in k.tensors] == before
 
 
@@ -591,12 +599,13 @@ SHORTCUT_EPSILONS = (1.0, 0.25, 0.0, 1e-300)
 
 
 def planted_hierarchy(grid, n_max, seed):
-    """A random hierarchy with +0.0 and -0.0 planted in every order, -0.0 in k_0 for odd seeds."""
+    """A random hierarchy, symmetric bit for bit, with +0.0 and -0.0 planted over whole orbits
+    of every order, and -0.0 in k_0 for odd seeds."""
     rng = np.random.default_rng(seed)
     tensors = [t.copy() for t in gl.random_ruelle_hierarchy(grid, n_max, rng, envelope=0.8).tensors]
     if seed % 2:
         tensors[0] = np.array(-0.0)
-    plant_signed_zeros(tensors, rng)
+    plant_signed_zeros_by_orbit(tensors, rng)
     return gl.CorrelationHierarchy(grid, tensors)
 
 
@@ -606,23 +615,18 @@ def bits(tensors):
 
 @pytest.mark.parametrize("shape,epsilon", [("gaussian", 1.0), ("gaussian", 0.0), ("zero", 1.0)])
 def test_apply_generator_working_set_at_the_evolve_size(shape, epsilon):
-    # Peak over the top tensor at (16, 4): 2.207-2.210 without out, the birth
-    # route's inputs, outputs and one order of contracted rows (2.274-2.277
-    # while the summed stacks were kept for the death part; 4.21 when each
-    # operation made a new array), and 1.206-1.273 with an out made
-    # beforehand.  The bounds leave 0.04 and 0.027.  The a = 1 and b = 0
-    # shortcuts must not raise either.
+    # Peak over the top tensor at (16, 4), once the shape's orbit tables are
+    # built: 2.070 without out, the outputs and the death part's n * k_n,
+    # and 1.272 with an out made beforehand, where np.take copies the
+    # read-only orbit ids.  The first call of the shape also builds the
+    # tables: 3.62.  The a = 1 and b = 0 shortcuts must not raise either.
     grid, _, params, rng = standard_setup(n_sites=16, n_max=4)
     pot = shape_potential(shape, grid)
     k = gl.random_ruelle_hierarchy(grid, 4, rng, envelope=0.5)
+    hierarchy._orbit_index.cache_clear()
+    assert generator_peak(k, params, pot, epsilon) <= 4.0 * k.tensors[4].nbytes
     for out, bound in ((None, 2.25), (gl.zero_hierarchy(grid, 4), 1.3)):
-        tracemalloc.start()
-        try:
-            gl.apply_generator(k, params, pot, epsilon, out=out)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound * k.tensors[4].nbytes
+        assert generator_peak(k, params, pot, epsilon, out=out) <= bound * k.tensors[4].nbytes
 
 
 @pytest.mark.parametrize("shape", ["zero", "gaussian", "tophat"])
@@ -652,8 +656,10 @@ def test_apply_generator_into_out_keeps_the_bits(shape):
 @pytest.mark.parametrize("n_sites", [2, 5, 16])
 @pytest.mark.parametrize("shape", ["zero", "gaussian", "tophat"])
 def test_birth_shortcuts_keep_the_full_sums_bits(shape, n_sites):
-    # skipping b = 0 contractions, a = 1 products and the zeros-started sum
-    # must give what running them gives, signed zeros included
+    # skipping b = 0 contractions, a = 1 products and the zeros-started sum,
+    # and summing at the representatives only, must give what running them
+    # all gives at each representative, signed zeros included; the orbit
+    # route writes that to every entry of the orbit
     grid = gl.make_grid(n_sites, float(n_sites))
     pot = shape_potential(shape, grid)
     params = gl.ScaleParams(0.5, 1.0, 0.75)
@@ -661,13 +667,13 @@ def test_birth_shortcuts_keep_the_full_sums_bits(shape, n_sites):
         k = planted_hierarchy(grid, n_max, seed=n_max)
         for epsilon in SHORTCUT_EPSILONS:
             birth = apply_birth_full(k, pot, epsilon)
-            assert bits(gl.apply_birth(k, pot, epsilon).tensors) == bits(birth)
+            assert_orbit_bits(gl.apply_birth(k, pot, epsilon).tensors, birth)
             generator = [np.array(0.0)]
             for n in range(1, n_max + 1):
                 birth[n] *= params.z
                 birth[n] -= n * k.tensors[n]
                 generator.append(birth[n])
-            assert bits(gl.apply_generator(k, params, pot, epsilon).tensors) == bits(generator)
+            assert_orbit_bits(gl.apply_generator(k, params, pot, epsilon).tensors, generator)
 
 
 @pytest.mark.parametrize("n_sites", [2, 5, 16])
@@ -680,7 +686,7 @@ def test_substitute_affine_shortcuts_keep_the_full_sums_bits(n_sites):
             for b in (rng.uniform(-1.0, 1.0, n_sites), np.full(n_sites, -0.0)):
                 out = gl.substitute_affine(k, gl.GridField(grid, a), gl.GridField(grid, b))
                 full = substitute_affine_rows_full(k, a[np.newaxis], b[np.newaxis], n_max)
-                assert bits(out.tensors) == bits([t[0] for t in full])
+                assert_orbit_bits(out.tensors, [t[0] for t in full])
 
 
 def test_extreme_spacings_keep_the_full_sums_bits():
