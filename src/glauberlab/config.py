@@ -154,6 +154,8 @@ def build_potential(cfg: ExperimentConfig, grid: Grid) -> PairPotential:
             "potential file %s holds %d samples, need grid.n_sites = %d"
             % (cfg.potential_path, len(values), grid.n_sites)
         )
+    if not all(map(math.isfinite, values)):
+        raise ConfigError("potential file %s holds non-finite samples" % cfg.potential_path)
     return potential_from_samples(grid, np.asarray(values))
 
 

@@ -39,9 +39,10 @@ from .hierarchy import (
     _pow_or_inf,
     evaluate_gf,  # unused here; kept importable for bench/spans.py
     evaluate_gf_rows,
+    pack_hierarchy,
     substitute_affine,  # unused here; kept importable for bench/spans.py
     substitute_affine_orbits,
-    unpack_orbits,
+    unpack_hierarchy,
 )
 from .lattice import GridField, PairPotential, displacement_matrix, l1_norm, require_same_grid
 
@@ -84,7 +85,7 @@ def shift_bound_constants(pot, epsilon):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def apply_birth(k, pot: PairPotential, epsilon, out=None, rows=None) -> CorrelationHierarchy:
+def apply_birth(k, pot: PairPotential, epsilon, rows=None) -> CorrelationHierarchy:
     """Birth part: symmetrized per-site substituted hierarchies.
 
     With c_x the hierarchy of theta -> B(a_x theta + b_x),
@@ -98,21 +99,21 @@ def apply_birth(k, pot: PairPotential, epsilon, out=None, rows=None) -> Correlat
     n_max - 1, the highest the output reads, and only at the orbits'
     representatives (substitute_affine_orbits).  Each output order is
     summed at its representatives, the sorted tuples s, in axis order from
-    c_{s_1} + 0.0, which is 0 + c_{s_1} by commutativity; then each orbit's
-    sum is written to every entry of the orbit.  So the result is symmetric
-    bit for bit, k is read at its representatives only, and on a k that is
-    symmetric bit for bit every representative keeps the bits of the sum
-    over all entries.  The orbit tables are built at the first application
-    of a shape (hierarchy._orbit_index).
+    c_{s_1} + 0.0, which is 0 + c_{s_1} by commutativity.  So on a k that
+    is symmetric bit for bit every representative keeps the bits of the
+    sum over all entries.  k held at its orbits (hierarchy.pack_hierarchy)
+    gives the result so; a full k is packed, and its result unpacked.  The
+    orbit tables are built at the first application of a shape
+    (hierarchy._orbit_index).
 
-    out, when given, is a hierarchy of k's shape, sharing no memory with
-    k, whose orders 1..n_max receive the sums.  rows is
-    shift_rows(pot, [epsilon]) when the caller already built it: building
-    it on every application costs 5-9% of a call at (16, 4) with a
-    Gaussian or top-hat potential, so a Taylor run builds it once.  An entry that
-    overflows reads inf or nan, without a warning, as in evaluate_gf; the
-    Taylor loop scans for it.
+    rows is shift_rows(pot, [epsilon]) when the caller already built it:
+    building it on every application costs 5-9% of a call at (16, 4) with
+    a Gaussian or top-hat potential, so a Taylor run builds it once.  An
+    entry that overflows reads inf or nan, without a warning, as in
+    evaluate_gf; the Taylor loop scans for it.
     """
+    if k.tensors[-1].ndim > 1:  # full tensors
+        return unpack_hierarchy(apply_birth(pack_hierarchy(k), pot, epsilon, rows))
     require_same_grid(k, pot)
     a_rows, b_rows = shift_rows(pot, [epsilon]) if rows is None else rows
     orbits = _orbit_index(k.grid.n_sites, k.n_max)
@@ -126,26 +127,27 @@ def apply_birth(k, pot: PairPotential, epsilon, out=None, rows=None) -> Correlat
         acc += 0.0
         for position in rest:
             acc += np.take(stack, position)
-        tensors.append(unpack_orbits(acc, orbits[n], None if out is None else out.tensors[n]))
+        tensors.append(acc)
     return CorrelationHierarchy._trusted(k.grid, tensors)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def apply_generator(
-    k, params: ScaleParams, pot, epsilon, out=None, rows=None
-) -> CorrelationHierarchy:
+def apply_generator(k, params: ScaleParams, pot, epsilon, rows=None) -> CorrelationHierarchy:
     """Full generator -death + z * birth on the truncated hierarchy.
 
-    Order n is z * b_n - n * k_n: apply_birth's tensors, scaled and less
-    the death part (each of n particles dies at rate 1) in place.  k is
-    left unchanged.  out and rows are apply_birth's: with out the result's
-    orders 1..n_max are out's arrays.
+    Order n is z * b_n - n * k_n: apply_birth's orbit values, scaled and
+    less the death part (each of n particles dies at rate 1) in place.
+    Like apply_birth, it works on k held at its orbits and unpacks a full
+    k's result, so both parts read k at its representatives.  k is left
+    unchanged; rows is apply_birth's.
     """
-    birth = apply_birth(k, pot, epsilon, out=out, rows=rows)
+    if k.tensors[-1].ndim > 1:  # full tensors
+        return unpack_hierarchy(apply_generator(pack_hierarchy(k), params, pot, epsilon, rows))
+    generator = apply_birth(k, pot, epsilon, rows=rows)
     for n in range(1, k.n_max + 1):
-        birth.tensors[n] *= params.z
-        birth.tensors[n] -= k.tensors[n] * n
-    return birth
+        generator.tensors[n] *= params.z
+        generator.tensors[n] -= k.tensors[n] * n
+    return generator
 
 
 def death_gf_term(k, theta: GridField) -> float:

@@ -12,13 +12,13 @@ closed by zero, which keeps every operation in this package exactly linear
 on the truncated space.
 
 Since k_n is a function of the unordered set {x_1..x_n}, it holds one value
-per orbit of index tuples under axis permutations, C(N+n-1, n) of them.  The
-substitution and birth routes (substitute_affine, apply_birth and the birth
-part of apply_generator) compute one value per orbit, at the orbit's
-representative, its sorted index tuple, and write it to every entry of the
-orbit.  That is their contract: they read k only at representatives, so on
-a k that is not symmetric they act on the symmetric hierarchy that k's
-representatives define, and their tensors are symmetric bit for bit.
+per orbit of index tuples under axis permutations, C(N+n-1, n) of them, at
+the orbit's representative, its sorted index tuple.  The generators and the
+Taylor loop work on those values (pack_hierarchy), and unpack_hierarchy
+writes each back to every entry of its orbit.  So every operator reads k at
+its representatives only: on a k that is not symmetric it acts on the
+symmetric hierarchy that k's representatives define, and its result is
+symmetric bit for bit.
 
 The scale norm reads only the profile [max|k_0|, .., max|k_{n_max}|] that
 max_abs_by_order returns, so one scan of a hierarchy serves every scale index.
@@ -89,14 +89,15 @@ class ScaleParams:
 class CorrelationHierarchy:
     """Symmetric tensors k_0 .. k_{n_max} on a shared grid.
 
-    tensors[0] is a 0-d array (a scalar); tensors[n] has shape (N,)*n.
-    Sampled tensors (random_ruelle_hierarchy) are symmetric bit for bit: each
-    entry is read from its orbit's one mean.  So are birth and substituted
-    tensors, each entry read from its orbit's representative, and therefore
-    evolved tensors whose start is symmetric bit for bit.  A product state
+    tensors[0] is a 0-d array (a scalar); tensors[n] has shape (N,)*n, or
+    (R_n,) in a hierarchy held at its orbits (pack_hierarchy), the form
+    the operators work in.  Sampled tensors
+    (random_ruelle_hierarchy) are symmetric bit for bit: each entry is read
+    from its orbit's one mean.  So is every operator's result, each entry
+    read from its orbit's representative.  A product state
     (exponential_hierarchy) is symmetric to roundoff only: its factors are
-    multiplied in axis order, so an evolved hierarchy keeps its start's
-    last-bit asymmetry through the identity and death terms.
+    multiplied in axis order, and an operator reads it at its
+    representatives.
     """
 
     __slots__ = ("grid", "tensors")
@@ -278,7 +279,8 @@ def evaluate_gf(k: CorrelationHierarchy, theta: GridField) -> float:
 def substitute_affine_orbits(k: CorrelationHierarchy, a_rows, b_rows, top, orbits):
     """Orders 0..top of theta -> B(a_x*theta + b_x) for every row x, at the orbits' representatives.
 
-    a_rows and b_rows have shape (R, N); orbits is _orbit_index(N, k.n_max).
+    k is held at its orbits (pack_hierarchy); a_rows and b_rows have shape
+    (R, N); orbits is _orbit_index(N, k.n_max).
     Order m of the result has shape (R, R_m), one column per orbit of order
     m (order 0 has shape (R,)), and carries, at row x and the orbit whose
     sorted index tuple is y,
@@ -289,9 +291,8 @@ def substitute_affine_orbits(k: CorrelationHierarchy, a_rows, b_rows, top, orbit
     closed by zero this makes evaluate_gf(c, theta) == evaluate_gf(k, a*theta+b)
     an exact polynomial identity, not an approximation.
 
-    k is read at its representatives only: each order is packed to its R_m
-    orbit values, and a contraction over w reads k_{m+j}(w, y) from the
-    column of the orbit that w joined to y falls in (orbits[m+j].prepend).
+    A contraction over w reads k_{m+j}(w, y) from the column of the orbit
+    that w joined to y falls in (orbits[m+j].prepend).
     On a k that is symmetric bit for bit this is the contraction over all
     N^m entries, term by term, so every column keeps the bits of the
     unpacked route at its sorted tuple, whose a-factors are multiplied in
@@ -311,7 +312,7 @@ def substitute_affine_orbits(k: CorrelationHierarchy, a_rows, b_rows, top, orbit
     """
     nm = k.n_max
     batch = (b_rows.shape[0],)
-    packed = [k.tensors[0]] + [np.take(t, o.reps) for t, o in zip(k.tensors[1:], orbits[1:])]
+    packed = k.tensors
     weights = list(_taylor_weights(k.grid.spacing, nm + 1))
     reach = min(top, nm - 1)  # the orders a j >= 1 term adds to
     if not b_rows.any() and math.isfinite(weights[-1]):
@@ -344,31 +345,46 @@ def substitute_affine_orbits(k: CorrelationHierarchy, a_rows, b_rows, top, orbit
 def substitute_affine(k, a: GridField, b: GridField) -> CorrelationHierarchy:
     """Hierarchy of the substituted functional theta -> B(a*theta + b).
 
-    The one-row case of substitute_affine_orbits, over all orders, each
-    orbit's value written to every entry of the orbit: the result is
-    symmetric bit for bit, and k is read at its representatives.  An entry
-    that overflows raises NonfiniteStateError, without a warning.
+    The one-row case of substitute_affine_orbits, over all orders, on k
+    held at its orbits and unpacked: the result is symmetric bit for bit,
+    and k is read at its representatives.  An entry that overflows raises
+    NonfiniteStateError, without a warning.
     """
     require_same_grid(k, a)
     require_same_grid(k, b)
     orbits = _orbit_index(k.grid.n_sites, k.n_max)
     with np.errstate(over="ignore", invalid="ignore"):
         rows = substitute_affine_orbits(
-            k, a.values[np.newaxis], b.values[np.newaxis], k.n_max, orbits
+            pack_hierarchy(k), a.values[np.newaxis], b.values[np.newaxis], k.n_max, orbits
         )
-    tensors = [rows[0][0]] + [unpack_orbits(c[0], o) for c, o in zip(rows[1:], orbits[1:])]
-    require_finite(tensors, "substituted hierarchy")
-    return CorrelationHierarchy._trusted(k.grid, tensors)
+    substituted = unpack_hierarchy(CorrelationHierarchy._trusted(k.grid, [c[0] for c in rows]))
+    require_finite(substituted.tensors, "substituted hierarchy")
+    return substituted
 
 
-def unpack_orbits(values, orbits, out=None):
-    """The order whose orbit values `values` holds, each written to all of its orbit's entries.
+def pack_hierarchy(k) -> CorrelationHierarchy:
+    """k held at its orbits: order n as its R_n values at the orbits' representatives.
 
-    Into `out` when it is given.  Without it, an index rather than np.take,
-    which copies the read-only ids first: that copy is one top tensor more.
+    Orders 0 and 1 keep their shapes, so a hierarchy of n_max <= 1 is held
+    at its orbits as it is.
     """
-    ids = orbits.ids.reshape(orbits.shape)
-    return values[ids] if out is None else np.take(values, ids, out=out, mode="clip")
+    orbits = _orbit_index(k.grid.n_sites, k.n_max)
+    return CorrelationHierarchy._trusted(
+        k.grid, k.tensors[:1] + [np.take(t, o.reps) for t, o in zip(k.tensors[1:], orbits[1:])]
+    )
+
+
+def unpack_hierarchy(k) -> CorrelationHierarchy:
+    """The full tensors of a hierarchy held at its orbits."""
+    orbits = _orbit_index(k.grid.n_sites, k.n_max)
+    return CorrelationHierarchy._trusted(
+        k.grid, k.tensors[:1] + [unpack_orbits(v, o) for v, o in zip(k.tensors[1:], orbits[1:])]
+    )
+
+
+def unpack_orbits(values, orbits):
+    """The order whose orbit values `values` holds, each written to all of its orbit's entries."""
+    return values[orbits.ids.reshape(orbits.shape)]
 
 
 def _pow_or_inf(base, n) -> float:
@@ -446,14 +462,14 @@ def _orbit_index(n_sites, n_max):
     """The Orbits of orders 0..n_max of an (n_sites, n_max) hierarchy, indexed by order.
 
     The one orbit table of the package: the sampler reads ids and sizes,
-    the birth route (substitute_affine_orbits, apply_birth) the rest.  Order
+    unpacking ids, packing reps and the birth route the rest.  Order
     q is built from order q - 1: entry (w, s) lies in the orbit of w's orbit
     joined by site s, so the R_{q-1} * N sorted tuples of the orbits of
     order q - 1, each joined by each site, and one gather number every
     entry; those joins are the prepend table.  A table of all N^q index
     tuples, sorted entry by entry, took 385 instead of 30 ms and peaked at
     8.2 instead of 2.1 top tensors at (2, 20).  Keyed by the whole shape and
-    built on the first sample or birth application of a shape, so a run
+    built on the first sample or packing of a shape, so a run
     that works at one shape builds each order once.
     """
     zero = np.zeros(1, dtype=np.intp)

@@ -36,9 +36,11 @@ from .hierarchy import (
     CorrelationHierarchy,
     ScaleParams,
     max_abs_by_order,
+    pack_hierarchy,
     require_finite,
     ruelle_margin,
     scale_norm,
+    unpack_hierarchy,
 )
 from .lattice import MEMORY_GUARD_ENTRIES
 
@@ -104,7 +106,7 @@ def _require_series(t, m_max, tol, norm_alpha, t_name="t"):
         raise InvalidArgumentError("alpha must be positive")
 
 
-def taylor_evolve(apply, u0, t, m_max, tol, norm_alpha=1.0, spare=None) -> SolveReport:
+def taylor_evolve(apply, u0, t, m_max, tol, norm_alpha=1.0) -> SolveReport:
     """Sum u(t) = sum_{m<=m*} t^m/m! A^m u0 until the term norm drops below tol.
 
     The stopping norm is scale_norm at norm_alpha; tail_estimate is the
@@ -112,49 +114,23 @@ def taylor_evolve(apply, u0, t, m_max, tol, norm_alpha=1.0, spare=None) -> Solve
     norm_alpha are checked once, before any work, whatever t is.  Raises
     ConvergenceError when m_max terms did not reach tol.
 
-    Each term is apply(term, out) scaled by t/m into out, a hierarchy of
-    u0's shape whose arrays the loop owns and no longer reads.  apply may
-    write its result into out and return it, or return any other arrays,
-    which are only read; it must not write into term.  So u0 is never
-    changed, and only the loop's own arrays are ever handed out.  A
-    generator that writes into out allocates no top-order array for its
-    result: without out, one pass of the benchmark's evolve workload
-    (seeds 1, 7 and 23) faulted 15456-16144 pages instead of 2256-2280 and
-    took 23-53% longer on a two-core Xeon.
-
-    spare is a list of hierarchies of u0's shape that the loop may take
-    arrays from: the running sum and each out come from it while it holds
-    one, and from new arrays once it is empty.  Every term goes there once
-    the next term exists, and the last one too, so a caller that passes one
-    list to successive calls reuses the same arrays; u0 never goes there.
-    evolve_global passes one list to all its substeps: with a new list per
-    substep that pass faulted 3496-3769 pages instead of 2256-2280.
+    Each term is apply(term) scaled by t/m into new arrays, so apply may
+    return any arrays, term's own included, which are only read; it must
+    not write into term, and u0 is never changed.  The loop sums in the
+    form u0 is held in: solve_local and evolve_global hold it at its
+    orbits (hierarchy.pack_hierarchy), R_n values per order.
     """
     _require_series(t, m_max, tol, norm_alpha)
-    spare = [] if spare is None else spare
-
-    def take():
-        if spare:
-            return spare.pop()
-        return CorrelationHierarchy._trusted(u0.grid, [np.empty_like(x) for x in u0.tensors])
-
     # u0 was validated when it was built; intermediates skip the constructor's
     # finiteness scan too: a term is scanned only when its norm is not
     # finite, the accepted sum once.
-    u = take()
-    for acc, x in zip(u.tensors, u0.tensors):
-        np.copyto(acc, x)
+    u = CorrelationHierarchy._trusted(u0.grid, [np.array(x) for x in u0.tensors])
     if t == 0.0:
         return SolveReport(u, 0, 0.0, norm_alpha)
     term = u0
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, int(m_max) + 1):
-            out = take()
-            for x, o in zip(apply(term, out).tensors, out.tensors):
-                np.multiply(x, t / m, out=o)
-            if term is not u0:
-                spare.append(term)
-            term = out
+            term = CorrelationHierarchy._trusted(u0.grid, [x * (t / m) for x in apply(term).tensors])
             for acc, x in zip(u.tensors, term.tensors):
                 acc += x
             tail = scale_norm(max_abs_by_order(term), norm_alpha)
@@ -162,7 +138,6 @@ def taylor_evolve(apply, u0, t, m_max, tol, norm_alpha=1.0, spare=None) -> Solve
                 require_finite(term.tensors, "Taylor term %d" % m)
             if tail < tol:
                 require_finite(u.tensors, "evolved state")
-                spare.append(term)
                 return SolveReport(u, m, tail, norm_alpha)
     raise ConvergenceError(
         "tail %.3g still above tol %.3g after %d terms" % (tail, tol, m_max)
@@ -170,7 +145,7 @@ def taylor_evolve(apply, u0, t, m_max, tol, norm_alpha=1.0, spare=None) -> Solve
 
 
 def solve_local(params: ScaleParams, pot, epsilon, u0, t, m_max, tol) -> SolveReport:
-    """One guarded local solve at the given epsilon; for t > 0 its steps record the solution."""
+    """One guarded local solve at epsilon on u0's orbit values; for t > 0 its steps record it."""
     radius = step_radius(norm_bound_M(params, pot), params.alpha, params.alpha0)
     if t >= radius:
         raise RadiusExceededError(
@@ -178,12 +153,13 @@ def solve_local(params: ScaleParams, pot, epsilon, u0, t, m_max, tol) -> SolveRe
         )
     rows = shift_rows(pot, [epsilon])
     report = taylor_evolve(
-        lambda term, out: apply_generator(term, params, pot, epsilon, out=out, rows=rows),
-        u0, t, m_max, tol, norm_alpha=params.alpha,
+        lambda term: apply_generator(term, params, pot, epsilon, rows=rows),
+        pack_hierarchy(u0), t, m_max, tol, norm_alpha=params.alpha,
     )
     if t > 0:
         report.steps = [step_record(t, report.solution, params.z, params.alpha,
                                     report.terms_used, report.tail_estimate)]
+    report.solution = unpack_hierarchy(report.solution)
     return report
 
 
@@ -212,7 +188,8 @@ def evolve_global(
     the memory guard or an invalid epsilon fail up front too.  A substep is
     at most substep_fraction < 1 of the radius, so it stays inside
     solve_local's guard without checking it again.
-    The run's substeps share one spare list and one set of shift rows.
+    The state is held at its orbits, which margins and step records read,
+    and unpacked once at the end; the substeps share one set of shift rows.
     """
     z = params.z
     alpha0 = 1.0 / z
@@ -225,7 +202,8 @@ def evolve_global(
     radius = step_radius(norm_bound_M(gparams, pot), gparams.alpha, gparams.alpha0)
     step = substep_fraction * radius
 
-    margin = ruelle_margin(u0, z)
+    u = pack_hierarchy(u0)
+    margin = ruelle_margin(u, z)
     if margin > 1.0 + RUELLE_TOL:
         raise RuelleViolationError(margin, 0.0)
     if t_final > 0 and step == 0:
@@ -238,25 +216,21 @@ def evolve_global(
         )
     rows = shift_rows(pot, [epsilon])
 
-    spare = []
-    u = u0
     now = 0.0
     records = []
     while t_final - now > 1e-12 * t_final:
         dt_step = min(step, t_final - now)
         local = taylor_evolve(
-            lambda term, out: apply_generator(term, gparams, pot, epsilon, out=out, rows=rows),
-            u, dt_step, m_max, tol, norm_alpha=gparams.alpha, spare=spare,
+            lambda term: apply_generator(term, gparams, pot, epsilon, rows=rows),
+            u, dt_step, m_max, tol, norm_alpha=gparams.alpha,
         )
-        if u is not u0:  # the replaced solution; the caller keeps u0
-            spare.append(u)
         u = local.solution
         now += dt_step
         records.append(step_record(now, u, z, gparams.alpha, local.terms_used, local.tail_estimate))
         if records[-1].ruelle_margin > 1.0 + RUELLE_DRIFT_TOL:
             raise RuelleViolationError(records[-1].ruelle_margin, now)
     return SolveReport(
-        solution=u,
+        solution=unpack_hierarchy(u),
         terms_used=max((r.terms_used for r in records), default=0),
         tail_estimate=records[-1].tail_estimate if records else 0.0,
         alpha=gparams.alpha,

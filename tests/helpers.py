@@ -380,11 +380,11 @@ def apply_generator_formula(k, params, pot, epsilon):
 
 
 def taylor_evolve_fresh(apply, u0, t, m_max, tol, norm_alpha):
-    """The Taylor loop with new arrays for every term and every sum, apply(term) of one argument.
+    """The Taylor loop on full tensors, with new arrays for every term and every sum.
 
-    The arithmetic taylor_evolve must keep while it recycles arrays: each
-    term is apply(term) times t/m, added to the sum, until its scale norm
-    drops below tol.  Returns (sum tensors, terms used, tail).
+    The arithmetic taylor_evolve must keep on the orbit values: each term is
+    apply(term) times t/m, added to the sum, until its scale norm drops
+    below tol.  Returns (sum tensors, terms used, tail).
     """
     u = [x.copy() for x in u0.tensors]
     if t == 0.0:
@@ -401,7 +401,7 @@ def taylor_evolve_fresh(apply, u0, t, m_max, tol, norm_alpha):
 
 
 def evolve_global_fresh(params, pot, u0, t_final, epsilon, m_max=60, tol=1e-12):
-    """evolve_global's substeps over taylor_evolve_fresh and the four-argument apply_generator.
+    """evolve_global's substeps over taylor_evolve_fresh and apply_generator on full tensors.
 
     Same scale (alpha0 = 1/z, alpha = alpha0/2), substeps of 0.9 step
     radii and step records; no envelope check.  Returns (solution, records).

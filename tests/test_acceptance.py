@@ -93,7 +93,7 @@ def test_criterion_03_solver_vs_exponentiation_oracle():
         radius = step_radius(norm_bound_M(params, pot), 0.5, 1.0)
         t = 0.5 * radius
         report = gl.taylor_evolve(
-            lambda k, out: apply_generator(k, params, pot, gl.GLAUBER),
+            lambda k: apply_generator(k, params, pot, gl.GLAUBER),
             u0, t, 60, 1e-14, norm_alpha=0.5,
         )
         matrix = assemble_matrix(grid, 2, params, pot, gl.GLAUBER)

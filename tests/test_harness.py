@@ -634,6 +634,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: parse-error: potential file %s holds non-numeric lines\n" % samples
     )
+    for text in ("nan\n" + "0\n" * 7, "0\n" * 7 + "inf\n", "-inf\n" + "0\n" * 7):
+        samples.write_text(text)  # float() accepts each line; the sample check refuses it
+        assert main(["--config", str(from_file), "--out", str(tmp_path / "o5"), "evolve"]) == 5
+        assert capsys.readouterr().err == (
+            "error: parse-error: potential file %s holds non-finite samples\n" % samples
+        )
 
     envelope = tmp_path / "envelope.conf"
     envelope.write_text("initial.level = 1.0\n")  # margin 2^n vs z = 0.5

@@ -25,7 +25,7 @@ def _hierarchy(grid=GRID):
     return gl.zero_hierarchy(grid, 1)
 
 
-def _no_apply(term, out):
+def _no_apply(term):
     raise AssertionError("apply was called")
 
 
@@ -83,29 +83,29 @@ REFUSALS = {
                          GridMismatchError, "hierarchies live on different grids"),
     "step-radius-alpha": (lambda: gl.step_radius(1.0, 1.0, 0.5),
                           InvalidArgumentError, "need 0 < alpha <= alpha0"),
-    "taylor-time": (lambda: gl.taylor_evolve(lambda h, out: h, _hierarchy(), -1.0, 10, 1e-12),
+    "taylor-time": (lambda: gl.taylor_evolve(lambda h: h, _hierarchy(), -1.0, 10, 1e-12),
                     InvalidArgumentError, "t must be finite and non-negative"),
     # nan and inf ended in a non-finite Taylor term 1
-    "taylor-time-nan": (lambda: gl.taylor_evolve(lambda h, out: h, _hierarchy(), math.nan, 10, 1e-12),
+    "taylor-time-nan": (lambda: gl.taylor_evolve(lambda h: h, _hierarchy(), math.nan, 10, 1e-12),
                         InvalidArgumentError, "t must be finite and non-negative"),
-    "taylor-time-inf": (lambda: gl.taylor_evolve(lambda h, out: h, _hierarchy(), math.inf, 10, 1e-12),
+    "taylor-time-inf": (lambda: gl.taylor_evolve(lambda h: h, _hierarchy(), math.inf, 10, 1e-12),
                         InvalidArgumentError, "t must be finite and non-negative"),
     "local-time-nan": (lambda: gl.solve_local(gl.ScaleParams(0.5, 1.0, 0.5), gl.zero_potential(GRID),
                                               gl.GLAUBER, _hierarchy(), math.nan, 10, 1e-12),
                        InvalidArgumentError, "t must be finite and non-negative"),
-    "taylor-terms": (lambda: gl.taylor_evolve(lambda h, out: h, _hierarchy(), 0.1, 0, 1e-12),
+    "taylor-terms": (lambda: gl.taylor_evolve(lambda h: h, _hierarchy(), 0.1, 0, 1e-12),
                      InvalidArgumentError, "m_max must be an integer >= 1"),
     # a fractional or infinite m_max raised a raw TypeError from range
-    "taylor-terms-fraction": (lambda: gl.taylor_evolve(lambda h, out: h, _hierarchy(), 0.1, 2.5, 1e-12),
+    "taylor-terms-fraction": (lambda: gl.taylor_evolve(lambda h: h, _hierarchy(), 0.1, 2.5, 1e-12),
                               InvalidArgumentError, "m_max must be an integer >= 1"),
-    "taylor-terms-inf": (lambda: gl.taylor_evolve(lambda h, out: h, _hierarchy(), 0.1, math.inf, 1e-12),
+    "taylor-terms-inf": (lambda: gl.taylor_evolve(lambda h: h, _hierarchy(), 0.1, math.inf, 1e-12),
                          InvalidArgumentError, "m_max must be an integer >= 1"),
     # a tol no term can fall below ran all m_max terms into a ConvergenceError
-    "taylor-tol-nan": (lambda: gl.taylor_evolve(lambda h, out: h, _hierarchy(), 0.1, 10, math.nan),
+    "taylor-tol-nan": (lambda: gl.taylor_evolve(lambda h: h, _hierarchy(), 0.1, 10, math.nan),
                        InvalidArgumentError, "tol must be positive"),
-    "taylor-tol-zero": (lambda: gl.taylor_evolve(lambda h, out: h, _hierarchy(), 0.1, 10, 0.0),
+    "taylor-tol-zero": (lambda: gl.taylor_evolve(lambda h: h, _hierarchy(), 0.1, 10, 0.0),
                         InvalidArgumentError, "tol must be positive"),
-    "taylor-tol-negative": (lambda: gl.taylor_evolve(lambda h, out: h, _hierarchy(), 0.1, 10, -1e-12),
+    "taylor-tol-negative": (lambda: gl.taylor_evolve(lambda h: h, _hierarchy(), 0.1, 10, -1e-12),
                             InvalidArgumentError, "tol must be positive"),
     # evolve_global returned u0 at t_final = 0 without checking the series' rules
     "global-zero-time-terms": (lambda: _global_at_zero(m_max=0),

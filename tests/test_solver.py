@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import astuple
 
 import numpy as np
@@ -25,6 +26,8 @@ from helpers import (
     flatten,
     matrix_exp_oracle,
     plant_signed_zeros,
+    plant_signed_zeros_by_orbit,
+    representative_of_each_entry,
     shape_potential,
     taylor_evolve_fresh,
     unflatten,
@@ -54,7 +57,7 @@ def test_taylor_evolve_zero_operator():
     grid = gl.make_grid(6, 6.0)
     u0 = gl.random_ruelle_hierarchy(grid, 2, np.random.default_rng(0))
     report = gl.taylor_evolve(
-        lambda k, out: gl.zero_hierarchy(grid, 2), u0, 3.0, 20, 1e-12
+        lambda k: gl.zero_hierarchy(grid, 2), u0, 3.0, 20, 1e-12
     )
     assert gl.max_abs_difference(report.solution, u0) == 0.0
     assert report.tail_estimate == 0.0
@@ -65,7 +68,7 @@ def test_taylor_evolve_scalar_exponential():
     grid = gl.make_grid(6, 6.0)
     u0 = gl.random_ruelle_hierarchy(grid, 2, np.random.default_rng(1))
     report = gl.taylor_evolve(
-        lambda k, out: unflatten(grid, 2, -flatten(k)), u0, 1.0, 40, 1e-15
+        lambda k: unflatten(grid, 2, -flatten(k)), u0, 1.0, 40, 1e-15
     )
     expected = unflatten(grid, 2, math.exp(-1.0) * flatten(u0))
     assert gl.max_abs_difference(report.solution, expected) <= 1e-12
@@ -75,7 +78,7 @@ def test_taylor_evolve_no_convergence():
     grid = gl.make_grid(4, 4.0)
     u0 = gl.random_ruelle_hierarchy(grid, 1, np.random.default_rng(2))
     with pytest.raises(ConvergenceError):
-        gl.taylor_evolve(lambda k, out: unflatten(grid, 1, -flatten(k)), u0, 30.0, 3, 1e-12)
+        gl.taylor_evolve(lambda k: unflatten(grid, 1, -flatten(k)), u0, 30.0, 3, 1e-12)
 
 
 def test_taylor_evolve_matches_matrix_exponential():
@@ -83,7 +86,7 @@ def test_taylor_evolve_matches_matrix_exponential():
     radius = gl.step_radius(norm_bound_M(params, pot), params.alpha, params.alpha0)
     t = 0.5 * radius
     report = gl.taylor_evolve(
-        lambda k, out: apply_generator(k, params, pot, gl.GLAUBER),
+        lambda k: apply_generator(k, params, pot, gl.GLAUBER),
         u0, t, 60, 1e-14, norm_alpha=params.alpha,
     )
     mat = assemble_matrix(grid, 2, params, pot, gl.GLAUBER)
@@ -104,7 +107,7 @@ def test_taylor_evolve_oracle_agreement_across_dimensions(n_sites, n_max):
     radius = gl.step_radius(norm_bound_M(params, pot), 0.5, 1.0)
     t = 0.7 * radius
     report = gl.taylor_evolve(
-        lambda k, out: apply_generator(k, params, pot, gl.GLAUBER),
+        lambda k: apply_generator(k, params, pot, gl.GLAUBER),
         u0, t, 60, 1e-13, norm_alpha=0.5,
     )
     mat = assemble_matrix(grid, n_max, params, pot, gl.GLAUBER)
@@ -117,7 +120,7 @@ def test_taylor_evolve_oracle_agreement_across_dimensions(n_sites, n_max):
 def test_taylor_evolve_semigroup_property():
     grid, pot, params, u0 = interacting_setup(seed=4)
     radius = gl.step_radius(norm_bound_M(params, pot), params.alpha, params.alpha0)
-    apply = lambda k, out: apply_generator(k, params, pot, gl.GLAUBER)
+    apply = lambda k: apply_generator(k, params, pot, gl.GLAUBER)
     t1, t2 = 0.3 * radius, 0.45 * radius
     once = gl.taylor_evolve(apply, u0, t1 + t2, 60, 1e-14, norm_alpha=0.5).solution
     stage = gl.taylor_evolve(apply, u0, t1, 60, 1e-14, norm_alpha=0.5).solution
@@ -284,7 +287,7 @@ def test_taylor_overflow_is_nonfinite_state_without_warning():
         warnings.simplefilter("error")
         with pytest.raises(NonfiniteStateError):
             gl.taylor_evolve(
-                lambda k, out: apply_generator(k, params, pot, gl.GLAUBER), u0, 0.01, 10, 1e-12
+                lambda k: apply_generator(k, params, pot, gl.GLAUBER), u0, 0.01, 10, 1e-12
             )
 
 
@@ -321,11 +324,11 @@ def test_taylor_evolve_leaves_u0_unchanged():
 
 
 def test_taylor_evolve_scales_an_aliasing_apply_into_new_arrays():
-    # lambda h, out: h returns u0's own arrays as the first term: u(t) = e^t u0
+    # lambda h: h returns u0's own arrays as the first term: u(t) = e^t u0
     grid = gl.make_grid(4, 4.0)
     u0 = gl.random_ruelle_hierarchy(grid, 2, np.random.default_rng(7))
     before = [t.tobytes() for t in u0.tensors]
-    report = gl.taylor_evolve(lambda h, out: h, u0, 0.5, 60, 1e-15)
+    report = gl.taylor_evolve(lambda h: h, u0, 0.5, 60, 1e-15)
     assert [t.tobytes() for t in u0.tensors] == before
     expected = unflatten(grid, 2, math.exp(0.5) * flatten(u0))
     assert gl.max_abs_difference(report.solution, expected) <= 1e-14
@@ -333,8 +336,16 @@ def test_taylor_evolve_scales_an_aliasing_apply_into_new_arrays():
     frozen = gl.zero_hierarchy(grid, 2)
     for t in frozen.tensors:
         t.flags.writeable = False
-    report = gl.taylor_evolve(lambda h, out: frozen, u0, 0.5, 60, 1e-15)
+    report = gl.taylor_evolve(lambda h: frozen, u0, 0.5, 60, 1e-15)
     assert gl.max_abs_difference(report.solution, u0) == 0.0
+    # u0's arrays returned as a later term are read, never scaled in place
+    # (u0 would change with them); tol stops after term 2
+    tol = 0.4 * gl.scale_norm(gl.max_abs_by_order(u0), 1.0)
+    report = gl.taylor_evolve(lambda h: u0, u0, 0.5, 60, tol)
+    assert report.terms_used == 2
+    assert [t.tobytes() for t in u0.tensors] == before
+    expected = unflatten(grid, 2, 1.75 * flatten(u0))
+    assert gl.max_abs_difference(report.solution, expected) <= 1e-15
 
 
 def test_taylor_loop_builds_no_validated_hierarchy(monkeypatch):
@@ -348,12 +359,15 @@ def test_taylor_loop_builds_no_validated_hierarchy(monkeypatch):
     assert built == []
 
 
-def envelope_start(grid, n_max, z, seed):
-    """A state with margin 1/2 at activity z, +0.0 and -0.0 planted in every order."""
+def envelope_start(grid, n_max, z, seed, plant=plant_signed_zeros_by_orbit):
+    """A state with margin 1/2 at activity z, +0.0 and -0.0 planted in every order.
+
+    Symmetric bit for bit with the default plant; plant_signed_zeros breaks that.
+    """
     rng = np.random.default_rng(seed)
     sampled = gl.random_ruelle_hierarchy(grid, n_max, rng, envelope=0.5 * z)
     tensors = [np.array(0.5)] + [t.copy() for t in sampled.tensors[1:]]
-    plant_signed_zeros(tensors, rng)
+    plant(tensors, rng)
     return gl.CorrelationHierarchy(grid, tensors)
 
 
@@ -374,9 +388,9 @@ def record_bits(records):
 @pytest.mark.parametrize("n_sites", [2, 5, 16])
 @pytest.mark.parametrize("shape", ["zero", "gaussian", "tophat"])
 def test_recycled_arrays_keep_the_fresh_loops_bits(shape, n_sites):
-    # evolve_global and solve_local recycle terms, sums and replaced
-    # solutions; an out that aliased term, u0 or the running sum would
-    # change these bits, and a recycled u0 would change u0
+    # evolve_global and solve_local sum each order's orbit values; on a
+    # start symmetric bit for bit they must give the full loop's bits, and
+    # leave u0 as it was
     grid = gl.make_grid(n_sites, float(n_sites))
     pot = shape_potential(shape, grid)
     params = gl.ScaleParams(0.5, 1.0, 0.5)
@@ -401,64 +415,66 @@ def test_recycled_arrays_keep_the_fresh_loops_bits(shape, n_sites):
         assert tensor_bits(u0.tensors) == before
 
 
-def test_taylor_evolve_hands_out_only_freed_arrays():
-    grid, pot, params, u0 = interacting_setup(n_max=3, seed=9)
-    before = [t.tobytes() for t in u0.tensors]
-    calls = []
-
-    def apply(term, out):
-        calls.append((term, out))
-        return apply_generator(term, params, pot, gl.GLAUBER, out=out)
-
-    radius = gl.step_radius(norm_bound_M(params, pot), params.alpha, params.alpha0)
-    report = gl.taylor_evolve(apply, u0, 0.5 * radius, 60, 1e-12, norm_alpha=params.alpha)
-    assert report.terms_used == len(calls) > 3
-    # every term gets an out: new arrays for terms 1 and 2, then freed terms
-    assert all(out is not None for _, out in calls)
-    for term, out in calls:
-        taken = term.tensors + u0.tensors + report.solution.tensors
-        assert not any(np.may_share_memory(x, y) for x in out.tensors for y in taken)
-    assert [t.tobytes() for t in u0.tensors] == before
+def symmetric_of_representatives(k):
+    """The hierarchy whose every entry is k's entry at the entry's sorted index tuple."""
+    return gl.CorrelationHierarchy(k.grid, [
+        t.reshape(-1)[representative_of_each_entry(t.shape)].reshape(t.shape) for t in k.tensors
+    ])
 
 
-def test_taylor_evolve_never_hands_out_arrays_it_does_not_own():
-    # the identity, returned in turn as term itself, as a read-only copy and
-    # in out: neither the copies apply made nor u0 may come back as out
-    grid = gl.make_grid(4, 4.0)
-    u0 = gl.random_ruelle_hierarchy(grid, 2, np.random.default_rng(7))
-    before = [t.tobytes() for t in u0.tensors]
-    outs, kept = [], []
+def solved(report):
+    return report.solution, report.steps
 
-    def apply(term, out):
-        outs.append(out)
-        if len(outs) % 3 == 1:
-            return term  # the loop's own term, or u0
-        if len(outs) % 3 == 2:
-            result = gl.CorrelationHierarchy._trusted(grid, [x.copy() for x in term.tensors])
-            for x in result.tensors:
-                x.flags.writeable = False
-            kept.extend(result.tensors)
-            return result
-        for x, y in zip(out.tensors, term.tensors):
-            np.copyto(x, y)
-        return out
 
-    report = gl.taylor_evolve(apply, u0, 0.5, 60, 1e-15)
-    assert all(out is not None for out in outs)
-    handed = [x for out in outs for x in out.tensors]
-    assert len({id(x) for x in handed}) < len(handed)  # the loop did recycle
-    assert not any(np.may_share_memory(x, y) for x in handed for y in kept + u0.tensors)
-    assert [t.tobytes() for t in u0.tensors] == before
-    expected = unflatten(grid, 2, math.exp(0.5) * flatten(u0))
-    assert gl.max_abs_difference(report.solution, expected) <= 1e-14
-    # u0's arrays returned as a later term are read, never scaled in place
-    # (u0 would change with them); tol stops after term 2
-    tol = 0.4 * gl.scale_norm(gl.max_abs_by_order(u0), 1.0)
-    report = gl.taylor_evolve(lambda h, out: u0, u0, 0.5, 60, tol)
-    assert report.terms_used == 2
-    assert [t.tobytes() for t in u0.tensors] == before
-    expected = unflatten(grid, 2, 1.75 * flatten(u0))
-    assert gl.max_abs_difference(report.solution, expected) <= 1e-15
+@pytest.mark.parametrize("shape", ["zero", "gaussian", "tophat"])
+def test_every_operator_reads_k_at_its_representatives(shape):
+    # one rule for a start that is not symmetric: each operator gives, bit
+    # for bit, what it gives on the symmetric hierarchy of its representatives
+    grid = gl.make_grid(5, 5.0)
+    pot = shape_potential(shape, grid)
+    params = gl.ScaleParams(0.5, 1.0, 0.5)
+    inner, step = global_step(params.z, pot)
+    rng = np.random.default_rng(11)
+    a = gl.GridField(grid, rng.uniform(0.5, 1.5, 5))
+    b = gl.GridField(grid, rng.uniform(-0.5, 0.5, 5))
+    for n_max in range(5):
+        start = envelope_start(grid, n_max, params.z, seed=n_max, plant=plant_signed_zeros)
+        symmetric = symmetric_of_representatives(start)
+        if n_max >= 2:
+            assert tensor_bits(start.tensors) != tensor_bits(symmetric.tensors)
+        operators = [lambda k: (gl.substitute_affine(k, a, b), [])]
+        for epsilon in (1.0, 0.25, 0.0):
+            operators += [
+                lambda k, e=epsilon: (gl.apply_birth(k, pot, e), []),
+                lambda k, e=epsilon: (gl.apply_generator(k, inner, pot, e), []),
+                lambda k, e=epsilon: solved(gl.solve_local(inner, pot, e, k, step, 60, 1e-12)),
+                lambda k, e=epsilon: solved(gl.evolve_global(params, pot, k, 2.5 * step, epsilon=e)),
+            ]
+        for operator in operators:
+            (got, got_steps), (want, want_steps) = operator(start), operator(symmetric)
+            assert tensor_bits(got.tensors) == tensor_bits(want.tensors)
+            assert record_bits(got_steps) == record_bits(want_steps)
+
+
+def test_the_loop_calls_each_traced_name_once_per_use(monkeypatch):
+    # bench/spans.py patches these names where their callers look them up and
+    # reads one substep per taylor_evolve call, one Taylor term per
+    # apply_generator call and one apply_birth call per apply_generator call
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, **kw: calls.update([name]) or original(*args, **kw))
+
+    count(solver, "taylor_evolve")
+    count(solver, "apply_generator")
+    count(generators, "apply_birth")
+    grid, pot, params, _ = interacting_setup(n_max=3)
+    u0 = gl.exponential_hierarchy(gl.constant_field(grid, params.z), 3)
+    _, step = global_step(params.z, pot)
+    report = gl.evolve_global(params, pot, u0, 2.5 * step, epsilon=0.25)
+    assert calls["taylor_evolve"] == len(report.steps) == 3
+    assert calls["apply_generator"] == calls["apply_birth"] == sum(r.terms_used for r in report.steps)
 
 
 def test_evolve_global_builds_its_shift_rows_once(monkeypatch):
@@ -491,9 +507,9 @@ def test_evolve_global_builds_its_shift_rows_once(monkeypatch):
 
 
 def test_evolve_global_working_set_at_the_evolve_size():
-    # besides the caller's u0: the previous solution, the sum, the term, out
-    # and one application's stacked rows, 5.5-5.6x the top tensor (5.45x
-    # when every term made new arrays)
+    # besides the caller's u0: the unpacked solution and the orbit values
+    # it is unpacked from, 1.164x the top tensor; the loop's orbit values
+    # and one application's stacked rows take less
     grid = gl.make_grid(16, 16.0)
     pot = shape_potential("gaussian", grid)
     params = gl.ScaleParams(0.5, 1.0, 0.5)
@@ -506,4 +522,4 @@ def test_evolve_global_working_set_at_the_evolve_size():
     finally:
         tracemalloc.stop()
     assert len(report.steps) == 4
-    assert peak < 6 * u0.tensors[4].nbytes
+    assert peak < 1.25 * u0.tensors[4].nbytes
