@@ -117,7 +117,7 @@ def apply_birth(k, pot: PairPotential, epsilon, rows=None) -> CorrelationHierarc
     require_same_grid(k, pot)
     a_rows, b_rows = shift_rows(pot, [epsilon]) if rows is None else rows
     orbits = _orbit_index(k.grid.n_sites, k.n_max)
-    subs = substitute_affine_orbits(k, a_rows, b_rows, k.n_max - 1, orbits)
+    subs = substitute_affine_orbits(k, a_rows, b_rows, k.n_max - 1)
     tensors = [np.array(0.0)]
     for n in range(1, k.n_max + 1):
         stack = subs[n - 1].reshape(-1)

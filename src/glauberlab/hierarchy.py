@@ -276,14 +276,13 @@ def evaluate_gf(k: CorrelationHierarchy, theta: GridField) -> float:
     return evaluate_gf_rows(k, theta.values[np.newaxis])[0]
 
 
-def substitute_affine_orbits(k: CorrelationHierarchy, a_rows, b_rows, top, orbits):
+def substitute_affine_orbits(k: CorrelationHierarchy, a_rows, b_rows, top):
     """Orders 0..top of theta -> B(a_x*theta + b_x) for every row x, at the orbits' representatives.
 
     k is held at its orbits (pack_hierarchy); a_rows and b_rows have shape
-    (R, N); orbits is _orbit_index(N, k.n_max).
-    Order m of the result has shape (R, R_m), one column per orbit of order
-    m (order 0 has shape (R,)), and carries, at row x and the orbit whose
-    sorted index tuple is y,
+    (R, N).  Order m of the result has shape (R, R_m), one column per orbit
+    of order m (order 0 has shape (R,)), and carries, at row x and the
+    orbit whose sorted index tuple is y,
 
         c_m(y_1..y_m) = prod_i a_x(y_i) * sum_{j<=n_max-m} dx^j/j! sum_w k_{m+j}(w, y) prod b_x(w_l).
 
@@ -292,16 +291,17 @@ def substitute_affine_orbits(k: CorrelationHierarchy, a_rows, b_rows, top, orbit
     an exact polynomial identity, not an approximation.
 
     A contraction over w reads k_{m+j}(w, y) from the column of the orbit
-    that w joined to y falls in (orbits[m+j].prepend).
+    that w joined to y falls in (the prepend table of _orbit_index).
     On a k that is symmetric bit for bit this is the contraction over all
     N^m entries, term by term, so every column keeps the bits of the
-    unpacked route at its sorted tuple, whose a-factors are multiplied in
-    axis order: at (16, 4) the top-order contraction is 209k instead of
-    1.05M multiply-adds.  Each gather is an np.take along axis 1, whose
-    result is C-contiguous like the unpacked rows (an advanced index along
+    full-tensor reference (tests/helpers.substitute_affine_rows_full) at
+    its sorted tuple, whose a-factors are multiplied in axis order: at
+    (16, 4) the top-order contraction is 209k instead of 1.05M
+    multiply-adds.  Each gather is an np.take along axis 1, whose result is
+    C-contiguous like the reference's full rows (an advanced index along
     axis 1 is laid out transposed, and einsum then rounds differently), and
-    an order-0 result keeps the unpacked route's 2-D einsum "xw,xw->x":
-    order 1's prepend table has no orbit axis.
+    an order-0 result keeps the reference's 2-D einsum "xw,xw->x": order
+    1's prepend table has no orbit axis.
 
     Two exact identities of the birth shift are skipped, with the same bits
     as the full sum.  Where b is all zeros (phi = 0) and every weight is
@@ -313,6 +313,7 @@ def substitute_affine_orbits(k: CorrelationHierarchy, a_rows, b_rows, top, orbit
     nm = k.n_max
     batch = (b_rows.shape[0],)
     packed = k.tensors
+    orbits = _orbit_index(k.grid.n_sites, nm)
     weights = list(_taylor_weights(k.grid.spacing, nm + 1))
     reach = min(top, nm - 1)  # the orders a j >= 1 term adds to
     if not b_rows.any() and math.isfinite(weights[-1]):
@@ -352,10 +353,9 @@ def substitute_affine(k, a: GridField, b: GridField) -> CorrelationHierarchy:
     """
     require_same_grid(k, a)
     require_same_grid(k, b)
-    orbits = _orbit_index(k.grid.n_sites, k.n_max)
     with np.errstate(over="ignore", invalid="ignore"):
         rows = substitute_affine_orbits(
-            pack_hierarchy(k), a.values[np.newaxis], b.values[np.newaxis], k.n_max, orbits
+            pack_hierarchy(k), a.values[np.newaxis], b.values[np.newaxis], k.n_max
         )
     substituted = unpack_hierarchy(CorrelationHierarchy._trusted(k.grid, [c[0] for c in rows]))
     require_finite(substituted.tensors, "substituted hierarchy")
@@ -378,13 +378,8 @@ def unpack_hierarchy(k) -> CorrelationHierarchy:
     """The full tensors of a hierarchy held at its orbits."""
     orbits = _orbit_index(k.grid.n_sites, k.n_max)
     return CorrelationHierarchy._trusted(
-        k.grid, k.tensors[:1] + [unpack_orbits(v, o) for v, o in zip(k.tensors[1:], orbits[1:])]
+        k.grid, k.tensors[:1] + [v[o.ids] for v, o in zip(k.tensors[1:], orbits[1:])]
     )
-
-
-def unpack_orbits(values, orbits):
-    """The order whose orbit values `values` holds, each written to all of its orbit's entries."""
-    return values[orbits.ids.reshape(orbits.shape)]
 
 
 def _pow_or_inf(base, n) -> float:
@@ -429,20 +424,21 @@ def flat_dimension(grid, n_max) -> int:  # kept importable for bench/ladder.py
 class Orbits(NamedTuple):
     """One order q of an (N, n_max) orbit index: its R_q orbits, each named by its sorted index tuple.
 
-    ids (N^q,): the orbit of each flat entry, numbered by the flat index of
-    its sorted tuple; sizes (R_q,): entries per orbit, as floats; reps
-    (R_q,): the flat index of each sorted tuple; cols (q, R_q): the sorted
-    tuples, one row per position; prepend (N, R_{q-1}): the orbit of site w
-    joined to orbit r of order q - 1; drop (q, R_q): for position i of
-    orbit r's tuple, s_i * R_{q-1} plus the orbit of the tuple without s_i,
-    a flat index into an (N, R_{q-1}) array.  Order 1's prepend is (N,), as
-    order 0 has no tuple axis.  cols is int16 from order 2 on, and prepend
-    and drop are int32, which keeps the first sample of a shape under six
-    top tensors at (128, 3); np.take reads any integer index at one speed.
-    All are read-only.
+    ids (N,)*q: the orbit of each entry, numbered by the flat index of its
+    sorted tuple, so values[ids] writes R_q orbit values to every entry;
+    sizes (R_q,): entries per orbit, as floats; reps (R_q,): the flat index
+    of each sorted tuple; cols (q, R_q): the sorted tuples, one row per
+    position; prepend (N, R_{q-1}): the orbit of site w joined to orbit r
+    of order q - 1; drop (q, R_q): for position i of orbit r's tuple,
+    s_i * R_{q-1} plus the orbit of the tuple without s_i, a flat index
+    into an (N, R_{q-1}) array.  Order 1's prepend is (N,), as order 0 has
+    no tuple axis, and order 0 holds only the 0-d ids and the sizes that
+    order 1's drop reads.  ids is intp, cols int16 from order 2 on, and
+    prepend and drop are int32, which keeps the first sample of a shape
+    under six top tensors at (128, 3); np.take reads any integer index at
+    one speed.  All are read-only.
     """
 
-    shape: tuple
     ids: np.ndarray
     sizes: np.ndarray
     reps: np.ndarray
@@ -465,21 +461,19 @@ def _orbit_index(n_sites, n_max):
     unpacking ids, packing reps and the birth route the rest.  Order
     q is built from order q - 1: entry (w, s) lies in the orbit of w's orbit
     joined by site s, so the R_{q-1} * N sorted tuples of the orbits of
-    order q - 1, each joined by each site, and one gather number every
-    entry; those joins are the prepend table.  A table of all N^q index
-    tuples, sorted entry by entry, took 385 instead of 30 ms and peaked at
-    8.2 instead of 2.1 top tensors at (2, 20).  Keyed by the whole shape and
-    built on the first sample or packing of a shape, so a run
-    that works at one shape builds each order once.
+    order q - 1, each joined by each site, and one gather of order q - 1's
+    ids number every entry; those joins are the prepend table.  A table of
+    all N^q index tuples, sorted entry by entry, took 385 instead of 30 ms
+    and peaked at 8.2 instead of 2.1 top tensors at (2, 20).  Keyed by the
+    whole shape and built on the first sample or packing of a shape, so a
+    run that works at one shape builds each order once.
     """
-    zero = np.zeros(1, dtype=np.intp)
-    tables = _read_only(zero, np.ones(1), zero, np.zeros((0, 1), dtype=np.intp))
-    index = [Orbits((), *tables, None, None)]  # order 0: one orbit, the empty tuple
+    index = [Orbits(*_read_only(np.zeros((), dtype=np.intp), np.ones(1)), None, None, None, None)]
     ids = reps = joins = np.arange(n_sites)
     members = [ids]
     for order in range(1, n_max + 1):
-        shape = (n_sites,) * order
         if order > 1:
+            shape = (n_sites,) * order
             sites = np.arange(n_sites, dtype=np.int16)  # the guard keeps n_sites <= 3162 from order 2 on
             joined = [np.repeat(c, n_sites) for c in members] + [np.tile(sites, len(members[0]))]
             for j in range(order - 1, 0, -1):  # one insertion pass sorts each joined tuple
@@ -495,14 +489,12 @@ def _orbit_index(n_sites, n_max):
         cols = np.array(members)
         # dropping position i of a sorted tuple leaves a sorted tuple of order - 1
         below = index[-1]
-        before = below.ids.reshape(below.shape)
         drop = np.array([cols[i].astype(np.int32) * len(below.sizes)
-                         + before[tuple(np.delete(cols, i, axis=0))] for i in range(order)],
+                         + below.ids[tuple(np.delete(cols, i, axis=0))] for i in range(order)],
                         dtype=np.int32)
-        flat = ids.reshape(-1)
-        sizes = np.bincount(flat).astype(np.float64)
+        sizes = np.bincount(ids.ravel()).astype(np.float64)
         prepend = np.ascontiguousarray(joins.T, dtype=np.int32)
-        index.append(Orbits(shape, *_read_only(flat, sizes, reps, cols, prepend, drop)))
+        index.append(Orbits(*_read_only(ids, sizes, reps, cols, prepend, drop)))
     return tuple(index)
 
 
@@ -516,15 +508,12 @@ def _symmetrize_tensor(tensor, n_max):
     _orbit_index cached, a random_ruelle_hierarchy call at (12, 4) takes
     0.15 ms, against 0.37 ms with the coset recursion this replaced, whose
     1 + .. + (n - 1) strided adds and n - 1 divisions each swept the tensor.
-    Order 2 stays (t + t.T) / 2, the orbit mean bit for bit and faster than
-    the gather (19 against 26 ms at N = 2000); orders 0 and 1 are returned as
-    they are.
+    Orders 0 and 1 are returned as they are.
     """
-    order = tensor.ndim
-    if order < 3:
-        return tensor if order < 2 else (tensor + tensor.T) / 2
-    orbits = _orbit_index(tensor.shape[0], n_max)[order]
-    return unpack_orbits(np.bincount(orbits.ids, weights=tensor.ravel()) / orbits.sizes, orbits)
+    if tensor.ndim < 2:
+        return tensor
+    orbits = _orbit_index(tensor.shape[0], n_max)[tensor.ndim]
+    return (np.bincount(orbits.ids.ravel(), weights=tensor.ravel()) / orbits.sizes)[orbits.ids]
 
 
 def max_abs_difference(k1, k2) -> float:

@@ -379,12 +379,13 @@ def apply_generator_formula(k, params, pot, epsilon):
     return [np.array(0.0)] + [params.z * b - d for d, b in zip(death[1:], birth[1:])]
 
 
-def taylor_evolve_fresh(apply, u0, t, m_max, tol, norm_alpha):
-    """The Taylor loop on full tensors, with new arrays for every term and every sum.
+def taylor_evolve_full(apply, u0, t, m_max, tol, norm_alpha):
+    """The Taylor loop on all N^n entries of each order.
 
-    The arithmetic taylor_evolve must keep on the orbit values: each term is
-    apply(term) times t/m, added to the sum, until its scale norm drops
-    below tol.  Returns (sum tensors, terms used, tail).
+    The arithmetic taylor_evolve must keep on the orbit values, at every
+    representative: each term is apply(term) times t/m, added to the sum,
+    until its scale norm drops below tol.  Returns (sum tensors, terms
+    used, tail).
     """
     u = [x.copy() for x in u0.tensors]
     if t == 0.0:
@@ -400,8 +401,8 @@ def taylor_evolve_fresh(apply, u0, t, m_max, tol, norm_alpha):
     raise AssertionError("no convergence in %d terms" % m_max)
 
 
-def evolve_global_fresh(params, pot, u0, t_final, epsilon, m_max=60, tol=1e-12):
-    """evolve_global's substeps over taylor_evolve_fresh and apply_generator on full tensors.
+def evolve_global_full(params, pot, u0, t_final, epsilon, m_max=60, tol=1e-12):
+    """evolve_global's substeps over taylor_evolve_full and apply_generator on full tensors.
 
     Same scale (alpha0 = 1/z, alpha = alpha0/2), substeps of 0.9 step
     radii and step records; no envelope check.  Returns (solution, records).
@@ -413,7 +414,7 @@ def evolve_global_fresh(params, pot, u0, t_final, epsilon, m_max=60, tol=1e-12):
     u, now, records = u0, 0.0, []
     while t_final - now > 1e-12 * t_final:
         dt_step = min(step, t_final - now)
-        tensors, terms, tail = taylor_evolve_fresh(
+        tensors, terms, tail = taylor_evolve_full(
             lambda h: apply_generator(h, gparams, pot, epsilon), u, dt_step, m_max, tol, gparams.alpha
         )
         u = CorrelationHierarchy._trusted(u0.grid, tensors)

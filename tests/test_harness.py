@@ -372,7 +372,7 @@ def test_cmd_verify_bounds_builds_each_orbit_index_once(tmp_path):
     cfg = replace(ExperimentConfig(), n_sites=2, n_max=12)
     assert set(cmd_verify_bounds(cfg, tmp_path, n_cases=20).values()) == {0}
     info = hierarchy._orbit_index.cache_info()
-    assert (info.misses, info.hits) == (1, 20 * (12 - 2) - 1)
+    assert (info.misses, info.hits) == (1, 20 * (12 - 1) - 1)
 
 
 def test_cmd_verify_bounds_scans_each_hierarchy_once(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import inspect
 import io
+import itertools
 import math
 import pickle
 import struct
@@ -8,6 +9,7 @@ import time
 import tracemalloc
 import warnings
 import zipfile
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -409,7 +411,8 @@ def test_orbit_symmetrizer_matches_permutation_oracle():
 
 
 def test_order_two_symmetrizer_is_the_orbit_mean_bit_for_bit():
-    # (t + t.T) / 2 adds an orbit's two entries as bincount would, and halves exactly
+    # order 2 reads the orbit table like every order: each entry is its orbit's
+    # bincount mean, here from orbit ids built without the table
     t = np.random.default_rng(25).uniform(-1.0, 1.0, size=(9, 9))
     sites = np.arange(9)
     ids = np.minimum.outer(sites, sites) * 9 + np.maximum.outer(sites, sites)
@@ -442,14 +445,47 @@ def test_orbit_index_is_built_once_per_shape():
     assert info.misses == len(shapes)
     top = hierarchy._orbit_index(5, 4)[-1]
     ids, sizes = top.ids, top.sizes
-    assert ids.shape == (5**4,) and len(sizes) == math.comb(5 + 4 - 1, 4)
+    assert ids.shape == (5,) * 4 and len(sizes) == math.comb(5 + 4 - 1, 4)
     assert sizes.sum() == 5**4 and not ids.flags.writeable and not sizes.flags.writeable
+
+
+@pytest.mark.parametrize("n_sites", [2, 3, 5])
+@pytest.mark.parametrize("n_max", range(6))
+def test_orbit_tables_match_a_brute_force_enumeration(n_sites, n_max):
+    index = hierarchy._orbit_index(n_sites, n_max)
+    assert len(index) == n_max + 1
+    below = {(): 0}  # the orbit of each sorted tuple of the order below
+    for q, orbits in enumerate(index):
+        tuples = list(itertools.combinations_with_replacement(range(n_sites), q))  # ascending
+        orbit = {s: r for r, s in enumerate(tuples)}
+        ids = np.array([orbit[tuple(sorted(t))] for t in itertools.product(range(n_sites), repeat=q)])
+        assert orbits.ids.dtype == np.intp and orbits.ids.shape == (n_sites,) * q
+        assert np.array_equal(orbits.ids.ravel(), ids)
+        sizes = [math.factorial(q) / math.prod(map(math.factorial, Counter(s).values())) for s in tuples]
+        assert orbits.sizes.dtype == np.float64 and orbits.sizes.tolist() == sizes
+        tables = [orbits.ids, orbits.sizes]
+        if q == 0:  # order 0 holds only what order 1's drop reads
+            assert orbits[2:] == (None,) * 4
+        else:
+            flat = [int(np.ravel_multi_index(s, (n_sites,) * q)) for s in tuples]
+            assert orbits.reps.dtype == np.intp and orbits.reps.tolist() == flat
+            assert orbits.cols.dtype == (np.int16 if q > 1 else np.intp)
+            assert orbits.cols.T.tolist() == [list(s) for s in tuples]
+            prepend = [[orbit[tuple(sorted((w,) + s))] for s in below] for w in range(n_sites)]
+            assert orbits.prepend.dtype == np.int32
+            assert orbits.prepend.reshape(n_sites, -1).tolist() == prepend
+            drop = [[s[i] * len(below) + below[s[:i] + s[i + 1:]] for s in tuples] for i in range(q)]
+            assert orbits.drop.dtype == np.int32 and orbits.drop.tolist() == drop
+            tables += [orbits.reps, orbits.cols, orbits.prepend, orbits.drop]
+        assert not any(t.flags.writeable for t in tables)
+        below = orbit
 
 
 @pytest.mark.parametrize("n_sites,n_max", [(24, 4), (128, 3)])
 def test_first_sample_of_a_shape_peaks_below_six_top_tensors(n_sites, n_max):
-    # building the orbit index and sampling peak at 3.2 and 4.1 top tensors;
-    # the coset recursion it replaced peaked at 3.1 and 3.0
+    # building the orbit index and sampling peak at 3.55 and 4.18 top tensors
+    # (the index is built at order 2, before the top order is drawn); the
+    # coset recursion it replaced peaked at 3.1 and 3.0
     grid = gl.make_grid(n_sites, 4.0)
     hierarchy._orbit_index.cache_clear()
     tracemalloc.start()

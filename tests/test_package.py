@@ -80,22 +80,21 @@ def unreferenced_exports(init_source, module_sources, readme):
 
 
 def unreferenced_defs(module_sources, readme):
-    """Public top-level defs and classes that no module source names and README never mentions.
+    """Top-level defs and classes that no module source names, public ones unless README mentions them.
 
     A def whose def line carries BENCH_MARKER is exempt: bench/ imports it,
-    and bench/ is not scanned.
+    and bench/ is not scanned.  README is no caller of a private def.
     """
-    public = set()
+    public, private = set(), set()
     for source in module_sources:
         lines = source.splitlines()
         for node in ast.parse(source).body:
             if (
                 isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                and not node.name.startswith("_")
                 and BENCH_MARKER not in lines[node.lineno - 1]
             ):
-                public.add(node.name)
-    return unnamed(public, module_sources, readme)
+                (private if node.name.startswith("_") else public).add(node.name)
+    return unnamed(public, module_sources, readme) | unnamed(private, module_sources, "")
 
 
 def test_export_scan_flags_each_form():
@@ -120,16 +119,17 @@ def test_every_export_has_a_caller_or_a_readme_line():
 def test_def_scan_flags_each_form():
     modules = [
         "def called():\n    def nested():\n        pass\n\n\nclass Documented:\n    pass",
-        "def orphan():\n    return called()\n\n\ndef _private():\n    pass",
+        "def orphan():\n    return called(_named)\n\n\ndef _private():\n    pass\n\n\ndef _named():\n    pass",
         "def benched(x):  # %s spans.py\n    return x" % BENCH_MARKER,
     ]
-    # an unreferenced def is flagged; a private, nested or marked one is not
-    assert unreferenced_defs(modules, "") == {"orphan", "Documented"}
-    assert unreferenced_defs(modules, "`Documented` is public") == {"orphan"}
+    # an unreferenced def is flagged, a private one too; a nested or marked one is not
+    assert unreferenced_defs(modules, "") == {"orphan", "Documented", "_private"}
+    # README mentions rescue public defs only
+    assert unreferenced_defs(modules, "`Documented` and `_private`") == {"orphan", "_private"}
     assert unreferenced_defs([modules[2].replace(BENCH_MARKER, "kept")], "") == {"benched"}
 
 
 def test_every_public_def_has_a_caller_a_readme_line_or_a_bench_marker():
-    # no test-only function in src/: tests/helpers.py is where oracles live
+    # no test-only function in src/ (tests/helpers.py is where oracles live), and no dead private helper
     modules = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
     assert unreferenced_defs(modules, README.read_text()) == set()

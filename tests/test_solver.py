@@ -22,14 +22,14 @@ from helpers import (
     assemble_matrix,
     assert_all_symmetric,
     count_constructions,
-    evolve_global_fresh,
+    evolve_global_full,
     flatten,
     matrix_exp_oracle,
     plant_signed_zeros,
     plant_signed_zeros_by_orbit,
     representative_of_each_entry,
     shape_potential,
-    taylor_evolve_fresh,
+    taylor_evolve_full,
     unflatten,
 )
 
@@ -387,7 +387,7 @@ def record_bits(records):
 
 @pytest.mark.parametrize("n_sites", [2, 5, 16])
 @pytest.mark.parametrize("shape", ["zero", "gaussian", "tophat"])
-def test_recycled_arrays_keep_the_fresh_loops_bits(shape, n_sites):
+def test_packed_loop_keeps_the_full_tensor_loops_bits(shape, n_sites):
     # evolve_global and solve_local sum each order's orbit values; on a
     # start symmetric bit for bit they must give the full loop's bits, and
     # leave u0 as it was
@@ -399,14 +399,14 @@ def test_recycled_arrays_keep_the_fresh_loops_bits(shape, n_sites):
         u0 = envelope_start(grid, n_max, params.z, seed=n_max)
         before = tensor_bits(u0.tensors)
         for epsilon in (1.0, 0.25, 0.0):
-            solution, records = evolve_global_fresh(params, pot, u0, 2.5 * step, epsilon)
+            solution, records = evolve_global_full(params, pot, u0, 2.5 * step, epsilon)
             report = gl.evolve_global(params, pot, u0, 2.5 * step, epsilon=epsilon)
             assert len(report.steps) == 3
             assert tensor_bits(report.solution.tensors) == tensor_bits(solution.tensors)
             assert record_bits(report.steps) == record_bits(records)
 
-            fresh = lambda h: apply_generator(h, inner, pot, epsilon)
-            tensors, terms, tail = taylor_evolve_fresh(fresh, u0, step, 60, 1e-12, inner.alpha)
+            apply = lambda h: apply_generator(h, inner, pot, epsilon)
+            tensors, terms, tail = taylor_evolve_full(apply, u0, step, 60, 1e-12, inner.alpha)
             local = gl.solve_local(inner, pot, epsilon, u0, step, 60, 1e-12)
             assert tensor_bits(local.solution.tensors) == tensor_bits(tensors)
             state = gl.CorrelationHierarchy._trusted(grid, tensors)
