@@ -38,7 +38,6 @@ from .hierarchy import (
     _order_terms,
     _pow_or_inf,
     evaluate_gf,  # unused here; kept importable for bench/spans.py
-    evaluate_gf_rows,
     pack_hierarchy,
     substitute_affine,  # unused here; kept importable for bench/spans.py
     substitute_affine_orbits,
@@ -150,64 +149,61 @@ def apply_generator(k, params: ScaleParams, pot, epsilon, rows=None) -> Correlat
     return generator
 
 
-def death_gf_term(k, theta: GridField) -> float:
-    """sum_n n B_n(theta), the death pairing; correctly rounded, and nan where it overflows."""
-    require_same_grid(k, theta)
-    (terms,) = _order_terms(k, theta.values[np.newaxis])
-    return _fsum_or_nan([n * term for n, term in enumerate(terms)])
+def generator_gf_terms(k, theta: GridField, a_rows, b_rows):
+    """(death, births): the death pairing sum_n n B_n(theta) and birth_gf_term per stacked epsilon.
 
-
-def birth_gf_terms(k, theta: GridField, a_rows, b_rows):
-    """birth_gf_term at each of the E epsilons whose rows shift_rows stacked, as a list.
-
-    One evaluate_gf_rows call and one top-order contraction serve all E*N rows;
-    each block of N site contributions is summed alone, so it keeps its bits.
-    A block whose a is all ones (epsilon = 0, or phi = 0) scales theta by exact
-    ones, so its N top-order rows are one row: it is contracted once and read
-    N times, with the same bits, since einsum's result for a row does not
-    depend on how many rows it is given.  At (12, 4) with epsilons 1, 0.5
-    and 0 on a gaussian that is 25 rows instead of 36, and the contraction
-    takes 165 instead of 222 us (39 instead of 224 on the zero potential).
-    A sum that overflows reads inf or nan, as evaluate_gf does, and warns nothing.
+    One _order_terms pass over k, packed once, takes theta as row 0 ahead of
+    the E*N shifted rows, and one top-order contraction serves every birth
+    term: einsum's value for a row does not depend on how many rows it is
+    given.  A block whose a is all ones (epsilon = 0, or phi = 0) scales theta
+    by exact ones, so its N top-order rows are one row, contracted once.  A
+    sum that overflows reads inf or nan, as evaluate_gf does, and warns nothing.
     """
     require_same_grid(k, theta)
+    k = pack_hierarchy(k)
     nm = k.n_max
     dx = k.grid.spacing
     n = k.grid.n_sites
+    orbits = _orbit_index(n, nm)
     scaled = a_rows * theta.values
     with np.errstate(over="ignore"):
-        values = evaluate_gf_rows(k, scaled + b_rows)
+        rows = np.concatenate([theta.values[np.newaxis], scaled + b_rows])
+    death_terms, *terms = _order_terms(k, rows)
     keep = ~np.repeat(np.all(a_rows.reshape(-1, n * n) == 1.0, axis=1), n)
     keep[::n] = True  # each block's first row; np.cumsum(keep) - 1 maps a row to its source
-    tops = _contract_leading(k.tensors[nm], scaled[keep], nm)[np.cumsum(keep) - 1].tolist()
+    tops = _contract_leading(k.tensors[nm], scaled[keep], orbits)[np.cumsum(keep) - 1].tolist()
     top_weight, top_factorial = _pow_or_inf(dx, nm), math.factorial(nm)
-    terms = [value - top * top_weight / top_factorial for value, top in zip(values, tops)]
+    values = [_fsum_or_nan(row) - top * top_weight / top_factorial for row, top in zip(terms, tops)]
     thetas = theta.values.tolist()
-    return [
-        dx * _fsum_or_nan([t * term for t, term in zip(thetas, terms[i : i + len(thetas)])])
-        for i in range(0, len(terms), len(thetas))
+    births = [
+        dx * _fsum_or_nan([t * value for t, value in zip(thetas, values[i : i + n])])
+        for i in range(0, len(values), n)
     ]
+    return _fsum_or_nan([m * term for m, term in enumerate(death_terms)]), births
 
 
-def birth_gf_term(k, theta: GridField, pot, epsilon) -> float:
+def birth_gf_term(k, theta: GridField, pot, epsilon) -> float:  # kept importable for bench/spans.py
     """sum_x dx theta(x) [B(a_x theta + b_x) - top-order term of B(a_x theta)].
 
     The subtracted term is the order-n_max product contribution that
     closure by zero removes from the tensor route; with it the pairing
-    against the birth tensors is an exact identity.  The one-epsilon case of
-    birth_gf_terms, which evaluates all sites x at once as rows.
+    against the birth tensors is an exact identity.  The one-epsilon birth
+    value of generator_gf_terms, which evaluates all sites x at once as rows.
     """
     require_same_grid(k, pot)
-    return birth_gf_terms(k, theta, *shift_rows(pot, [epsilon]))[0]
+    return generator_gf_terms(k, theta, *shift_rows(pot, [epsilon]))[1][0]
 
 
 def evaluate_generator_gf(k, theta, params: ScaleParams, pot, epsilon) -> float:
     """Direct functional-side evaluation of the generator, the duality oracle.
 
-    Equals evaluate_gf(apply_generator(k, ...), theta) exactly (up to
+    -death + z * birth of one generator_gf_terms pass, as verify-bounds has
+    it; equals evaluate_gf(apply_generator(k, ...), theta) exactly (up to
     roundoff) for symmetric hierarchies.
     """
-    return -death_gf_term(k, theta) + params.z * birth_gf_term(k, theta, pot, epsilon)
+    require_same_grid(k, pot)
+    death, (birth,) = generator_gf_terms(k, theta, *shift_rows(pot, [epsilon]))
+    return -death + params.z * birth
 
 
 def exp_or_inf(x) -> float:

@@ -12,7 +12,7 @@ output bit.
 Every command that evolves a hierarchy calls _evolve, which builds the run
 from its config and alone chooses a local solve or global continuation: evolve
 passes its --mode, scaling-study "local", chaos-check "global".  verify-bounds
-stacks its epsilons' birth shift rows once per run, one birth pass per case.
+stacks its epsilons' birth shift rows once per run, one death-and-birth pass per case.
 """
 
 import math
@@ -34,9 +34,8 @@ from .generators import (
     GLAUBER,
     VLASOV_LIMIT,
     birth_gf_term,  # unused here; kept importable for bench/spans.py
-    birth_gf_terms,
-    death_gf_term,
     exp_or_inf,
+    generator_gf_terms,
     norm_bound_M,
     shift_bound_constants,
     shift_rows,
@@ -298,8 +297,8 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir, n_cases=100):
     combined generator estimate and the rescaled-vs-limit gap bound.
     Violations are counted and reported, never raised.  The distinct
     epsilons' shift rows are stacked once per run; each case evaluates the
-    death term once and the birth term in one pass over them, and reads one
-    max_abs_by_order scan.
+    death term and every birth term in the generator_gf_terms pass that
+    evaluate_generator_gf makes, and reads one max_abs_by_order scan.
     Raises NonfiniteStateError when a case's weight exp(||theta||_1 / a')
     overflows, or when a death, birth or generator value is not finite
     (an overflowing sum reads inf or nan): no comparison with nan could fail.
@@ -341,8 +340,8 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir, n_cases=100):
             )
 
         # the generator value as evaluate_generator_gf assembles it, bit for bit
-        death = death_gf_term(k, theta)
-        births = dict(zip(distinct, birth_gf_terms(k, theta, a_rows, b_rows)))
+        death, values = generator_gf_terms(k, theta, a_rows, b_rows)
+        births = dict(zip(distinct, values))
         gens = {eps: -death + params.z * birth for eps, birth in births.items()}
         if not all(map(math.isfinite, [death, *births.values(), *gens.values()])):
             raise NonfiniteStateError("a death, birth or generator value is not finite")

@@ -13,12 +13,13 @@ on the truncated space.
 
 Since k_n is a function of the unordered set {x_1..x_n}, it holds one value
 per orbit of index tuples under axis permutations, C(N+n-1, n) of them, at
-the orbit's representative, its sorted index tuple.  The generators and the
-Taylor loop work on those values (pack_hierarchy), and unpack_hierarchy
-writes each back to every entry of its orbit.  So every operator reads k at
-its representatives only: on a k that is not symmetric it acts on the
-symmetric hierarchy that k's representatives define, and its result is
-symmetric bit for bit.
+the orbit's representative, its sorted index tuple.  The generators, the
+Taylor loop and the functional (evaluate_gf, evaluate_gf_rows,
+generator_gf_terms, evaluate_generator_gf) work on those values
+(pack_hierarchy), and unpack_hierarchy writes an operator's result back to
+every entry of its orbit.  So every call reads k at its representatives
+only: on a k that is not symmetric it sees the symmetric hierarchy that k's
+representatives define, and an operator's result is symmetric bit for bit.
 
 The scale norm reads only the profile [max|k_0|, .., max|k_{n_max}|] that
 max_abs_by_order returns, so one scan of a hierarchy serves every scale index.
@@ -223,17 +224,21 @@ def _contract_first(tensor, rows, shared=False):
     return np.einsum(subscripts, rows, tensor, optimize=False)
 
 
-def _contract_leading(tensor, rows, count):
-    """Contract `count` leading axes of `tensor` with each row of `rows`.
+def _contract_leading(values, rows, orbits):
+    """Contract all axes of order q, held at its R_q orbit values, with each row of `rows` (R, N).
 
-    rows has shape (R, N); the result carries a leading axis of length R
-    followed by the last tensor.ndim - count axes of `tensor`.
+    orbits is the table of orders 0..q; the result has shape (R,).  Each step
+    to order q - 1 gathers k(w, y) by order q's prepend table and contracts w,
+    as substitute_affine_orbits does: the full chain's bits on a k symmetric
+    bit for bit (tests/helpers.contract_leading_full).  The first step of
+    order 4 with verify-bounds' 37 rows at (12, 4) is 162k instead of 767k
+    multiply-adds.
     """
-    if count == 0:
-        return np.broadcast_to(tensor, rows.shape[:1] + tensor.shape)
-    out = _contract_first(tensor, rows, shared=True)
-    for _ in range(count - 1):
-        out = _contract_first(out, rows)
+    if len(orbits) == 1:
+        return np.broadcast_to(values, rows.shape[:1])
+    out = _contract_first(np.take(values, orbits[-1].prepend), rows, shared=True)
+    for o in reversed(orbits[1:-1]):
+        out = _contract_first(np.take(out, o.prepend, axis=1), rows)
     return out
 
 
@@ -246,23 +251,23 @@ def _fsum_or_nan(terms) -> float:
 
 
 def _order_terms(k: CorrelationHierarchy, rows):
-    """Per row theta of `rows` (shape (R, N)), the order terms dx^n/n! sum_tuples k_n prod theta."""
+    """Per row theta of `rows` (R, N), the terms dx^n/n! sum_tuples k_n prod theta of packed k."""
     weights = _taylor_weights(k.grid.spacing, len(k.tensors))
-    per_order = []
-    for n, (weight, tensor) in enumerate(zip(weights, k.tensors)):
-        per_order.append(
-            [weight * v for v in _contract_leading(tensor, rows, n).tolist()]
-        )
+    orbits = _orbit_index(k.grid.n_sites, k.n_max)
+    per_order = [
+        [weight * v for v in _contract_leading(values, rows, orbits[: n + 1]).tolist()]
+        for n, (weight, values) in enumerate(zip(weights, k.tensors))
+    ]
     return zip(*per_order)
 
 
 def evaluate_gf_rows(k: CorrelationHierarchy, rows):
     """B(theta) for every row theta of `rows` (shape (R, N)), as a list of floats.
 
-    Each row's order terms are combined with math.fsum, so every value is
-    correctly rounded; a value that overflows is nan.
+    k is packed once.  Each row's order terms are combined with math.fsum,
+    so every value is correctly rounded; a value that overflows is nan.
     """
-    return [_fsum_or_nan(terms) for terms in _order_terms(k, rows)]
+    return [_fsum_or_nan(terms) for terms in _order_terms(pack_hierarchy(k), rows)]
 
 
 def evaluate_gf(k: CorrelationHierarchy, theta: GridField) -> float:
@@ -506,9 +511,8 @@ def _symmetrize_tensor(tensor, n_max):
     that is the n!-term average, to roundoff, and every entry of an orbit
     reads the one mean, so the result is symmetric bit for bit.  With
     _orbit_index cached, a random_ruelle_hierarchy call at (12, 4) takes
-    0.15 ms, against 0.37 ms with the coset recursion this replaced, whose
-    1 + .. + (n - 1) strided adds and n - 1 divisions each swept the tensor.
-    Orders 0 and 1 are returned as they are.
+    0.15 ms on a 2-core Xeon with numpy 2.4.  Orders 0 and 1 are returned
+    as they are.
     """
     if tensor.ndim < 2:
         return tensor

@@ -423,6 +423,67 @@ def evolve_global_full(params, pot, u0, t_final, epsilon, m_max=60, tol=1e-12):
     return u, records
 
 
+def contract_leading_full(tensor, rows, count):
+    """Contract `count` leading axes of a full `tensor` with each row of `rows` (shape (R, N)).
+
+    The full-tensor chain, one einsum per axis over all N^n entries: the
+    bits hierarchy._contract_leading must keep at the representatives of a
+    k that is symmetric bit for bit.
+    """
+    if count == 0:
+        return np.broadcast_to(tensor, rows.shape[:1] + tensor.shape)
+    out = np.einsum("xi,i...->x...", rows, tensor, optimize=False)
+    for _ in range(count - 1):
+        out = np.einsum("xi,xi...->x...", rows, out, optimize=False)
+    return out
+
+
+def fsum_or_nan(terms) -> float:
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):  # inf - inf, or a sum past the largest double
+        return math.nan
+
+
+def order_terms_full(k, rows):
+    """Per row theta of `rows`, the order terms dx^n/n! sum_tuples k_n prod theta, from the full chain."""
+    weight = 1.0
+    per_order = []
+    for n, tensor in enumerate(k.tensors):
+        if n > 0:
+            weight *= k.grid.spacing / n
+        per_order.append([weight * v for v in contract_leading_full(tensor, rows, n).tolist()])
+    return list(zip(*per_order))
+
+
+def evaluate_gf_rows_full(k, rows):
+    """evaluate_gf_rows from the full-tensor chain."""
+    return [fsum_or_nan(terms) for terms in order_terms_full(k, rows)]
+
+
+def generator_gf_terms_full(k, theta_values, a_rows, b_rows):
+    """(death, births) of generator_gf_terms from the full-tensor chain.
+
+    Theta, the shifted rows and the top-order rows are three separate
+    contractions here, and every top-order row is contracted, where a is
+    all ones too.
+    """
+    nm = k.n_max
+    dx = k.grid.spacing
+    n = k.grid.n_sites
+    scaled = a_rows * theta_values
+    with np.errstate(over="ignore"):
+        values = evaluate_gf_rows_full(k, scaled + b_rows)
+    tops = contract_leading_full(k.tensors[nm], scaled, nm).tolist()
+    terms = [value - top * dx**nm / math.factorial(nm) for value, top in zip(values, tops)]
+    births = [
+        dx * fsum_or_nan([t * term for t, term in zip(theta_values.tolist(), terms[i : i + n])])
+        for i in range(0, len(terms), n)
+    ]
+    (death_terms,) = order_terms_full(k, theta_values[np.newaxis])
+    return fsum_or_nan([m * term for m, term in enumerate(death_terms)]), births
+
+
 def birth_gf_term_oracle(k, theta_values, pot, epsilon) -> float:
     """One evaluate_gf per birth site x, minus the order-n_max product term."""
     nm = k.n_max

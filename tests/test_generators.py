@@ -12,8 +12,7 @@ from glauberlab.config import build_grid, build_potential, build_scale_params, p
 from glauberlab.errors import InvalidArgumentError, MemoryGuardError, NonfiniteStateError
 from glauberlab.generators import (
     birth_gf_term,
-    birth_gf_terms,
-    death_gf_term,
+    generator_gf_terms,
     shift_bound_constants,
     shift_displacement_tables,
     shift_rows,
@@ -29,7 +28,9 @@ from helpers import (
     assert_all_symmetric,
     assert_orbit_bits,
     birth_gf_term_oracle,
+    evaluate_gf_rows_full,
     flatten,
+    generator_gf_terms_full,
     loglog_slope,
     plain_glauber_generator_oracle,
     plant_signed_zeros_by_orbit,
@@ -43,6 +44,11 @@ from helpers import (
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 ORACLE_KINDS = (gl.GLAUBER, 0.25, gl.VLASOV_LIMIT)
 ORACLE_SHAPES = ((5, 0), (7, 1), (6, 2), (5, 3), (6, 4))
+
+
+def death_term(k, theta):
+    """The death value of a generator_gf_terms pass, here over one zero-potential row block."""
+    return generator_gf_terms(k, theta, *shift_rows(gl.zero_potential(k.grid), [1.0]))[0]
 
 
 def standard_setup(n_sites=8, n_max=3, z=0.5, seed=0):
@@ -146,7 +152,7 @@ def test_apply_death():
     dead = apply_death(rand)
     for _ in range(10):
         theta = gl.GridField(grid, rng.uniform(-0.6, 0.6, 8))
-        assert rel_err(gl.evaluate_gf(dead, theta), death_gf_term(rand, theta)) <= 1e-10
+        assert rel_err(gl.evaluate_gf(dead, theta), death_term(rand, theta)) <= 1e-10
 
 
 def test_apply_birth_free_case_drops_arguments():
@@ -286,8 +292,7 @@ def test_birth_term_that_overflows_warns_nothing():
     theta = gl.constant_field(grid, -1e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        birth = birth_gf_term(k, theta, pot, gl.VLASOV_LIMIT)
-        death = death_gf_term(k, theta)
+        death, (birth,) = generator_gf_terms(k, theta, *shift_rows(pot, [gl.VLASOV_LIMIT]))
     assert not math.isfinite(birth) and not math.isfinite(death)
 
 
@@ -468,9 +473,49 @@ def test_batched_birth_terms_are_the_per_epsilon_terms_bitwise(n_sites, n_max, s
     for _ in range(2):
         theta = rng.uniform(-0.6, 0.6, n_sites)
         field = gl.GridField(grid, theta)
-        values = birth_gf_terms(k, field, a_rows, b_rows)
+        values = generator_gf_terms(k, field, a_rows, b_rows)[1]
         assert values == [birth_gf_term(k, field, pot, eps) for eps in epsilons]
         assert values == [birth_gf_term_oracle(k, theta, pot, eps) for eps in epsilons]
+
+
+FULL_CHAIN_SHAPES = [(n_sites, n_max) for n_sites in (1, 2, 5, 8, 12, 16) for n_max in range(6)]
+
+
+def float_bits(values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("n_sites,n_max", FULL_CHAIN_SHAPES)
+def test_functional_route_keeps_the_full_chain_bits(n_sites, n_max):
+    # the functional reads k at its representatives by the prepend chain; on
+    # a sampled k, symmetric bit for bit, every value is the full-tensor
+    # chain's, and rows that overflow read its inf and nan, without a warning
+    # (make_grid refuses one site, which the chain handles, so that grid is built directly)
+    grid = gl.make_grid(n_sites, 5.0) if n_sites > 1 else gl.Grid(1, 5.0, 5.0)
+    rng = np.random.default_rng(800 + 10 * n_sites + n_max)
+    k = gl.random_ruelle_hierarchy(grid, n_max, rng, envelope=0.8)
+    params = gl.ScaleParams(0.5, 1.0, 0.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for count in (1, 37, 62):
+            rows = rng.uniform(-0.6, 0.6, (count, n_sites))
+            rows[count // 2 :] *= 1e200  # products past the largest double from order 2 on
+            values = hierarchy.evaluate_gf_rows(k, rows)
+            assert float_bits(values) == float_bits(evaluate_gf_rows_full(k, rows))
+            assert math.isfinite(values[-1]) == (n_max < 2)
+        for scale in (1.0, 1e200):
+            theta = scale * rng.uniform(-0.6, 0.6, n_sites)
+            field = gl.GridField(grid, theta)
+            want = evaluate_gf_rows_full(k, theta[np.newaxis])
+            assert float_bits(gl.evaluate_gf(k, field)) == float_bits(want)
+            for shape in ("zero", "gaussian", "tophat"):
+                pot = shape_potential(shape, grid)
+                got = generator_gf_terms(k, field, *shift_rows(pot, ORACLE_KINDS))
+                death, births = generator_gf_terms_full(k, theta, *shift_rows(pot, ORACLE_KINDS))
+                assert float_bits([got[0], *got[1]]) == float_bits([death, *births])
+                for kind, birth in zip(ORACLE_KINDS, births):
+                    value = gl.evaluate_generator_gf(k, field, params, pot, kind)
+                    assert float_bits(value) == float_bits(-death + params.z * birth)
 
 
 @pytest.mark.parametrize("shape,top_rows", [("gaussian", 2 * 7 + 1), ("zero", 3)])
@@ -484,9 +529,9 @@ def test_birth_terms_contract_one_top_row_where_a_is_all_ones(monkeypatch, shape
     rows = []
     contract = generators._contract_leading
     monkeypatch.setattr(
-        generators, "_contract_leading", lambda t, r, c: rows.append(len(r)) or contract(t, r, c)
+        generators, "_contract_leading", lambda v, r, o: rows.append(len(r)) or contract(v, r, o)
     )
-    birth_gf_terms(k, gl.GridField(grid, np.full(7, 0.3)), *shift_rows(pot, [1.0, 0.25, 0.0]))
+    generator_gf_terms(k, gl.GridField(grid, np.full(7, 0.3)), *shift_rows(pot, [1.0, 0.25, 0.0]))
     assert rows == [top_rows]
 
 
@@ -502,7 +547,7 @@ def test_generator_value_is_death_and_birth_terms_bitwise(n_sites, n_max):
         params = gl.ScaleParams(0.5, 1.0, rng.uniform(0.1, 1.0))
         k = gl.random_ruelle_hierarchy(grid, n_max, rng, envelope=params.z)
         theta = gl.GridField(grid, rng.uniform(-0.6, 0.6, n_sites))
-        death = death_gf_term(k, theta)
+        death = death_term(k, theta)
         for kind in ORACLE_KINDS:
             value = -death + params.z * birth_gf_term(k, theta, pot, kind)
             assert value == gl.evaluate_generator_gf(k, theta, params, pot, kind)
@@ -518,7 +563,7 @@ def test_death_term_is_the_variational_derivative_pairing(n_sites, n_max):
         theta = gl.GridField(grid, rng.uniform(-0.6, 0.6, n_sites))
         field = variational_derivative_oracle(k, theta)
         pairing = grid.spacing * math.fsum(theta.values * field)
-        assert rel_err(death_gf_term(k, theta), pairing) <= 1e-12
+        assert rel_err(death_term(k, theta), pairing) <= 1e-12
 
 
 @pytest.mark.parametrize("n_sites,n_max", ORACLE_SHAPES)
@@ -534,7 +579,7 @@ def test_death_term_is_the_radial_derivative(n_sites, n_max):
             gl.evaluate_gf(k, gl.GridField(grid, (1 + h) * theta))
             - gl.evaluate_gf(k, gl.GridField(grid, (1 - h) * theta))
         ) / (2 * h)
-        assert rel_err(death_gf_term(k, gl.GridField(grid, theta)), fd) <= 1e-8
+        assert rel_err(death_term(k, gl.GridField(grid, theta)), fd) <= 1e-8
 
 
 @pytest.mark.parametrize("n_max", range(6))
@@ -549,7 +594,7 @@ def test_death_term_of_a_product_state(n_max):
         theta = gl.GridField(grid, rng.uniform(-0.8, 0.8, 8))
         u = grid.spacing * math.fsum(rho.values * theta.values)
         closed = u * math.fsum(u**n / math.factorial(n) for n in range(n_max))
-        assert rel_err(death_gf_term(k, theta), closed) <= 1e-12
+        assert rel_err(death_term(k, theta), closed) <= 1e-12
 
 
 def generator_peak(k, params, pot, epsilon):
@@ -572,6 +617,25 @@ def test_apply_generator_working_set_is_a_few_top_tensors():
     hierarchy._orbit_index.cache_clear()
     assert generator_peak(k, params, pot, gl.GLAUBER) < 4.5 * top_bytes
     assert generator_peak(k, params, pot, gl.GLAUBER) < 1.9 * top_bytes
+
+
+@pytest.mark.parametrize("n_sites,n_max,bound", [(12, 4, 2.7), (24, 4, 2.35), (64, 3, 4.95)])
+def test_generator_gf_terms_working_set_is_a_few_top_tensors(n_sites, n_max, bound):
+    # one pass over theta and three epsilons' shift rows, built beforehand, as
+    # verify-bounds makes it; measured 2.65, 2.30 and 4.88 top tensors (3.33,
+    # 3.14 and 3.15 on the full-tensor chain).  At (64, 3) the order-2 gather,
+    # (R, N, N) for R = 3N + 1 rows, is held beside its (R, R_2) input
+    grid, pot, params, rng = standard_setup(n_sites=n_sites, n_max=n_max)
+    k = gl.random_ruelle_hierarchy(grid, n_max, rng, envelope=0.5)
+    theta = gl.GridField(grid, rng.uniform(-0.6, 0.6, n_sites))
+    rows = shift_rows(pot, ORACLE_KINDS)
+    tracemalloc.start()
+    try:
+        generator_gf_terms(k, theta, *rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * k.tensors[n_max].nbytes
 
 
 @pytest.mark.parametrize("shape", ["zero", "gaussian", "tophat"])

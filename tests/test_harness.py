@@ -349,30 +349,31 @@ def _count_calls(monkeypatch, name, module=generators):
 def test_cmd_verify_bounds_evaluates_each_term_once(
     tmp_path, monkeypatch, epsilon, births_per_case
 ):
-    # per case: one death term and one batched birth call, which carries one
-    # block of shift rows per distinct epsilon of [1, eps_gap, 0]; each block
-    # gives one birth check and one generator check
-    births = _count_calls(monkeypatch, "birth_gf_terms")
-    deaths = _count_calls(monkeypatch, "death_gf_term")
+    # per case: one generator_gf_terms pass, which gives the death term and
+    # carries one block of shift rows per distinct epsilon of [1, eps_gap, 0];
+    # each block gives one birth check and one generator check
+    passes = _count_calls(monkeypatch, "generator_gf_terms")
     cases = 3
     cfg = replace(ExperimentConfig(), epsilon=epsilon)
     assert set(cmd_verify_bounds(cfg, tmp_path, n_cases=cases).values()) == {0}
-    assert len(births) == cases
-    for _, _, a_rows, b_rows in births:
+    assert len(passes) == cases
+    for _, _, a_rows, b_rows in passes:
         assert a_rows.shape == b_rows.shape == (births_per_case * cfg.n_sites, cfg.n_sites)
-    assert len(deaths) == cases
     rows = (tmp_path / "verify_bounds.csv").read_text().split("\n")
     checks = births_per_case * cases
     assert rows[2:4] == ["birth-estimate,%d,0" % checks, "generator-estimate,%d,0" % checks]
 
 
 def test_cmd_verify_bounds_builds_each_orbit_index_once(tmp_path):
-    # every case samples the same shape, so the run builds its orbit index once
+    # every case samples the same shape, so the run builds its orbit index
+    # once; each case looks it up once per sampled order >= 2, and three
+    # times in its generator_gf_terms pass (the packing, the pass itself and
+    # its order terms)
     hierarchy._orbit_index.cache_clear()
     cfg = replace(ExperimentConfig(), n_sites=2, n_max=12)
     assert set(cmd_verify_bounds(cfg, tmp_path, n_cases=20).values()) == {0}
     info = hierarchy._orbit_index.cache_info()
-    assert (info.misses, info.hits) == (1, 20 * (12 - 1) - 1)
+    assert (info.misses, info.hits) == (1, 20 * (12 - 1 + 3) - 1)
 
 
 def test_cmd_verify_bounds_scans_each_hierarchy_once(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """The package surface: what `import glauberlab` loads, what it exports, and the README example."""
 
 import ast
+import importlib
 import re
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from helpers import child_env
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 PACKAGE = README.parent / "src" / "glauberlab"
+BENCH = README.parent / "bench"
 
 
 def test_import_does_not_load_scipy():
@@ -133,3 +135,43 @@ def test_every_public_def_has_a_caller_a_readme_line_or_a_bench_marker():
     # no test-only function in src/ (tests/helpers.py is where oracles live), and no dead private helper
     modules = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
     assert unreferenced_defs(modules, README.read_text()) == set()
+
+
+def bench_names(source):
+    """The (module, name) pairs a bench/ source takes from glauberlab, read with ast.
+
+    Each `from glauberlab[.x] import a` gives (glauberlab[.x], a).  Each
+    (module, "attr", ...) entry of a module-level PATCHES tuple gives the
+    module its first item names, as the source imported it, and attr: a
+    traced run patches that attribute with getattr and setattr.
+    """
+    pairs, modules = [], {}
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "glauberlab":
+            for alias in node.names:
+                pairs.append((node.module, alias.name))
+                modules[alias.asname or alias.name] = node.module + "." + alias.name
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["PATCHES"]:
+            pairs += [(modules[entry.elts[0].id], entry.elts[1].value) for entry in node.value.elts]
+    return pairs
+
+
+def has_name(module, name) -> bool:
+    """Whether `from module import name` finds an attribute or a submodule."""
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:
+        importlib.import_module(module + "." + name)
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+def test_every_name_bench_takes_from_the_package_exists():
+    # bench/ is not imported here: a traced run would find a renamed name
+    # only when it patches it
+    pairs = [pair for path in sorted(BENCH.glob("*.py")) for pair in bench_names(path.read_text())]
+    assert ("glauberlab.harness", "birth_gf_term") in pairs  # a PATCHES entry was read
+    assert [pair for pair in pairs if not has_name(*pair)] == []

@@ -428,8 +428,9 @@ def solved(report):
 
 @pytest.mark.parametrize("shape", ["zero", "gaussian", "tophat"])
 def test_every_operator_reads_k_at_its_representatives(shape):
-    # one rule for a start that is not symmetric: each operator gives, bit
-    # for bit, what it gives on the symmetric hierarchy of its representatives
+    # one rule for a start that is not symmetric: each operator, and each
+    # evaluation of the functional, gives, bit for bit, what it gives on the
+    # symmetric hierarchy of its representatives
     grid = gl.make_grid(5, 5.0)
     pot = shape_potential(shape, grid)
     params = gl.ScaleParams(0.5, 1.0, 0.5)
@@ -437,6 +438,14 @@ def test_every_operator_reads_k_at_its_representatives(shape):
     rng = np.random.default_rng(11)
     a = gl.GridField(grid, rng.uniform(0.5, 1.5, 5))
     b = gl.GridField(grid, rng.uniform(-0.5, 0.5, 5))
+    theta = gl.GridField(grid, rng.uniform(-0.6, 0.6, 5))
+    rows = rng.uniform(-0.6, 0.6, (37, 5))
+    shifts = generators.shift_rows(pot, (1.0, 0.25, 0.0))
+    functionals = [
+        lambda k: gl.evaluate_gf(k, theta),
+        lambda k: hierarchy.evaluate_gf_rows(k, rows),
+        lambda k: np.hstack(generators.generator_gf_terms(k, theta, *shifts)),
+    ] + [lambda k, e=e: gl.evaluate_generator_gf(k, theta, params, pot, e) for e in (1.0, 0.25, 0.0)]
     for n_max in range(5):
         start = envelope_start(grid, n_max, params.z, seed=n_max, plant=plant_signed_zeros)
         symmetric = symmetric_of_representatives(start)
@@ -454,6 +463,8 @@ def test_every_operator_reads_k_at_its_representatives(shape):
             (got, got_steps), (want, want_steps) = operator(start), operator(symmetric)
             assert tensor_bits(got.tensors) == tensor_bits(want.tensors)
             assert record_bits(got_steps) == record_bits(want_steps)
+        for functional in functionals:
+            assert np.asarray(functional(start)).tobytes() == np.asarray(functional(symmetric)).tobytes()
 
 
 def test_the_loop_calls_each_traced_name_once_per_use(monkeypatch):
