@@ -152,15 +152,17 @@ def apply_generator(k, params: ScaleParams, pot, epsilon, rows=None) -> Correlat
 def generator_gf_terms(k, theta: GridField, a_rows, b_rows):
     """(death, births): the death pairing sum_n n B_n(theta) and birth_gf_term per stacked epsilon.
 
-    One _order_terms pass over k, packed once, takes theta as row 0 ahead of
-    the E*N shifted rows, and one top-order contraction serves every birth
-    term: einsum's value for a row does not depend on how many rows it is
-    given.  A block whose a is all ones (epsilon = 0, or phi = 0) scales theta
-    by exact ones, so its N top-order rows are one row, contracted once.  A
-    sum that overflows reads inf or nan, as evaluate_gf does, and warns nothing.
+    One _order_terms pass over k held at its orbits (a full k is packed
+    once) takes theta as row 0 ahead of the E*N shifted rows, and one
+    top-order contraction serves every birth term: einsum's value for a row
+    does not depend on how many rows it is given.  A block whose a is all
+    ones (epsilon = 0, or phi = 0) scales theta by exact ones, so its N
+    top-order rows are one row, contracted once.  A sum that overflows reads
+    inf or nan, as evaluate_gf does, and warns nothing.
     """
     require_same_grid(k, theta)
-    k = pack_hierarchy(k)
+    if k.tensors[-1].ndim > 1:  # full tensors
+        k = pack_hierarchy(k)
     nm = k.n_max
     dx = k.grid.spacing
     n = k.grid.n_sites

@@ -12,7 +12,8 @@ output bit.
 Every command that evolves a hierarchy calls _evolve, which builds the run
 from its config and alone chooses a local solve or global continuation: evolve
 passes its --mode, scaling-study "local", chaos-check "global".  verify-bounds
-stacks its epsilons' birth shift rows once per run, one death-and-birth pass per case.
+stacks its epsilons' birth shift rows once per run, samples each case at its
+orbit values and reads them in one death-and-birth pass.
 """
 
 import math
@@ -45,7 +46,8 @@ from .hierarchy import (
     evaluate_gf_rows,
     exponential_hierarchy,
     max_abs_by_order,
-    random_ruelle_hierarchy,
+    random_ruelle_hierarchy,  # unused here; kept importable for bench/spans.py
+    random_ruelle_orbits,
     save_hierarchy,
     scale_norm,
 )
@@ -296,9 +298,10 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir, n_cases=100):
     then checks the death estimate, the birth estimate (per epsilon), the
     combined generator estimate and the rescaled-vs-limit gap bound.
     Violations are counted and reported, never raised.  The distinct
-    epsilons' shift rows are stacked once per run; each case evaluates the
-    death term and every birth term in the generator_gf_terms pass that
-    evaluate_generator_gf makes, and reads one max_abs_by_order scan.
+    epsilons' shift rows are stacked once per run.  Each case samples its
+    hierarchy at its orbit values, never unpacked, scans them once with
+    max_abs_by_order and evaluates the death term and every birth term in
+    the generator_gf_terms pass that evaluate_generator_gf makes.
     Raises NonfiniteStateError when a case's weight exp(||theta||_1 / a')
     overflows, or when a death, birth or generator value is not finite
     (an overflowing sum reads inf or nan): no comparison with nan could fail.
@@ -329,7 +332,7 @@ def cmd_verify_bounds(cfg: ExperimentConfig, out_dir, n_cases=100):
         # checks alpha <= a' < a'' <= alpha0 before anything divides by the gap
         gap_factor = vlasov_gap_bound(eps_gap, params, pot, a_prime, a_dprime)
         gap = a_dprime - a_prime
-        k = random_ruelle_hierarchy(grid, cfg.n_max, rng, envelope=cfg.z)
+        k = random_ruelle_orbits(grid, cfg.n_max, rng, envelope=cfg.z)
         theta = GridField(grid, rng.uniform(-0.6, 0.6, size=grid.n_sites))
         big_k = scale_norm(max_abs_by_order(k), a_dprime)
         exponent = field_l1_norm(theta) / a_prime

@@ -16,10 +16,11 @@ per orbit of index tuples under axis permutations, C(N+n-1, n) of them, at
 the orbit's representative, its sorted index tuple.  The generators, the
 Taylor loop and the functional (evaluate_gf, evaluate_gf_rows,
 generator_gf_terms, evaluate_generator_gf) work on those values
-(pack_hierarchy), and unpack_hierarchy writes an operator's result back to
-every entry of its orbit.  So every call reads k at its representatives
-only: on a k that is not symmetric it sees the symmetric hierarchy that k's
-representatives define, and an operator's result is symmetric bit for bit.
+(pack_hierarchy), random_ruelle_orbits samples them for verify-bounds, and
+unpack_hierarchy writes an operator's result back to every entry of its
+orbit.  So every call reads k at its representatives only: on a k that is
+not symmetric it sees the symmetric hierarchy that k's representatives
+define, and an operator's result is symmetric bit for bit.
 
 The scale norm reads only the profile [max|k_0|, .., max|k_{n_max}|] that
 max_abs_by_order returns, so one scan of a hierarchy serves every scale index.
@@ -92,10 +93,10 @@ class CorrelationHierarchy:
 
     tensors[0] is a 0-d array (a scalar); tensors[n] has shape (N,)*n, or
     (R_n,) in a hierarchy held at its orbits (pack_hierarchy), the form
-    the operators work in.  Sampled tensors
-    (random_ruelle_hierarchy) are symmetric bit for bit: each entry is read
-    from its orbit's one mean.  So is every operator's result, each entry
-    read from its orbit's representative.  A product state
+    the operators work in and random_ruelle_orbits samples in.  Sampled
+    tensors (random_ruelle_hierarchy) are symmetric bit for bit: each entry
+    is read from its orbit's one mean.  So is every operator's result, each
+    entry read from its orbit's representative.  A product state
     (exponential_hierarchy) is symmetric to roundoff only: its factors are
     multiplied in axis order, and an operator reads it at its
     representatives.
@@ -174,20 +175,19 @@ def exponential_hierarchy(rho: GridField, n_max) -> CorrelationHierarchy:
     return CorrelationHierarchy._trusted(rho.grid, tensors)
 
 
-def random_ruelle_hierarchy(grid, n_max, rng, envelope=1.0) -> CorrelationHierarchy:
-    """Random symmetric hierarchy with |k_n| <= envelope^n for n >= 1.
+def random_ruelle_orbits(grid, n_max, rng, envelope=1.0) -> CorrelationHierarchy:
+    """Random symmetric hierarchy with |k_n| <= envelope^n for n >= 1, held at its orbits.
 
-    The order-0 entry is drawn near 1.  Used by the inequality harness and
-    the test suite; the envelope plays the role of the activity bound, so
-    sampled states grow no faster than a prescribed geometric rate.  Each
-    uniform draw of order n is averaged over its axis permutations by
-    _symmetrize_tensor: the rng stream and the law are those of the n!-term
-    average, and the tensors are symmetric bit for bit.  The orbit index it
-    reads is built on the first call at (n_sites, n_max) and cached, so a run
-    that samples one shape many times builds it once.  A negative envelope is
-    InvalidArgumentError, an overflowing or nan envelope^n_max
-    NonfiniteStateError; past them every entry is finite (|average| <= 1), so
-    none is validated again.
+    The order-0 entry is drawn near 1.  Used by the inequality harness; the
+    envelope plays the role of the activity bound, so sampled states grow
+    no faster than a prescribed geometric rate.  Each uniform draw of order
+    n, all N^n entries, is reduced to its R_n orbit means by _orbit_means:
+    the rng stream and the law are those of the n!-term average.  The orbit
+    index it reads is built on the first call at (n_sites, n_max) and
+    cached, so a run that samples one shape many times builds it once.  A
+    negative envelope is InvalidArgumentError, an overflowing or nan
+    envelope^n_max NonfiniteStateError; past them every value is finite
+    (|mean| <= 1), so none is validated again.
     """
     n_max = _require_order(grid, n_max)
     if envelope < 0:
@@ -197,9 +197,13 @@ def random_ruelle_hierarchy(grid, n_max, rng, envelope=1.0) -> CorrelationHierar
     tensors = [np.array(rng.uniform(0.5, 1.5))]
     for order in range(1, n_max + 1):
         raw = rng.uniform(-1.0, 1.0, size=(grid.n_sites,) * order)
-        tensors.append(_symmetrize_tensor(raw, n_max))
-        tensors[-1] *= envelope**order
+        tensors.append(_orbit_means(raw, n_max) * envelope**order)
     return CorrelationHierarchy._trusted(grid, tensors)
+
+
+def random_ruelle_hierarchy(grid, n_max, rng, envelope=1.0) -> CorrelationHierarchy:
+    """random_ruelle_orbits' sample, unpacked: its tensors are symmetric bit for bit."""
+    return unpack_hierarchy(random_ruelle_orbits(grid, n_max, rng, envelope))
 
 
 def require_finite(tensors, what):
@@ -503,21 +507,20 @@ def _orbit_index(n_sites, n_max):
     return tuple(index)
 
 
-def _symmetrize_tensor(tensor, n_max):
-    """Average of `tensor`, one order of an (N, n_max) hierarchy, over all axis permutations.
+def _orbit_means(tensor, n_max):
+    """The R_n orbit means of `tensor`, one order of an (N, n_max) hierarchy, at the representatives.
 
-    Each entry becomes the mean of its orbit, the distinct entries its axis
-    permutations reach, summed by np.bincount and divided by the orbit size:
-    that is the n!-term average, to roundoff, and every entry of an orbit
-    reads the one mean, so the result is symmetric bit for bit.  With
-    _orbit_index cached, a random_ruelle_hierarchy call at (12, 4) takes
-    0.15 ms on a 2-core Xeon with numpy 2.4.  Orders 0 and 1 are returned
-    as they are.
+    Each orbit's distinct entries, the ones its axis permutations reach, are
+    summed by np.bincount and divided by the orbit size: written back by
+    unpack_hierarchy, that is the n!-term average over axis permutations,
+    to roundoff, and symmetric bit for bit.  With _orbit_index cached, a
+    random_ruelle_orbits call at (12, 4) takes 0.14 ms, 0.05 ms of it here,
+    on a 2-core Xeon with numpy 2.4.  Orders 0 and 1 are returned as they are.
     """
     if tensor.ndim < 2:
         return tensor
     orbits = _orbit_index(tensor.shape[0], n_max)[tensor.ndim]
-    return (np.bincount(orbits.ids.ravel(), weights=tensor.ravel()) / orbits.sizes)[orbits.ids]
+    return np.bincount(orbits.ids.ravel(), weights=tensor.ravel()) / orbits.sizes
 
 
 def max_abs_difference(k1, k2) -> float:

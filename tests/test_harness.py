@@ -366,14 +366,50 @@ def test_cmd_verify_bounds_evaluates_each_term_once(
 
 def test_cmd_verify_bounds_builds_each_orbit_index_once(tmp_path):
     # every case samples the same shape, so the run builds its orbit index
-    # once; each case looks it up once per sampled order >= 2, and three
-    # times in its generator_gf_terms pass (the packing, the pass itself and
-    # its order terms)
+    # once; each case looks it up once per sampled order >= 2, and twice in
+    # its generator_gf_terms pass (the pass itself and its order terms): the
+    # sample is held at its orbits, so nothing packs it
     hierarchy._orbit_index.cache_clear()
     cfg = replace(ExperimentConfig(), n_sites=2, n_max=12)
     assert set(cmd_verify_bounds(cfg, tmp_path, n_cases=20).values()) == {0}
     info = hierarchy._orbit_index.cache_info()
-    assert (info.misses, info.hits) == (1, 20 * (12 - 1 + 3) - 1)
+    assert (info.misses, info.hits) == (1, 20 * (12 - 1 + 2) - 1)
+
+
+@pytest.mark.parametrize("n_sites,n_max", [(8, 3), (5, 5)])
+def test_cmd_verify_bounds_never_packs_or_unpacks(tmp_path, monkeypatch, n_sites, n_max):
+    # each case is sampled at its orbit values and its one pass reads them as
+    # they are, with the bits of the pass over the unpacked sample
+    moves, passes = [], []
+
+    def recorded(name):
+        original = getattr(hierarchy, name)
+
+        def move(k):
+            moves.append(name)
+            return original(k)
+
+        return move
+
+    for module in (harness, generators, hierarchy):
+        for name in ("pack_hierarchy", "unpack_hierarchy"):
+            monkeypatch.setattr(module, name, recorded(name), raising=False)
+    terms = generators.generator_gf_terms
+
+    def recorded_pass(*args):
+        passes.append((args, terms(*args)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(harness, "generator_gf_terms", recorded_pass)
+    cfg = replace(ExperimentConfig(), n_sites=n_sites, n_max=n_max)
+    assert set(cmd_verify_bounds(cfg, tmp_path, n_cases=4).values()) == {0}
+    assert moves == [] and len(passes) == 4
+    monkeypatch.undo()
+    for (k, *rest), got in passes:
+        assert [t.shape for t in k.tensors[2:]] == [
+            (math.comb(n_sites + n - 1, n),) for n in range(2, n_max + 1)
+        ]
+        assert repr(got) == repr(terms(hierarchy.unpack_hierarchy(k), *rest))
 
 
 def test_cmd_verify_bounds_scans_each_hierarchy_once(tmp_path, monkeypatch):

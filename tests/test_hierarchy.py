@@ -26,9 +26,10 @@ from glauberlab.errors import (
     NonfiniteStateError,
 )
 from glauberlab.hierarchy import (
-    _symmetrize_tensor,
+    _orbit_means,
     flat_dimension,
     max_abs_by_order,
+    random_ruelle_orbits,
 )
 
 from helpers import (
@@ -361,8 +362,15 @@ def test_ruelle_margin_examples_and_oracle():
     assert math.isclose(gl.ruelle_margin(rand, z), oracle, rel_tol=1e-14)
 
 
+def symmetrized(tensor, n_max):
+    """Each entry of `tensor` replaced by its orbit's mean, as random_ruelle_hierarchy writes it."""
+    if tensor.ndim < 2:
+        return tensor
+    return _orbit_means(tensor, n_max)[hierarchy._orbit_index(tensor.shape[0], n_max)[tensor.ndim].ids]
+
+
 def test_random_ruelle_hierarchy_is_its_symmetrized_draws_bit_for_bit():
-    # the tensors are scaled in place and wrapped unvalidated: same stream, law and bits
+    # the tensors are scaled and wrapped unvalidated: same stream, law and bits
     grid = gl.make_grid(5, 5.0)
     for n_max, envelope in ((0, 0.5), (4, 0.5), (3, 2.5)):
         rng = np.random.default_rng(31)
@@ -371,7 +379,7 @@ def test_random_ruelle_hierarchy_is_its_symmetrized_draws_bit_for_bit():
         want = [np.array(replay.uniform(0.5, 1.5))]
         for order in range(1, n_max + 1):
             raw = replay.uniform(-1.0, 1.0, size=(grid.n_sites,) * order)
-            want.append(_symmetrize_tensor(raw, n_max) * envelope**order)
+            want.append(symmetrized(raw, n_max) * envelope**order)
         assert [(t.dtype, t.shape, t.tobytes()) for t in k.tensors] == [
             (w.dtype, w.shape, w.tobytes()) for w in want
         ]
@@ -379,6 +387,21 @@ def test_random_ruelle_hierarchy_is_its_symmetrized_draws_bit_for_bit():
     # a nan envelope would give nan entries, which nothing validates any more
     with pytest.raises(NonfiniteStateError):
         gl.random_ruelle_hierarchy(grid, 2, np.random.default_rng(0), envelope=math.nan)
+
+
+@pytest.mark.parametrize("n_sites", [2, 5, 12])
+def test_orbit_sample_is_the_packed_sample_bit_for_bit(n_sites):
+    # verify-bounds samples at the orbits and never unpacks: it must see the
+    # values that packing random_ruelle_hierarchy's tensors gives, from the same draws
+    grid = gl.make_grid(n_sites, 4.0)
+    for n_max, envelope in itertools.product(range(6), (0.0, 0.5, 2.5)):
+        rng, replay = np.random.default_rng(32 + n_max), np.random.default_rng(32 + n_max)
+        orbits = random_ruelle_orbits(grid, n_max, rng, envelope)
+        packed = hierarchy.pack_hierarchy(gl.random_ruelle_hierarchy(grid, n_max, replay, envelope))
+        assert [(t.dtype, t.shape, t.tobytes()) for t in orbits.tensors] == [
+            (t.dtype, t.shape, t.tobytes()) for t in packed.tensors
+        ]
+        assert rng.uniform() == replay.uniform()  # both streams stop at the same draw
 
 
 def test_flatten_unflatten_and_max_abs_difference():
@@ -403,10 +426,10 @@ def test_orbit_symmetrizer_matches_permutation_oracle():
     grid = gl.make_grid(4, 4.0)
     rng = np.random.default_rng(24)
     raw = [rng.uniform(-1.0, 1.0, size=(4,) * n) for n in range(7)]
-    sym = [_symmetrize_tensor(t, 6) for t in raw]
+    sym = [symmetrized(t, 6) for t in raw]
     for t, s in zip(raw[2:], sym[2:]):
         assert np.max(np.abs(s - symmetrize_oracle(t))) <= 1e-15
-        assert np.max(np.abs(_symmetrize_tensor(s, 6) - s)) <= 1e-15
+        assert np.max(np.abs(symmetrized(s, 6) - s)) <= 1e-15
     assert_all_symmetric(gl.CorrelationHierarchy(grid, sym), tol=0.0)
 
 
@@ -418,7 +441,8 @@ def test_order_two_symmetrizer_is_the_orbit_mean_bit_for_bit():
     ids = np.minimum.outer(sites, sites) * 9 + np.maximum.outer(sites, sites)
     means = np.bincount(ids.ravel(), weights=t.ravel(), minlength=81)
     means /= np.maximum(np.bincount(ids.ravel(), minlength=81), 1)
-    assert _symmetrize_tensor(t, 2).tobytes() == means[ids].tobytes()
+    assert _orbit_means(t, 2).tobytes() == means[np.unique(ids)].tobytes()
+    assert symmetrized(t, 2).tobytes() == means[ids].tobytes()
 
 
 def test_sampled_hierarchies_are_symmetric_bit_for_bit():
@@ -483,7 +507,7 @@ def test_orbit_tables_match_a_brute_force_enumeration(n_sites, n_max):
 
 @pytest.mark.parametrize("n_sites,n_max", [(24, 4), (128, 3)])
 def test_first_sample_of_a_shape_peaks_below_six_top_tensors(n_sites, n_max):
-    # building the orbit index and sampling peak at 3.55 and 4.18 top tensors
+    # building the orbit index and sampling peak at 3.51 and 4.18 top tensors
     # (the index is built at order 2, before the top order is drawn); the
     # coset recursion it replaced peaked at 3.1 and 3.0
     grid = gl.make_grid(n_sites, 4.0)
